@@ -14,13 +14,10 @@ int main() {
 
   std::vector<ArchConfig> configs;
   for (const char* preset : {"Ring_8clus_1bus_2IW", "Conv_8clus_1bus_2IW"}) {
-    for (const SteerAlgo algo :
-         {SteerAlgo::Enhanced, SteerAlgo::Simple, SteerAlgo::RoundRobin,
-          SteerAlgo::Random}) {
+    for (const char* policy : {"enhanced", "ssa", "round_robin", "random"}) {
       ArchConfig config = ArchConfig::preset(preset);
-      config.steer = algo;
-      config.name = std::string(preset) + "#" +
-                    std::string(steer_algo_name(algo));
+      config.steer = policy;
+      config.name = std::string(preset) + "#" + policy;
       configs.push_back(config);
     }
   }

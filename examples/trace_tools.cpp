@@ -1,21 +1,23 @@
 /// \file trace_tools.cpp
-/// Workload tooling example: capture a synthetic benchmark to a compact
-/// binary trace file, replay it through the simulator, and print the
+/// Workload tooling example: capture a synthetic benchmark to an RCLP
+/// trace pack, replay it through the simulator, and print the
 /// instruction-mix profile of every program in the suite.
 ///
-///   ./trace_tools capture <benchmark> <ops> <file>   write a trace file
-///   ./trace_tools replay  <file> [preset]            simulate from a file
+///   ./trace_tools capture <benchmark> <ops> <file.rclp>  write a pack
+///   ./trace_tools replay  <file.rclp> [preset]           simulate a pack
 ///   ./trace_tools mix                                 profile the suite
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "core/processor.h"
 #include "stats/table.h"
+#include "trace/pack/pack_reader.h"
+#include "trace/pack/pack_writer.h"
 #include "trace/synth/suite.h"
-#include "trace/trace_file.h"
 #include "trace/trace_stats.h"
 
 namespace {
@@ -25,12 +27,16 @@ using namespace ringclu;
 int do_capture(const std::string& benchmark, std::uint64_t ops,
                const std::string& path) {
   auto source = make_benchmark_trace(benchmark, 42);
-  TraceFileWriter writer(path);
+  TracePackWriter writer(path);
   MicroOp op;
   for (std::uint64_t i = 0; i < ops && source->next(op); ++i) {
     writer.append(op);
   }
-  writer.close();
+  std::string error;
+  if (!writer.close(&error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
   std::printf("wrote %llu ops of %s to %s\n",
               static_cast<unsigned long long>(writer.ops_written()),
               benchmark.c_str(), path.c_str());
@@ -38,10 +44,16 @@ int do_capture(const std::string& benchmark, std::uint64_t ops,
 }
 
 int do_replay(const std::string& path, const std::string& preset) {
-  TraceFileReader reader(path);
+  std::string error;
+  const std::unique_ptr<TracePackReader> reader =
+      TracePackReader::open(path, &error);
+  if (reader == nullptr) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
   Processor processor(ArchConfig::preset(preset));
   const SimResult result =
-      processor.run(reader, /*warmup=*/0, reader.total_ops());
+      processor.run(*reader, /*warmup=*/0, reader->total_ops());
   std::printf("%s\n", result.detailed_report().c_str());
   return 0;
 }
@@ -86,13 +98,14 @@ int main(int argc, char** argv) {
   }
   // Default: a short self-demonstration of all three modes.
   std::printf("usage:\n"
-              "  trace_tools capture <benchmark> <ops> <file>\n"
-              "  trace_tools replay <file> [preset]\n"
+              "  trace_tools capture <benchmark> <ops> <file.rclp>\n"
+              "  trace_tools replay <file.rclp> [preset]\n"
               "  trace_tools mix\n\n"
               "running the self-demo: capture + replay of 30k swim ops\n\n");
-  const std::string path = "/tmp/ringclu_demo.rct";
-  do_capture("swim", 30000, path);
-  do_replay(path, "Ring_8clus_1bus_2IW");
-  std::remove(path.c_str());
-  return 0;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ringclu_demo.rclp").string();
+  int status = do_capture("swim", 30000, path);
+  if (status == 0) status = do_replay(path, "Ring_8clus_1bus_2IW");
+  std::filesystem::remove(path);
+  return status;
 }

@@ -19,7 +19,7 @@ namespace {
 enum class FieldKind : std::uint8_t {
   String,  ///< std::string
   Arch,    ///< ArchKind, as "Ring" / "Conv"
-  Steer,   ///< steering policy, as a registry name (owns steer+steer_policy)
+  Steer,   ///< std::string holding a registered steering-policy name
   Int,     ///< int
   Bool,    ///< bool
   U64,     ///< std::uint64_t
@@ -33,8 +33,7 @@ enum class FieldKind : std::uint8_t {
 struct FieldDef {
   std::string_view path;
   FieldKind kind;
-  /// Pointer to the field inside \p config (cast per \c kind).  Null for
-  /// the synthetic "steer" entry, which spans two members.
+  /// Pointer to the field inside \p config (cast per \c kind).
   void* (*slot)(ArchConfig& config);
 };
 
@@ -42,7 +41,8 @@ constexpr FieldDef kFields[] = {
     {"name", FieldKind::String,
      [](ArchConfig& c) -> void* { return &c.name; }},
     {"arch", FieldKind::Arch, [](ArchConfig& c) -> void* { return &c.arch; }},
-    {"steer", FieldKind::Steer, nullptr},
+    {"steer", FieldKind::Steer,
+     [](ArchConfig& c) -> void* { return &c.steer; }},
     {"num_clusters", FieldKind::Int,
      [](ArchConfig& c) -> void* { return &c.num_clusters; }},
     {"issue_width", FieldKind::Int,
@@ -128,11 +128,10 @@ std::string field_to_string(const ArchConfig& config, const FieldDef& field) {
   auto& mutable_config = const_cast<ArchConfig&>(config);
   switch (field.kind) {
     case FieldKind::String:
+    case FieldKind::Steer:
       return *static_cast<std::string*>(field.slot(mutable_config));
     case FieldKind::Arch:
       return std::string(arch_name(config.arch));
-    case FieldKind::Steer:
-      return config.steering_policy_name();
     case FieldKind::Int:
       return str_format("%d", *static_cast<int*>(field.slot(mutable_config)));
     case FieldKind::Bool:
@@ -160,13 +159,11 @@ void emit_field(JsonWriter& writer, const ArchConfig& config,
   auto& mutable_config = const_cast<ArchConfig&>(config);
   switch (field.kind) {
     case FieldKind::String:
+    case FieldKind::Steer:
       writer.value(*static_cast<std::string*>(field.slot(mutable_config)));
       return;
     case FieldKind::Arch:
       writer.value(arch_name(config.arch));
-      return;
-    case FieldKind::Steer:
-      writer.value(config.steering_policy_name());
       return;
     case FieldKind::Int:
       writer.value(*static_cast<int*>(field.slot(mutable_config)));
@@ -466,11 +463,10 @@ std::vector<std::string> ArchConfig::try_validate() const {
     out.push_back(
         str_format("mem.l1d_ports = %d must be >= 1", mem.l1d_ports));
   }
-  const std::string policy = steering_policy_name();
-  if (!SteeringRegistry::global().contains(policy)) {
+  if (!SteeringRegistry::global().contains(steer)) {
     out.push_back(str_format(
         "steer: unknown steering policy '%s'; registered policies: %s",
-        policy.c_str(), SteeringRegistry::global().names_joined().c_str()));
+        steer.c_str(), SteeringRegistry::global().names_joined().c_str()));
   }
   check_cache("mem.l1i", mem.l1i, out);
   check_cache("mem.l1d", mem.l1d, out);
@@ -503,24 +499,10 @@ void ArchConfig::validate() const {
   RINGCLU_EXPECTS(violations.empty() && "ArchConfig::validate");
 }
 
-std::string ArchConfig::steering_policy_name() const {
-  return steer_policy.empty() ? std::string(steer_algo_name(steer))
-                              : steer_policy;
-}
-
 std::optional<std::string> ArchConfig::set_steering(
     std::string_view policy_name) {
-  // Enum names stay on the compatibility enum (so fingerprints,
-  // describe() and legacy comparisons agree); anything else must be a
-  // registered policy and rides in steer_policy.
-  if (const std::optional<SteerAlgo> algo = try_steer_algo(policy_name)) {
-    steer = *algo;
-    steer_policy.clear();
-    return std::nullopt;
-  }
   if (SteeringRegistry::global().contains(policy_name)) {
-    steer = SteerAlgo::Enhanced;  // Unused while steer_policy is set.
-    steer_policy = std::string(policy_name);
+    steer = std::string(policy_name);
     return std::nullopt;
   }
   return str_format(
@@ -534,8 +516,7 @@ std::string ArchConfig::describe() const {
   out += str_format("Configuration: %s\n", name.c_str());
   out += str_format("  architecture        : %s\n",
                     std::string(arch_name(arch)).c_str());
-  out += str_format("  steering            : %s\n",
-                    steering_policy_name().c_str());
+  out += str_format("  steering            : %s\n", steer.c_str());
   out += str_format("  clusters            : %d\n", num_clusters);
   out += str_format("  issue width         : %d INT + %d FP per cluster\n",
                     issue_width, issue_width);
@@ -575,7 +556,7 @@ std::string ArchConfig::describe() const {
                     bpred.gshare_entries / 1024, bpred.bimodal_entries / 1024,
                     bpred.selector_entries / 1024,
                     static_cast<std::size_t>(2048));
-  if (arch == ArchKind::Conv && steering_policy_name() == "enhanced") {
+  if (arch == ArchKind::Conv && steer == "enhanced") {
     out += str_format("  DCOUNT threshold    : %d\n", dcount_threshold);
   }
   return out;
@@ -753,11 +734,11 @@ std::optional<ArchConfig> ArchConfig::try_preset(std::string_view name) {
   std::string_view rest = name;
 
   // Optional suffixes, in any order after the base name.
-  config.steer = SteerAlgo::Enhanced;
+  config.steer = "enhanced";
   config.hop_latency = 1;
   for (;;) {
     if (rest.size() > 4 && rest.substr(rest.size() - 4) == "+SSA") {
-      config.steer = SteerAlgo::Simple;
+      config.steer = "ssa";
       rest.remove_suffix(4);
     } else if (rest.size() > 5 && rest.substr(rest.size() - 5) == "@2cyc") {
       config.hop_latency = 2;

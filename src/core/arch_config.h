@@ -30,12 +30,11 @@ inline constexpr int kArchConfigSchemaVersion = 1;
 struct ArchConfig {
   std::string name = "Ring_8clus_1bus_2IW";
   ArchKind arch = ArchKind::Ring;
-  SteerAlgo steer = SteerAlgo::Enhanced;
-  /// Steering policy by registry name (steer/registry.h).  Empty (the
-  /// default) defers to the \c steer enum above — the compatibility path
-  /// every preset and legacy call site uses; non-empty names win and may
-  /// name policies the enum cannot (externally registered ones).
-  std::string steer_policy;
+  /// Steering policy by registry name (steer/registry.h): "enhanced"
+  /// (Ring §3.1 or Conv §4.1 by \c arch), "ssa" (§4.7), "round_robin",
+  /// "random" or any externally registered name.  try_validate() rejects
+  /// unregistered names; set_steering() checks them on assignment.
+  std::string steer = "enhanced";
 
   int num_clusters = 8;
   int issue_width = 2;  ///< per class (INT and FP) per cluster
@@ -88,16 +87,13 @@ struct ArchConfig {
   /// loaders report the whole list at once and exit gracefully instead.
   [[nodiscard]] std::vector<std::string> try_validate() const;
 
-  /// The steering policy's registry name: \c steer_policy when set, the
-  /// \c steer enum's name otherwise.
-  [[nodiscard]] std::string steering_policy_name() const;
+  /// The steering policy's registry name (\c steer).
+  [[nodiscard]] std::string steering_policy_name() const { return steer; }
 
-  /// Sets the steering policy by name — THE resolution rule every surface
-  /// (JSON "steer", CLI steer=, sweep axes) shares: enum names land on
-  /// the \c steer enum with \c steer_policy cleared (fingerprints and
-  /// legacy comparisons agree), other registered names ride in
-  /// \c steer_policy.  Returns the error message (listing the registered
-  /// policies) for unknown names, nullopt on success.
+  /// Sets the steering policy by name — the one assignment every surface
+  /// (JSON "steer", CLI steer=, sweep axes) shares.  Returns the error
+  /// message (listing the registered policies) for unknown names, nullopt
+  /// on success.
   [[nodiscard]] std::optional<std::string> set_steering(
       std::string_view policy_name);
 

@@ -30,9 +30,8 @@ double seconds_since(WallClock::time_point start) {
 
 Processor::Processor(const ArchConfig& config, std::uint64_t seed)
     : config_(config),
-      // Resolved through the string-keyed registry so externally
-      // registered policies work; enum-named configs construct the exact
-      // objects the old closed factory did.
+      // Resolved through the string-keyed registry, so externally
+      // registered policies work like the built-ins.
       policy_(SteeringRegistry::global().create(
           config.steering_policy_name(),
           SteerFactoryArgs{config.arch, config.num_clusters,

@@ -378,7 +378,11 @@ void Processor::restore_state(CheckpointReader& in) {
   measure_baseline_.restore_state(in);
   measure_target_ = in.u64();
   measure_start_committed_ = in.u64();
-  run_start_committed_ = in.u64();
+  // The saved run start is kept in the format but not reused: the commits
+  // before this checkpoint were restored, not simulated by this run, so
+  // total_committed (and the throughput derived from it) counts from here.
+  (void)in.u64();
+  run_start_committed_ = committed_total_;
   if (!in.end_section()) return;
 
   if (!in.begin_section(kTagSteering)) return;

@@ -461,6 +461,7 @@ JobHandle SimService::submit_one(SimJob&& job) {
   const bool streaming = state->job.streaming();
 
   // Coalesce with an identical queued/running job.
+  std::uint64_t unindexed_seen = 0;
   if (!streaming) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto in_flight = in_flight_.find(state->key);
@@ -468,25 +469,27 @@ JobHandle SimService::submit_one(SimJob&& job) {
       ++coalesced_;
       return make_handle(in_flight->second);
     }
+    unindexed_seen = unindexed_;
   }
 
-  // Serve from the store (skipped under force).  The read — possibly a
-  // first-touch parse of an on-disk cache — runs without holding mutex_,
-  // so it never stalls workers publishing results or handles polling.
-  if (!options_.force && !streaming) {
-    if (std::optional<SimResult> cached = store_->get(state->key)) {
-      state->status = JobStatus::Done;
-      state->result = *std::move(cached);
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++store_hits_;
-      return make_handle(std::move(state));
-    }
-  }
-
+  const bool use_store = !options_.force && !streaming;
   const std::size_t shard =
       ordered_puts() ? shard_for_key(state->key, options_.shards) : 0;
   JobHandle handle;
-  {
+  for (;;) {
+    // Serve from the store (skipped under force).  The read — possibly a
+    // first-touch parse of an on-disk cache — runs without holding mutex_,
+    // so it never stalls workers publishing results or handles polling.
+    if (use_store) {
+      if (std::optional<SimResult> cached = store_->get(state->key)) {
+        state->status = JobStatus::Done;
+        state->result = *std::move(cached);
+        const std::lock_guard<std::mutex> lock(mutex_);
+        ++store_hits_;
+        return make_handle(std::move(state));
+      }
+    }
+
     const std::lock_guard<std::mutex> lock(mutex_);
     // Re-check: a duplicate may have been queued while we read the store.
     if (!streaming) {
@@ -495,6 +498,13 @@ JobHandle SimService::submit_one(SimJob&& job) {
         ++coalesced_;
         return make_handle(in_flight->second);
       }
+    }
+    // A job may also have finished and left the index since the last
+    // look: its result can be in the store the read above missed.  Read
+    // again rather than simulate the key a second time.
+    if (use_store && unindexed_ != unindexed_seen) {
+      unindexed_seen = unindexed_;
+      continue;
     }
     state->status = JobStatus::Queued;
     state->shard = shard;
@@ -506,6 +516,7 @@ JobHandle SimService::submit_one(SimJob&& job) {
     if (!streaming) in_flight_.emplace(state->key, state);
     ++total_accepted_;
     spawn_worker_locked(shard);
+    break;
   }
   shards_[shard]->work_cv.notify_one();
   return handle;
@@ -517,7 +528,10 @@ JobHandle SimService::submit_one(SimJob&& job) {
 /// \pre mutex_ held.
 void SimService::unindex_locked(const std::shared_ptr<JobState>& state) {
   const auto it = in_flight_.find(state->key);
-  if (it != in_flight_.end() && it->second == state) in_flight_.erase(it);
+  if (it != in_flight_.end() && it->second == state) {
+    in_flight_.erase(it);
+    ++unindexed_;
+  }
 }
 
 void SimService::worker_loop(std::size_t shard) {

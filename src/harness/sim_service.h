@@ -71,8 +71,8 @@ struct RunnerOptions;
                                     const CheckpointOptions& checkpoint);
 
 /// As run_sim_job(job, checkpoint) but over a caller-provided workload
-/// (the CLI's .rct trace files).  job.benchmark is used only for keying;
-/// the checkpoint identity comes from trace.name().
+/// (a trace pack the CLI opened by path).  job.benchmark is used only for
+/// keying; the checkpoint identity comes from trace.name().
 [[nodiscard]] SimResult run_sim_job_on_trace(
     const SimJob& job, const CheckpointOptions& checkpoint,
     TraceSource& trace);
@@ -297,6 +297,11 @@ class SimService {
   /// Keyed find/insert/erase only — never iterated.
   // ringclu-lint: allow(det-unordered-decl: find/insert/erase; not iterated)
   std::unordered_map<std::string, std::shared_ptr<JobState>> in_flight_;
+  /// Bumped whenever an entry leaves in_flight_.  A finished job leaves
+  /// only after its result is in the store, so a submitter that read the
+  /// store unlocked and sees this unchanged on its re-check knows no
+  /// result for its key landed in between.
+  std::uint64_t unindexed_ = 0;
   bool paused_ = false;
   bool stopping_ = false;
   std::size_t running_ = 0;

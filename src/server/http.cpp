@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <utility>
 
 #include "util/format.h"
 
@@ -144,12 +145,13 @@ void HttpServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  std::vector<std::thread> threads;
+  std::map<std::uint64_t, std::thread> threads;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     threads.swap(connection_threads_);
+    finished_connections_.clear();
   }
-  for (std::thread& thread : threads) {
+  for (auto& [serial, thread] : threads) {
     if (thread.joinable()) thread.join();
   }
 }
@@ -174,13 +176,29 @@ void HttpServer::accept_loop() {
     timeval timeout = {};
     timeout.tv_sec = options_.io_timeout_seconds;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connection_threads_.emplace_back([this, fd] {
-      serve_connection(fd);
-      const std::lock_guard<std::mutex> inner(mutex_);
-      open_fds_.erase(fd);
-      ::close(fd);
-    });
+    std::vector<std::thread> finished;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      for (const std::uint64_t serial : finished_connections_) {
+        auto node = connection_threads_.extract(serial);
+        if (node) finished.push_back(std::move(node.mapped()));
+      }
+      finished_connections_.clear();
+      const std::uint64_t serial = next_connection_++;
+      // The thread's exit step takes mutex_, so it cannot record itself
+      // as finished before it is in connection_threads_.
+      auto serve = [this, fd, serial] {
+        serve_connection(fd);
+        const std::lock_guard<std::mutex> inner(mutex_);
+        open_fds_.erase(fd);
+        ::close(fd);
+        finished_connections_.push_back(serial);
+      };
+      connection_threads_.emplace(serial, std::thread(std::move(serve)));
+    }
+    // These threads have returned (or are about to); joining them
+    // releases their stacks.
+    for (std::thread& thread : finished) thread.join();
   }
 }
 
@@ -283,7 +301,11 @@ void HttpServer::send_response(int fd, const HttpRequest& request,
   head += str_format("Content-Length: %zu\r\nConnection: %s\r\n\r\n",
                      response.body.size(),
                      keep_alive ? "keep-alive" : "close");
-  if (send_all(fd, head)) send_all(fd, response.body);
+  // One send for head and body: two small writes let Nagle's algorithm
+  // hold the body until the peer's delayed ACK of the head, which stalls
+  // every keep-alive response by tens of milliseconds.
+  head += response.body;
+  send_all(fd, head);
 }
 
 void HttpServer::serve_connection(int fd) {

@@ -16,11 +16,15 @@
 /// JsonParseLimits the server layer passes to json_parse.
 ///
 /// Threading: one accept thread plus one thread per live connection.
-/// The handler is invoked concurrently from connection threads and must
-/// be thread-safe.  stop() unblocks every connection (shutdown(2) on the
-/// sockets) and joins all threads; see DESIGN.md §13.
+/// The accept loop joins the threads of closed connections as it accepts
+/// new ones, so a long-running daemon holds threads only for the
+/// connections that are still open.  The handler is invoked concurrently
+/// from connection threads and must be thread-safe.  stop() unblocks
+/// every connection (shutdown(2) on the sockets) and joins all threads;
+/// see DESIGN.md §13.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -124,7 +128,11 @@ class HttpServer {
   /// Live connection sockets: stop() shutdown(2)s them so blocked reads
   /// and writes return immediately.
   std::set<int> open_fds_;
-  std::vector<std::thread> connection_threads_;
+  /// Connection threads by serial number, and the serials of those that
+  /// have returned and wait to be joined by the accept loop.
+  std::map<std::uint64_t, std::thread> connection_threads_;
+  std::vector<std::uint64_t> finished_connections_;
+  std::uint64_t next_connection_ = 0;
 };
 
 }  // namespace ringclu

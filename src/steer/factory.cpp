@@ -4,7 +4,6 @@
 #include "steer/ring_steering.h"
 #include "steer/ssa_steering.h"
 #include "steer/steering.h"
-#include "util/assert.h"
 
 namespace ringclu {
 
@@ -32,19 +31,6 @@ void register_builtin_steering_policies(SteeringRegistry& registry) {
     return std::unique_ptr<SteeringPolicy>(
         std::make_unique<RandomSteering>(args.num_clusters, args.seed));
   });
-}
-
-// Compatibility shim: the closed-enum factory the pre-registry call sites
-// use.  Every enum value maps onto its registered name, so enum and
-// string callers construct identical policy objects.
-std::unique_ptr<SteeringPolicy> make_steering_policy(SteerAlgo algo,
-                                                     ArchKind arch,
-                                                     int num_clusters,
-                                                     int dcount_threshold,
-                                                     std::uint64_t seed) {
-  return SteeringRegistry::global().create(
-      steer_algo_name(algo),
-      SteerFactoryArgs{arch, num_clusters, dcount_threshold, seed});
 }
 
 }  // namespace ringclu

@@ -14,10 +14,9 @@
 ///       });
 ///
 /// Configuration files and the CLI then name it like any built-in
-/// ("steer": "my_policy").  The legacy SteerAlgo enum survives as a thin
-/// compatibility shim (steering.h's make_steering_policy routes through
-/// this registry), so existing call sites and all golden results are
-/// untouched.  See DESIGN.md §9.
+/// ("steer": "my_policy").  A registry name is the only way a policy is
+/// named: ArchConfig::steer holds one, and the Processor builds its
+/// policy from it here.  See DESIGN.md §9.
 
 #include <functional>
 #include <map>

@@ -10,8 +10,6 @@
 /// plus the communication instructions the choice requires, or "stall".
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string_view>
 
 #include "cluster/value_map.h"
@@ -120,41 +118,5 @@ class SteeringPolicy {
   virtual void save_state(CheckpointWriter& out) const { (void)out; }
   virtual void restore_state(CheckpointReader& in) { (void)in; }
 };
-
-/// Which steering algorithm to instantiate.
-enum class SteerAlgo : std::uint8_t {
-  Enhanced,    ///< the paper's main algorithms (Ring §3.1 / Conv §4.1)
-  Simple,      ///< SSA (§4.7)
-  RoundRobin,  ///< ablation: ignore dependences entirely
-  Random,      ///< ablation: uniformly random viable cluster
-};
-
-[[nodiscard]] constexpr std::string_view steer_algo_name(SteerAlgo algo) {
-  switch (algo) {
-    case SteerAlgo::Enhanced: return "enhanced";
-    case SteerAlgo::Simple: return "ssa";
-    case SteerAlgo::RoundRobin: return "round_robin";
-    case SteerAlgo::Random: return "random";
-  }
-  return "?";
-}
-
-/// Inverse of steer_algo_name: nullopt when \p name is not an enum name
-/// (it may still be a registered policy — see steer/registry.h).
-[[nodiscard]] constexpr std::optional<SteerAlgo> try_steer_algo(
-    std::string_view name) {
-  if (name == "enhanced") return SteerAlgo::Enhanced;
-  if (name == "ssa") return SteerAlgo::Simple;
-  if (name == "round_robin") return SteerAlgo::RoundRobin;
-  if (name == "random") return SteerAlgo::Random;
-  return std::nullopt;
-}
-
-/// Factory (compatibility shim over SteeringRegistry — steer/registry.h is
-/// the open, string-keyed surface).  \p dcount_threshold only affects
-/// Conv+Enhanced; \p seed only affects Random.
-[[nodiscard]] std::unique_ptr<SteeringPolicy> make_steering_policy(
-    SteerAlgo algo, ArchKind arch, int num_clusters, int dcount_threshold,
-    std::uint64_t seed);
 
 }  // namespace ringclu

@@ -17,7 +17,7 @@ constexpr std::int64_t unzigzag(std::uint64_t value) {
          -static_cast<std::int64_t>(value & 1);
 }
 
-// Flags byte layout (identical to the v1 trace_file records).
+// Flags byte layout: which optional fields follow in the record.
 constexpr std::uint8_t kHasDst = 1u << 0;
 constexpr std::uint8_t kHasSrc0 = 1u << 1;
 constexpr std::uint8_t kHasSrc1 = 1u << 2;

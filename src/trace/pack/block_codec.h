@@ -1,12 +1,15 @@
 #pragma once
 
 /// \file block_codec.h
-/// The two per-block transforms of the RCLP pack format: the varint/delta
-/// micro-op record encoding (the v1 trace_file scheme with block-local
-/// delta baselines, so blocks are self-contained) and a dependency-free
-/// LZ-style byte compressor.  Both decoders are fully bounds-checked and
-/// never abort: malformed input returns false with \p error set —
-/// adversarial bytes must diagnose, not corrupt (fuzz-pinned).
+/// The two per-block transforms of the RCLP pack format: a varint/delta
+/// micro-op record encoding (one record per op: a flags byte says which
+/// register fields follow; the PC is a delta from the previous op's PC and
+/// a memory address a delta from the previous memory op's address; both
+/// baselines restart at zero in every block, so blocks are
+/// self-contained) and a dependency-free LZ-style byte compressor.  Both
+/// decoders are fully bounds-checked and never abort: malformed input
+/// returns false with \p error set — adversarial bytes must diagnose, not
+/// corrupt (fuzz-pinned).
 ///
 /// Record layout (one per op, all varints LEB128, deltas zig-zag):
 ///   u8 flags (1=dst, 2=src0, 4=src1, 8=taken) | u8 op class |

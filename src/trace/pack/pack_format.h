@@ -73,8 +73,8 @@ inline constexpr std::string_view kPackExtension = ".rclp";
 /// fixed-width serialization of exactly the fields an op semantically
 /// carries (memory fields only for loads/stores, branch fields only for
 /// branches), so the digest of a stream is identical whether it came from
-/// the synthetic generator, a v1 trace file or a pack — the pack<->v1
-/// round-trip equality contract.
+/// the synthetic generator, a RITL text log or a pack — the round-trip
+/// equality contract of record, ingest and cat.
 class TraceDigest {
  public:
   void add(const MicroOp& op);

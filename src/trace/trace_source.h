@@ -2,7 +2,7 @@
 
 /// \file trace_source.h
 /// Abstract supplier of dynamic micro-op streams.  Implementations:
-/// SyntheticProgram (the SPEC2000-like generator), TraceFileReader and
+/// SyntheticProgram (the SPEC2000-like generator), TracePackReader and
 /// VectorTraceSource.
 ///
 /// The base class owns a stream-position counter (ops handed out since the

@@ -183,6 +183,31 @@ TEST(CheckpointRoundTrip, OneWarmupCheckpointServesMultipleBudgets) {
   }
 }
 
+// The commits before a checkpoint were restored, not simulated, so a
+// restored run's total_committed (and the sim rate derived from it)
+// leaves them out.
+TEST(CheckpointRoundTrip, RestoredRunCountsOnlyItsOwnCommits) {
+  const ArchConfig config = ArchConfig::preset("Ring_8clus_1bus_2IW");
+  const std::string benchmark = "gcc";
+  const std::filesystem::path dir = fresh_dir("total_committed");
+  const std::string path = (dir / "warm.ckpt").string();
+
+  const SimResult cold = cold_run(config, benchmark);
+  save_warmup_checkpoint(config, benchmark, path);
+
+  Processor restored(config, kSeed);
+  auto trace = make_benchmark_trace(benchmark, kSeed);
+  CheckpointMeta meta;
+  std::string error;
+  ASSERT_TRUE(restore_checkpoint(path, restored, *trace,
+                                 expectation(config, benchmark), &meta,
+                                 &error))
+      << error;
+  ASSERT_GE(meta.committed, kWarmup);
+  const SimResult warm = restored.measure(*trace, kMeasure);
+  EXPECT_EQ(warm.total_committed, cold.total_committed - meta.committed);
+}
+
 TEST(CheckpointRoundTrip, MetaHeaderRecordsIdentity) {
   const ArchConfig config = ArchConfig::preset("Ring_4clus_1bus_2IW");
   const std::string benchmark = "art";
@@ -208,7 +233,10 @@ class CheckpointRejection : public ::testing::Test {
  protected:
   void SetUp() override {
     config_ = ArchConfig::preset("Ring_4clus_1bus_2IW");
-    dir_ = fresh_dir("reject");
+    // One directory per test: ctest runs these in parallel processes.
+    dir_ = fresh_dir(
+        std::string("reject_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     path_ = (dir_ / "warm.ckpt").string();
     save_warmup_checkpoint(config_, benchmark_, path_);
   }
@@ -346,6 +374,8 @@ TEST(CheckpointSnapshot, MidMeasureResumeIsBitIdenticalToUninterrupted) {
 
   const SimResult finished = resumed.measure(*trace, kMeasure);
   expect_identical(uninterrupted.counters, finished.counters);
+  EXPECT_EQ(finished.total_committed,
+            uninterrupted.total_committed - meta.committed);
 }
 
 // ---- Harness integration -----------------------------------------------

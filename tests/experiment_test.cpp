@@ -175,14 +175,19 @@ TEST(ConfigJson, UnknownSteeringPolicyListsRegisteredNames) {
   EXPECT_NE(errors[0].find("ssa"), std::string::npos);
 }
 
-TEST(ConfigJson, SteerEnumNamesStayOnTheEnum) {
-  std::vector<std::string> errors;
-  const std::optional<ArchConfig> config =
-      ArchConfig::from_json(R"({"steer": "ssa"})", &errors);
-  ASSERT_TRUE(config.has_value()) << errors_joined(errors);
-  EXPECT_EQ(config->steer, SteerAlgo::Simple);
-  EXPECT_TRUE(config->steer_policy.empty());
-  EXPECT_EQ(config->steering_policy_name(), "ssa");
+TEST(ConfigJson, BuiltinSteerNamesRoundTrip) {
+  for (const char* name : {"enhanced", "ssa", "round_robin", "random"}) {
+    ArchConfig config;
+    EXPECT_EQ(config.set_steering(name), std::nullopt) << name;
+    EXPECT_EQ(config.steering_policy_name(), name);
+    EXPECT_EQ(round_trip(config).steer, name);
+
+    std::vector<std::string> errors;
+    const std::optional<ArchConfig> parsed = ArchConfig::from_json(
+        std::string(R"({"steer": ")") + name + R"("})", &errors);
+    ASSERT_TRUE(parsed.has_value()) << errors_joined(errors);
+    EXPECT_EQ(*parsed, config) << name;
+  }
 }
 
 // ---- try_validate / fingerprint ---------------------------------------
@@ -238,7 +243,7 @@ TEST(ConfigFingerprint, BehaviorFieldsChangeFingerprint) {
   tweaked.mem.l1d.size_bytes *= 2;
   EXPECT_NE(base.fingerprint(), tweaked.fingerprint());
   ArchConfig steered = base;
-  steered.steer = SteerAlgo::Simple;
+  steered.steer = "ssa";
   EXPECT_NE(base.fingerprint(), steered.fingerprint());
 }
 
@@ -270,17 +275,6 @@ TEST(SteeringRegistryTest, BuiltinsAreRegisteredSorted) {
                                              "round_robin", "ssa"}));
   EXPECT_TRUE(SteeringRegistry::global().contains("enhanced"));
   EXPECT_FALSE(SteeringRegistry::global().contains("ENHANCED"));
-}
-
-TEST(SteeringRegistryTest, EnumShimAndRegistryBuildTheSamePolicies) {
-  const SteerFactoryArgs ring{ArchKind::Ring, 8, 8, 1};
-  const SteerFactoryArgs conv{ArchKind::Conv, 8, 8, 1};
-  EXPECT_EQ(SteeringRegistry::global().create("enhanced", ring)->name(),
-            make_steering_policy(SteerAlgo::Enhanced, ArchKind::Ring, 8, 8, 1)
-                ->name());
-  EXPECT_EQ(SteeringRegistry::global().create("enhanced", conv)->name(),
-            "conv_dcount");
-  EXPECT_EQ(SteeringRegistry::global().create("ssa", ring)->name(), "ssa");
 }
 
 TEST(SteeringRegistryTest, TryCreateIsGracefulOnUnknownNames) {
@@ -320,7 +314,7 @@ TEST(SteeringRegistryTest, ExternalPolicyPlugsInWithoutCoreChanges) {
 
   ArchConfig builtin = ArchConfig::preset("Ring_8clus_1bus_2IW+SSA");
   ArchConfig custom = ArchConfig::preset("Ring_8clus_1bus_2IW");
-  custom.steer_policy = "test_custom_ssa";
+  ASSERT_EQ(custom.set_steering("test_custom_ssa"), std::nullopt);
   custom.name = builtin.name;  // Identical display name: counters compare.
   EXPECT_EQ(custom.steering_policy_name(), "test_custom_ssa");
   EXPECT_EQ(run_serialized(builtin, "mcf", 3000, 300),
@@ -328,7 +322,7 @@ TEST(SteeringRegistryTest, ExternalPolicyPlugsInWithoutCoreChanges) {
 
   // And it round-trips through JSON like any built-in.
   const ArchConfig reloaded = round_trip(custom);
-  EXPECT_EQ(reloaded.steer_policy, "test_custom_ssa");
+  EXPECT_EQ(reloaded.steer, "test_custom_ssa");
 }
 
 // ---- Sweep expansion ---------------------------------------------------

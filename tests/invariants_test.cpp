@@ -73,9 +73,8 @@ ArchConfig random_config(Rng& rng) {
   config.num_buses = 1 + static_cast<int>(rng.uniform(2));
   config.hop_latency = 1 + static_cast<int>(rng.uniform(2));
   config.arch = rng.uniform(2) == 0 ? ArchKind::Ring : ArchKind::Conv;
-  const SteerAlgo algos[] = {SteerAlgo::Enhanced, SteerAlgo::Simple,
-                             SteerAlgo::RoundRobin, SteerAlgo::Random};
-  config.steer = algos[rng.uniform(4)];
+  const char* const policies[] = {"enhanced", "ssa", "round_robin", "random"};
+  config.steer = policies[rng.uniform(4)];
   config.dcount_threshold = 4 + static_cast<int>(rng.uniform(13));
   config.regs_per_class = 40 + static_cast<int>(rng.uniform(25));
   config.iq_int = config.iq_fp = 8 + static_cast<int>(rng.uniform(9));
@@ -102,7 +101,7 @@ TEST(Invariants, ConservationAcrossRandomConfigs) {
     SCOPED_TRACE("scenario " + std::to_string(scenario) + ": " +
                  std::to_string(config.num_clusters) + " clusters, " +
                  std::string(arch_name(config.arch)) + "/" +
-                 std::string(steer_algo_name(config.steer)) + ", " +
+                 config.steer + ", " +
                  benchmark + ", seed " + std::to_string(seed));
 
     auto inner = make_benchmark_trace(benchmark, seed);

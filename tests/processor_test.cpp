@@ -41,8 +41,7 @@ TEST(ArchConfig, TryPresetRejectsMalformedNamesWithoutAborting) {
   EXPECT_FALSE(ArchConfig::try_preset("Ring_8clus_3bus_2IW").has_value());
   EXPECT_FALSE(ArchConfig::try_preset("Ring_8clus_1bus_9IW").has_value());
   ASSERT_TRUE(ArchConfig::try_preset("Ring_8clus_1bus_2IW+SSA").has_value());
-  EXPECT_EQ(ArchConfig::try_preset("Ring_8clus_1bus_2IW+SSA")->steer,
-            SteerAlgo::Simple);
+  EXPECT_EQ(ArchConfig::try_preset("Ring_8clus_1bus_2IW+SSA")->steer, "ssa");
 }
 
 TEST(ArchConfig, PresetFieldsMatchName) {
@@ -65,11 +64,11 @@ TEST(ArchConfig, FourClusterSizing) {
 
 TEST(ArchConfig, SuffixesParse) {
   const ArchConfig ssa = ArchConfig::preset("Ring_8clus_1bus_2IW+SSA");
-  EXPECT_EQ(ssa.steer, SteerAlgo::Simple);
+  EXPECT_EQ(ssa.steer, "ssa");
   const ArchConfig slow = ArchConfig::preset("Conv_8clus_1bus_2IW@2cyc");
   EXPECT_EQ(slow.hop_latency, 2);
   const ArchConfig both = ArchConfig::preset("Ring_8clus_2bus_2IW@2cyc+SSA");
-  EXPECT_EQ(both.steer, SteerAlgo::Simple);
+  EXPECT_EQ(both.steer, "ssa");
   EXPECT_EQ(both.hop_latency, 2);
 }
 

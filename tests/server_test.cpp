@@ -690,8 +690,8 @@ TEST(SimServer, ReplaySkipsCorruptJournalLines) {
 
 // ---- HttpServer framing over real sockets ------------------------------
 
-/// One blocking request/response exchange against 127.0.0.1:port.
-std::string http_exchange(int port, const std::string& raw) {
+/// A client socket connected to 127.0.0.1:port.
+int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr = {};
@@ -700,6 +700,24 @@ std::string http_exchange(int port, const std::string& raw) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  return fd;
+}
+
+/// Reads from \p fd until \p marker has arrived (or the peer closes).
+std::string read_until(int fd, const std::string& marker) {
+  std::string reply;
+  char buffer[4096];
+  while (reply.find(marker) == std::string::npos) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    reply.append(buffer, static_cast<std::size_t>(n));
+  }
+  return reply;
+}
+
+/// One blocking request/response exchange against 127.0.0.1:port.
+std::string http_exchange(int port, const std::string& raw) {
+  const int fd = connect_loopback(port);
   std::size_t sent = 0;
   while (sent < raw.size()) {
     const ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, 0);
@@ -779,37 +797,75 @@ TEST_F(HttpServerTest, RejectsMalformedFraming) {
 // Keep-alive is sequential request/response on one connection (the
 // server rejects pipelined bytes with 400 by design).
 TEST_F(HttpServerTest, KeepAliveServesSequentialRequests) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(server_->port()));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-
-  const auto read_until = [fd](const std::string& marker) {
-    std::string reply;
-    char buffer[4096];
-    while (reply.find(marker) == std::string::npos) {
-      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-      if (n <= 0) break;
-      reply.append(buffer, static_cast<std::size_t>(n));
-    }
-    return reply;
-  };
+  const int fd = connect_loopback(server_->port());
   const std::string first = "GET /one HTTP/1.1\r\n\r\n";
   ASSERT_EQ(::send(fd, first.data(), first.size(), 0),
             static_cast<ssize_t>(first.size()));
-  EXPECT_NE(read_until("\"target\":\"/one\"").find("HTTP/1.1 200"),
+  EXPECT_NE(read_until(fd, "\"target\":\"/one\"").find("HTTP/1.1 200"),
             std::string::npos);
 
   const std::string second = "GET /two HTTP/1.1\r\n\r\n";
   ASSERT_EQ(::send(fd, second.data(), second.size(), 0),
             static_cast<ssize_t>(second.size()));
-  EXPECT_NE(read_until("\"target\":\"/two\"").find("\"target\":\"/two\""),
-            std::string::npos);
+  EXPECT_NE(
+      read_until(fd, "\"target\":\"/two\"").find("\"target\":\"/two\""),
+      std::string::npos);
   ::close(fd);
+}
+
+// Head and body leave in one write.  Written separately, Nagle's
+// algorithm holds the body until the client's delayed ACK of the head,
+// about 40 ms per response.
+TEST_F(HttpServerTest, KeepAliveResponsesDoNotStall) {
+  const int fd = connect_loopback(server_->port());
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) {
+    const std::string target = "/r" + std::to_string(i);
+    const std::string request = "GET " + target + " HTTP/1.1\r\n\r\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    const std::string marker = "\"target\":\"" + target + "\"";
+    ASSERT_NE(read_until(fd, marker).find(marker), std::string::npos) << i;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 200ms);
+  ::close(fd);
+}
+
+/// Threads of this process.
+std::size_t proc_task_count() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+/// Memory mappings of this process.
+std::size_t proc_mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t count = 0;
+  std::string line;
+  while (std::getline(maps, line)) ++count;
+  return count;
+}
+
+// The thread of a closed connection is joined while the server runs, not
+// at stop().  An exited thread leaves /proc/self/task at once, but until
+// it is joined its stack stays mapped, so the mapping count is what grows
+// when finished threads pile up (two mappings per thread).
+TEST_F(HttpServerTest, ClosedConnectionThreadsAreJoined) {
+  const std::size_t tasks_before = proc_task_count();
+  const std::size_t mappings_before = proc_mapping_count();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_NE(http_exchange(server_->port(), "GET /x HTTP/1.1\r\n\r\n")
+                  .find("HTTP/1.1 200"),
+              std::string::npos)
+        << i;
+  }
+  EXPECT_LE(proc_task_count(), tasks_before + 4);
+  EXPECT_LE(proc_mapping_count(), mappings_before + 64);
 }
 
 }  // namespace

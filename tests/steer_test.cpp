@@ -14,6 +14,7 @@
 #include "steer/conv_steering.h"
 #include "steer/dcount.h"
 #include "steer/extra_policies.h"
+#include "steer/registry.h"
 #include "steer/ring_steering.h"
 #include "steer/ssa_steering.h"
 #include "steer/steer_common.h"
@@ -414,14 +415,12 @@ TEST(RandomSteering, OnlyPicksViableClusters) {
 }
 
 TEST(SteeringFactory, BuildsExpectedPolicies) {
-  auto ring = make_steering_policy(SteerAlgo::Enhanced, ArchKind::Ring, 8,
-                                   8, 1);
-  EXPECT_EQ(ring->name(), "ring_dependence");
-  auto conv = make_steering_policy(SteerAlgo::Enhanced, ArchKind::Conv, 8,
-                                   8, 1);
-  EXPECT_EQ(conv->name(), "conv_dcount");
-  auto ssa = make_steering_policy(SteerAlgo::Simple, ArchKind::Ring, 8, 8, 1);
-  EXPECT_EQ(ssa->name(), "ssa");
+  const SteeringRegistry& registry = SteeringRegistry::global();
+  const SteerFactoryArgs ring{ArchKind::Ring, 8, 8, 1};
+  const SteerFactoryArgs conv{ArchKind::Conv, 8, 8, 1};
+  EXPECT_EQ(registry.create("enhanced", ring)->name(), "ring_dependence");
+  EXPECT_EQ(registry.create("enhanced", conv)->name(), "conv_dcount");
+  EXPECT_EQ(registry.create("ssa", ring)->name(), "ssa");
 }
 
 // --- plan_candidate capacity checks ----------------------------------------

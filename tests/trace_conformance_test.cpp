@@ -1,5 +1,5 @@
 // TraceSource conformance suite: every source — all 26 synthetic
-// benchmarks, VectorTraceSource (looping and finite) and TraceFileReader —
+// benchmarks, VectorTraceSource (looping and finite) and TracePackReader —
 // must honor the base-class contracts the checkpoint machinery depends on:
 //   - reset() replays the stream byte-identically from the beginning,
 //   - position() counts exactly the ops handed out since the last reset,
@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "trace/pack/pack_format.h"
 #include "trace/pack/pack_reader.h"
 #include "trace/pack/pack_writer.h"
 #include "trace/synth/suite.h"
-#include "trace/trace_file.h"
 #include "trace/trace_source.h"
 #include "trace/vector_source.h"
 
@@ -78,48 +78,50 @@ std::vector<MicroOp> sample_ops() {
   return ops;
 }
 
-/// A trace file shared by every test in the binary (written once).
-const std::string& shared_trace_file() {
-  static const std::string path = [] {
-    const std::filesystem::path file =
-        std::filesystem::path(::testing::TempDir()) / "ringclu_conf.rct";
-    std::filesystem::remove(file);
-    auto source = make_benchmark_trace("gzip", kSeed);
-    TraceFileWriter writer(file.string());
-    MicroOp op;
-    for (int i = 0; i < 1200 && source->next(op); ++i) writer.append(op);
-    writer.close();
-    return file.string();
-  }();
+/// Writes the first 1200 gzip ops to an RCLP pack in the test temp
+/// directory.  ctest runs tests in parallel processes that all write the
+/// same bytes here; the writer's atomic rename means a reader never sees
+/// a partial file.
+std::string write_conf_pack(const std::string& stem,
+                            std::uint32_t block_ops) {
+  const std::filesystem::path file =
+      std::filesystem::path(::testing::TempDir()) / (stem + ".rclp");
+  auto source = make_benchmark_trace("gzip", kSeed);
+  TracePackWriter writer(file.string(), block_ops);
+  MicroOp op;
+  for (int i = 0; i < 1200 && source->next(op); ++i) writer.append(op);
+  std::string error;
+  if (!writer.close(&error)) {
+    ADD_FAILURE() << "pack write failed: " << error;
+  }
+  return file.string();
+}
+
+/// The pack every test in the binary shares, in 256-op blocks so the 1200
+/// ops span several blocks and the conformance positions (357, 600) land
+/// mid-block, exercising the seek-restore index walk.
+const std::string& shared_pack_file() {
+  static const std::string path = write_conf_pack("ringclu_conf", 256);
   return path;
 }
 
-/// An RCLP pack of the same 1200 gzip ops, written once.  A small block
-/// size so the 1200 ops span several blocks and the conformance positions
-/// (357, 600) land mid-block, exercising the seek-restore index walk.
-const std::string& shared_pack_file() {
-  static const std::string path = [] {
-    const std::filesystem::path file =
-        std::filesystem::path(::testing::TempDir()) / "ringclu_conf.rclp";
-    std::filesystem::remove(file);
-    auto source = make_benchmark_trace("gzip", kSeed);
-    TracePackWriter writer(file.string(), /*block_ops=*/256);
-    MicroOp op;
-    for (int i = 0; i < 1200 && source->next(op); ++i) writer.append(op);
-    std::string error;
-    if (!writer.close(&error)) {
-      ADD_FAILURE() << "pack write failed: " << error;
-    }
-    return file.string();
-  }();
+/// The same ops at the writer's default block size: a single block, as a
+/// short recorded pack is.
+const std::string& one_block_pack_file() {
+  static const std::string path =
+      write_conf_pack("ringclu_conf_one_block", kPackDefaultBlockOps);
   return path;
+}
+
+std::unique_ptr<TracePackReader> open_pack(const std::string& path) {
+  std::string error;
+  auto reader = TracePackReader::open(path, &error);
+  EXPECT_NE(reader, nullptr) << error;
+  return reader;
 }
 
 std::unique_ptr<TracePackReader> open_shared_pack() {
-  std::string error;
-  auto reader = TracePackReader::open(shared_pack_file(), &error);
-  EXPECT_NE(reader, nullptr) << error;
-  return reader;
+  return open_pack(shared_pack_file());
 }
 
 struct SourceCase {
@@ -148,10 +150,9 @@ std::vector<SourceCase> all_sources() {
                          sample_ops(), /*loop=*/false);
                    },
                    true});
-  cases.push_back({"trace_file",
-                   [] {
-                     return std::make_unique<TraceFileReader>(
-                         shared_trace_file());
+  cases.push_back({"trace_pack_one_block",
+                   []() -> std::unique_ptr<TraceSource> {
+                     return open_pack(one_block_pack_file());
                    },
                    true});
   cases.push_back(
@@ -242,12 +243,12 @@ TEST_P(TraceConformance, RestorePosYieldsIdenticalRemainder) {
 }
 
 // ---------------------------------------------------------------------------
-// Seek-vs-skip pins.  Both file-backed readers override restore_pos with a
-// seek (fseek for v1, block-index jump for packs) instead of the base
-// class's reset-and-skip replay.  These tests pin the optimized path
-// bit-identical to the skip path at every interesting position — including
-// block boundaries and end-of-stream — because a seek that lands one op
-// off silently corrupts every checkpoint resume.
+// Seek-vs-skip pins.  The pack reader overrides restore_pos with a
+// block-index jump instead of the base class's reset-and-skip replay.
+// These tests pin the optimized path bit-identical to the skip path at
+// every interesting position — including block boundaries and
+// end-of-stream — because a seek that lands one op off silently corrupts
+// every checkpoint resume.
 
 /// Positions worth pinning for a 1200-op stream in 256-op blocks.
 std::vector<std::uint64_t> pin_positions() {
@@ -290,28 +291,6 @@ TEST(TraceSeekPin, PackRestoreMatchesSkipAtEveryBoundary) {
     for (std::uint64_t i = 0; i < position; ++i) ASSERT_TRUE(skip->next(op));
 
     expect_seek_matches_skip(*seeked, *skip, position);
-  }
-}
-
-TEST(TraceSeekPin, TraceFileRestoreMatchesSkipAtEveryBoundary) {
-  for (const std::uint64_t position : pin_positions()) {
-    TraceFileReader walker(shared_trace_file());
-    ASSERT_TRUE(walker.ok()) << walker.error();
-    MicroOp op;
-    for (std::uint64_t i = 0; i < position; ++i) ASSERT_TRUE(walker.next(op));
-
-    CheckpointWriter writer;
-    walker.save_pos(writer);
-
-    TraceFileReader seeked(shared_trace_file());
-    CheckpointReader reader(writer.bytes());
-    seeked.restore_pos(reader);
-    ASSERT_TRUE(reader.ok()) << reader.error();
-
-    TraceFileReader skip(shared_trace_file());
-    for (std::uint64_t i = 0; i < position; ++i) ASSERT_TRUE(skip.next(op));
-
-    expect_seek_matches_skip(seeked, skip, position);
   }
 }
 

@@ -1,6 +1,6 @@
 // RCLP trace-pack suite: the block codec (record encoding + LZ
 // compressor), writer/reader round-trips across block boundaries, the
-// content digest's format independence (synth == v1 file == pack), and —
+// content digest's format independence (synth stream == pack), and —
 // most importantly — the corruption contract: every reader in the trace
 // layer must diagnose adversarial bytes with a sticky error instead of
 // aborting or invoking UB.  The fuzz tests here run the same deterministic
@@ -23,14 +23,21 @@
 #include "trace/pack/pack_reader.h"
 #include "trace/pack/pack_writer.h"
 #include "trace/synth/suite.h"
-#include "trace/trace_file.h"
 #include "trace/trace_source.h"
 
 namespace ringclu {
 namespace {
 
+/// \p name in a temp directory of the running test's own: ctest runs the
+/// tests of this binary in parallel processes, and the corruption fixture
+/// rewrites its files in every test.
 std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(::testing::TempDir()) / name;
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      (std::string("ringclu_pack_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  std::filesystem::create_directories(dir);
+  return dir / name;
 }
 
 std::vector<MicroOp> synth_ops(const std::string& benchmark,
@@ -272,20 +279,6 @@ TEST(TracePack, DigestMatchesAcrossSynthV1AndPack) {
   const std::vector<MicroOp> ops = synth_ops("swim", 11, 600);
   const std::uint64_t want = digest_of(ops);
 
-  // v1 file -> digest of replayed stream.
-  const std::string v1 = temp_path("digest.rct").string();
-  {
-    TraceFileWriter writer(v1);
-    for (const MicroOp& op : ops) writer.append(op);
-    writer.close();
-  }
-  TraceFileReader v1_reader(v1);
-  TraceDigest v1_digest;
-  MicroOp op;
-  while (v1_reader.next(op)) v1_digest.add(op);
-  EXPECT_EQ(v1_digest.value(), want);
-  EXPECT_TRUE(v1_reader.ok()) << v1_reader.error();
-
   // Pack header digest and replayed-stream digest.
   const std::string pack = temp_path("digest.rclp").string();
   write_pack(pack, ops, 100);
@@ -294,6 +287,7 @@ TEST(TracePack, DigestMatchesAcrossSynthV1AndPack) {
   ASSERT_NE(pack_reader, nullptr) << error;
   EXPECT_EQ(pack_reader->content_digest(), want);
   TraceDigest pack_digest;
+  MicroOp op;
   while (pack_reader->next(op)) pack_digest.add(op);
   EXPECT_EQ(pack_digest.value(), want);
 }
@@ -439,81 +433,6 @@ TEST_F(TracePackCorruption, DeterministicFuzzNeverCrashes) {
       EXPECT_FALSE(reader->error().empty());
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// v1 TraceFileReader hardening (same contract, older format).
-
-class TraceFileCorruption : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ops_ = synth_ops("vpr", 4, 300);
-    path_ = temp_path("corrupt.rct").string();
-    TraceFileWriter writer(path_);
-    for (const MicroOp& op : ops_) writer.append(op);
-    writer.close();
-    bytes_ = read_bytes(path_);
-  }
-
-  std::unique_ptr<TraceFileReader> open_mutated(
-      const std::vector<std::uint8_t>& bytes) {
-    const std::string mutated = temp_path("corrupt_mut.rct").string();
-    write_bytes(mutated, bytes);
-    return std::make_unique<TraceFileReader>(mutated);
-  }
-
-  std::vector<MicroOp> ops_;
-  std::string path_;
-  std::vector<std::uint8_t> bytes_;
-};
-
-TEST_F(TraceFileCorruption, TruncatedHeaderFailsCleanly) {
-  for (const std::size_t size : {std::size_t{0}, std::size_t{7},
-                                 std::size_t{15}}) {
-    std::vector<std::uint8_t> clipped(bytes_.begin(),
-                                      bytes_.begin() + static_cast<long>(size));
-    auto reader = open_mutated(clipped);
-    EXPECT_FALSE(reader->ok()) << "size " << size;
-    MicroOp op;
-    EXPECT_FALSE(reader->next(op));
-  }
-}
-
-TEST_F(TraceFileCorruption, DeterministicFuzzNeverCrashes) {
-  std::mt19937_64 rng(0xBEEF);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<std::uint8_t> bytes = bytes_;
-    const int flips = 1 + static_cast<int>(rng() % 4);
-    for (int i = 0; i < flips; ++i) {
-      bytes[rng() % bytes.size()] ^=
-          static_cast<std::uint8_t>(1 + rng() % 255);
-    }
-    auto reader = open_mutated(bytes);
-    MicroOp op;
-    // A flip can legally reparse the variable-length records into a
-    // different op count (the v1 format has no per-block checksums), so
-    // the contract here is only: bounded, no crash, sticky diagnostics.
-    std::uint64_t count = 0;
-    while (count < bytes_.size() && reader->next(op)) ++count;
-    EXPECT_LT(count, bytes_.size()) << "trial " << trial;
-    if (!reader->ok()) {
-      EXPECT_FALSE(reader->error().empty());
-    }
-  }
-}
-
-TEST_F(TraceFileCorruption, OversizedVarintRejected) {
-  // Header + a record whose pc-delta varint never terminates.
-  std::vector<std::uint8_t> bytes(bytes_.begin(), bytes_.begin() + 16);
-  bytes.push_back(0);  // flags
-  bytes.push_back(0);  // cls Nop
-  bytes.push_back(0);  // branch kind
-  for (int i = 0; i < 11; ++i) bytes.push_back(0xff);
-  auto reader = open_mutated(bytes);
-  MicroOp op;
-  while (reader->next(op)) {
-  }
-  EXPECT_FALSE(reader->ok());
 }
 
 }  // namespace

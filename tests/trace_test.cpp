@@ -1,6 +1,6 @@
 // Tests for src/trace: kernel DSL validation, the synthetic generator's
 // dependence structure, address patterns, branch patterns, determinism,
-// the 26-benchmark suite and the binary trace format.
+// and the 26-benchmark suite.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "trace/synth/kernels.h"
 #include "trace/synth/program.h"
 #include "trace/synth/suite.h"
-#include "trace/trace_file.h"
 #include "trace/trace_stats.h"
 
 namespace ringclu {
@@ -227,56 +226,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BenchmarkDesc>& param_info) {
       return std::string(param_info.param.name);
     });
-
-TEST(TraceFile, RoundTripPreservesStream) {
-  const std::string path = "/tmp/ringclu_trace_test.rct";
-  auto source = make_benchmark_trace("galgel", 7);
-  std::vector<MicroOp> original;
-  {
-    TraceFileWriter writer(path);
-    MicroOp op;
-    for (int i = 0; i < 3000; ++i) {
-      source->next(op);
-      writer.append(op);
-      original.push_back(op);
-    }
-  }
-  TraceFileReader reader(path);
-  EXPECT_EQ(reader.total_ops(), 3000u);
-  MicroOp op;
-  for (int i = 0; i < 3000; ++i) {
-    ASSERT_TRUE(reader.next(op));
-    const MicroOp& want = original[static_cast<std::size_t>(i)];
-    ASSERT_EQ(op.pc, want.pc) << i;
-    ASSERT_EQ(op.cls, want.cls) << i;
-    ASSERT_EQ(op.dst, want.dst) << i;
-    ASSERT_EQ(op.src[0], want.src[0]) << i;
-    ASSERT_EQ(op.src[1], want.src[1]) << i;
-    ASSERT_EQ(op.mem_addr, want.mem_addr) << i;
-    ASSERT_EQ(op.taken, want.taken) << i;
-    ASSERT_EQ(op.target, want.target) << i;
-  }
-  EXPECT_FALSE(reader.next(op));  // end of stream
-  std::remove(path.c_str());
-}
-
-TEST(TraceFile, ResetRewinds) {
-  const std::string path = "/tmp/ringclu_trace_reset.rct";
-  {
-    TraceFileWriter writer(path);
-    MicroOp op;
-    op.pc = 0x400;
-    writer.append(op);
-  }
-  TraceFileReader reader(path);
-  MicroOp op;
-  ASSERT_TRUE(reader.next(op));
-  EXPECT_EQ(op.pc, 0x400u);
-  reader.reset();
-  ASSERT_TRUE(reader.next(op));
-  EXPECT_EQ(op.pc, 0x400u);
-  std::remove(path.c_str());
-}
 
 TEST(TraceStats, CountsClasses) {
   auto trace = make_benchmark_trace("swim", 42);

@@ -4,9 +4,9 @@
 /// expand and run a declarative sweep spec through the asynchronous
 /// SimService.
 ///
-///   ringclu_sim [--json] <preset|config.json> <benchmark|trace.rct|pack.rclp>
+///   ringclu_sim [--json] <preset|config.json> <benchmark|pack.rclp>
 ///       [key=value ...]
-///   ringclu_sim --config <file.json> <benchmark|trace.rct|pack.rclp> [key=value ...]
+///   ringclu_sim --config <file.json> <benchmark|pack.rclp> [key=value ...]
 ///   ringclu_sim --dump-config <preset|config.json> [key=value ...]
 ///   ringclu_sim --matrix [key=value ...]
 ///   ringclu_sim --sweep <spec.json> [key=value ...]
@@ -87,7 +87,6 @@
 #include "trace/pack/pack_reader.h"
 #include "trace/registry.h"
 #include "trace/synth/suite.h"
-#include "trace/trace_file.h"
 #include "util/assert.h"
 #include "util/config.h"
 #include "util/format.h"
@@ -166,8 +165,6 @@ bool ends_with(const std::string& name, std::string_view suffix) {
          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
              0;
 }
-
-bool is_trace_file(const std::string& name) { return ends_with(name, ".rct"); }
 
 bool is_trace_pack(const std::string& name) {
   return ends_with(name, ".rclp");
@@ -625,9 +622,9 @@ int run_dump_config(const std::string& token, const Config& options) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: ringclu_sim [--json] <preset|config.json> <benchmark|trace.rct|pack.rclp> "
+      "usage: ringclu_sim [--json] <preset|config.json> <benchmark|pack.rclp> "
       "[key=value ...]\n"
-      "       ringclu_sim --config <file.json> <benchmark|trace.rct|pack.rclp> "
+      "       ringclu_sim --config <file.json> <benchmark|pack.rclp> "
       "[key=value ...]\n"
       "       ringclu_sim --dump-config <preset|config.json> [key=value ...]\n"
       "       ringclu_sim --matrix [key=value ...]\n"
@@ -778,14 +775,7 @@ int main(int argc, char** argv) {
 
   const std::string workload = argv[2];
   std::unique_ptr<TraceSource> trace;
-  if (is_trace_file(workload)) {
-    auto reader = std::make_unique<TraceFileReader>(workload);
-    if (!reader->ok()) {
-      std::fprintf(stderr, "%s\n", reader->error().c_str());
-      return 2;
-    }
-    trace = std::move(reader);
-  } else if (is_trace_pack(workload)) {
+  if (is_trace_pack(workload)) {
     std::string error;
     trace = TracePackReader::open(workload, &error);
     if (trace == nullptr) {

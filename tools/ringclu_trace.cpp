@@ -4,14 +4,13 @@
 ///
 ///   ringclu_trace record <benchmark> <out.rclp> [ops=N] [seed=S]
 ///       [block_ops=N]                      record a synth benchmark
-///   ringclu_trace convert <in.rct|in.rclp> <out.rclp|out.rct>
-///       [block_ops=N]                      v1 <-> pack, lossless
 ///   ringclu_trace ingest <in.txt|-> <out.rclp> [block_ops=N] [skip_bad=1]
 ///       text instruction log (RITL, see src/trace/ingest/text_log.h and
 ///       tools/capture_trace.py) -> pack
-///   ringclu_trace cat <in.rclp|in.rct> [limit=N]
-///       pack/trace -> RITL text (ingest accepts it back)
-///   ringclu_trace stats <in.rclp|in.rct>   ops, digest, mix, compression
+///   ringclu_trace cat <in.rclp> [limit=N]
+///       pack -> RITL text (ingest accepts it back; piping cat into
+///       ingest with a new block_ops= re-blocks a pack)
+///   ringclu_trace stats <in.rclp>          ops, digest, mix, compression
 ///   ringclu_trace validate <in.rclp>       deep check: every block
 ///       decoded, checksums + op counts + content digest recomputed
 ///
@@ -29,7 +28,6 @@
 #include "trace/pack/pack_reader.h"
 #include "trace/pack/pack_writer.h"
 #include "trace/synth/suite.h"
-#include "trace/trace_file.h"
 #include "trace/trace_source.h"
 #include "util/config.h"
 #include "util/format.h"
@@ -37,12 +35,6 @@
 namespace {
 
 using namespace ringclu;
-
-bool ends_with(const std::string& name, std::string_view suffix) {
-  return name.size() > suffix.size() &&
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
-}
 
 /// Strict key=value integer (missing -> fallback, malformed -> exit 2).
 std::uint64_t cli_uint(const Config& options, const char* key,
@@ -69,45 +61,16 @@ Config parse_overrides(int argc, char** argv, int first) {
   return options;
 }
 
-/// Opens either trace flavor as a TraceSource; exits 2 with a diagnostic
-/// on unreadable/corrupt input or an unrecognized extension.
-std::unique_ptr<TraceSource> open_source(const std::string& path) {
-  if (ends_with(path, ".rclp")) {
-    std::string error;
-    std::unique_ptr<TraceSource> source = TracePackReader::open(path, &error);
-    if (source == nullptr) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      std::exit(2);
-    }
-    return source;
+/// Opens a trace pack; exits 2 with a diagnostic on unreadable or
+/// corrupt input (a file that is not a pack fails on its magic).
+std::unique_ptr<TracePackReader> open_pack(const std::string& path) {
+  std::string error;
+  std::unique_ptr<TracePackReader> pack = TracePackReader::open(path, &error);
+  if (pack == nullptr) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    std::exit(2);
   }
-  if (ends_with(path, ".rct")) {
-    auto reader = std::make_unique<TraceFileReader>(path);
-    if (!reader->ok()) {
-      std::fprintf(stderr, "%s\n", reader->error().c_str());
-      std::exit(2);
-    }
-    return reader;
-  }
-  std::fprintf(stderr, "'%s': want a .rclp or .rct trace\n", path.c_str());
-  std::exit(2);
-}
-
-/// True when \p source is a reader whose sticky error fired mid-stream.
-bool source_failed(const TraceSource& source, std::string* error) {
-  if (const auto* pack = dynamic_cast<const TracePackReader*>(&source)) {
-    if (!pack->ok()) {
-      *error = pack->error();
-      return true;
-    }
-  }
-  if (const auto* file = dynamic_cast<const TraceFileReader*>(&source)) {
-    if (!file->ok()) {
-      *error = file->error();
-      return true;
-    }
-  }
-  return false;
+  return pack;
 }
 
 int run_record(int argc, char** argv) {
@@ -148,61 +111,6 @@ int run_record(int argc, char** argv) {
               out_path.c_str(),
               format_digest(writer.content_digest()).c_str());
   return 0;
-}
-
-int run_convert(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: ringclu_trace convert <in.rct|in.rclp> "
-                 "<out.rclp|out.rct> [block_ops=N]\n");
-    return 2;
-  }
-  const std::string in_path = argv[2];
-  const std::string out_path = argv[3];
-  const Config options = parse_overrides(argc, argv, 4);
-  const std::uint32_t block_ops = static_cast<std::uint32_t>(
-      cli_uint(options, "block_ops", kPackDefaultBlockOps));
-
-  const std::unique_ptr<TraceSource> source = open_source(in_path);
-  TraceDigest digest;
-  MicroOp op;
-  std::string error;
-  if (ends_with(out_path, ".rclp")) {
-    TracePackWriter writer(out_path, block_ops);
-    while (source->next(op)) writer.append(op);
-    if (source_failed(*source, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    if (!writer.close(&error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 2;
-    }
-    std::printf("converted %llu ops to %s, digest %s\n",
-                static_cast<unsigned long long>(writer.ops_written()),
-                out_path.c_str(),
-                format_digest(writer.content_digest()).c_str());
-    return 0;
-  }
-  if (ends_with(out_path, ".rct")) {
-    TraceFileWriter writer(out_path);
-    while (source->next(op)) {
-      writer.append(op);
-      digest.add(op);
-    }
-    if (source_failed(*source, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    writer.close();
-    std::printf("converted %llu ops to %s, digest %s\n",
-                static_cast<unsigned long long>(digest.ops()),
-                out_path.c_str(), format_digest(digest.value()).c_str());
-    return 0;
-  }
-  std::fprintf(stderr, "'%s': want a .rclp or .rct output\n",
-               out_path.c_str());
-  return 2;
 }
 
 int run_ingest(int argc, char** argv) {
@@ -271,20 +179,19 @@ int run_ingest(int argc, char** argv) {
 int run_cat(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
-                 "usage: ringclu_trace cat <in.rclp|in.rct> [limit=N]\n");
+                 "usage: ringclu_trace cat <in.rclp> [limit=N]\n");
     return 2;
   }
   const Config options = parse_overrides(argc, argv, 3);
   const std::uint64_t limit =
       cli_uint(options, "limit", static_cast<std::uint64_t>(-1));
-  const std::unique_ptr<TraceSource> source = open_source(argv[2]);
+  const std::unique_ptr<TracePackReader> pack = open_pack(argv[2]);
   MicroOp op;
-  for (std::uint64_t i = 0; i < limit && source->next(op); ++i) {
+  for (std::uint64_t i = 0; i < limit && pack->next(op); ++i) {
     std::printf("%s\n", format_text_log_line(op).c_str());
   }
-  std::string error;
-  if (source_failed(*source, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
+  if (!pack->ok()) {
+    std::fprintf(stderr, "%s\n", pack->error().c_str());
     return 1;
   }
   return 0;
@@ -292,22 +199,21 @@ int run_cat(int argc, char** argv) {
 
 int run_stats(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: ringclu_trace stats <in.rclp|in.rct>\n");
+    std::fprintf(stderr, "usage: ringclu_trace stats <in.rclp>\n");
     return 2;
   }
   const std::string path = argv[2];
-  const std::unique_ptr<TraceSource> source = open_source(path);
+  const std::unique_ptr<TracePackReader> pack = open_pack(path);
 
   std::uint64_t by_class[kNumOpClasses] = {};
   TraceDigest digest;
   MicroOp op;
-  while (source->next(op)) {
+  while (pack->next(op)) {
     ++by_class[static_cast<std::size_t>(op.cls)];
     digest.add(op);
   }
-  std::string error;
-  if (source_failed(*source, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
+  if (!pack->ok()) {
+    std::fprintf(stderr, "%s\n", pack->error().c_str());
     return 1;
   }
 
@@ -315,23 +221,20 @@ int run_stats(int argc, char** argv) {
   std::printf("  ops:    %llu\n",
               static_cast<unsigned long long>(digest.ops()));
   std::printf("  digest: %s\n", format_digest(digest.value()).c_str());
-  if (const auto* pack = dynamic_cast<const TracePackReader*>(source.get())) {
-    const std::uint64_t comp = pack->compressed_bytes();
-    const std::uint64_t raw = pack->raw_bytes();
-    std::printf("  blocks: %u x %u ops\n",
-                static_cast<unsigned>(pack->block_count()),
-                static_cast<unsigned>(pack->block_ops()));
-    std::printf("  bytes:  %llu compressed / %llu encoded (%.2fx), "
-                "%.2f bits/op\n",
-                static_cast<unsigned long long>(comp),
-                static_cast<unsigned long long>(raw),
-                comp == 0 ? 0.0
-                          : static_cast<double>(raw) /
-                                static_cast<double>(comp),
-                digest.ops() == 0 ? 0.0
-                                  : 8.0 * static_cast<double>(comp) /
-                                        static_cast<double>(digest.ops()));
-  }
+  const std::uint64_t comp = pack->compressed_bytes();
+  const std::uint64_t raw = pack->raw_bytes();
+  std::printf("  blocks: %u x %u ops\n",
+              static_cast<unsigned>(pack->block_count()),
+              static_cast<unsigned>(pack->block_ops()));
+  std::printf("  bytes:  %llu compressed / %llu encoded (%.2fx), "
+              "%.2f bits/op\n",
+              static_cast<unsigned long long>(comp),
+              static_cast<unsigned long long>(raw),
+              comp == 0 ? 0.0
+                        : static_cast<double>(raw) / static_cast<double>(comp),
+              digest.ops() == 0 ? 0.0
+                                : 8.0 * static_cast<double>(comp) /
+                                      static_cast<double>(digest.ops()));
   std::printf("  mix:   ");
   for (int cls = 0; cls < kNumOpClasses; ++cls) {
     if (by_class[cls] == 0) continue;
@@ -394,11 +297,9 @@ int usage() {
       stderr,
       "usage: ringclu_trace record <benchmark> <out.rclp> [ops=N] [seed=S] "
       "[block_ops=N]\n"
-      "       ringclu_trace convert <in.rct|in.rclp> <out.rclp|out.rct> "
-      "[block_ops=N]\n"
       "       ringclu_trace ingest <in.txt|-> <out.rclp> [block_ops=N] [skip_bad=1]\n"
-      "       ringclu_trace cat <in.rclp|in.rct> [limit=N]\n"
-      "       ringclu_trace stats <in.rclp|in.rct>\n"
+      "       ringclu_trace cat <in.rclp> [limit=N]\n"
+      "       ringclu_trace stats <in.rclp>\n"
       "       ringclu_trace validate <in.rclp>\n");
   return 2;
 }
@@ -409,7 +310,6 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   if (command == "record") return run_record(argc, argv);
-  if (command == "convert") return run_convert(argc, argv);
   if (command == "ingest") return run_ingest(argc, argv);
   if (command == "cat") return run_cat(argc, argv);
   if (command == "stats") return run_stats(argc, argv);
