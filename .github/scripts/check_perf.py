@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
 """Gates BENCH_throughput.json against a checked-in perf baseline.
 
-Two checks, tuned for noisy shared CI runners:
+Three checks, tuned for noisy shared CI runners:
 
 * The Conv/Ring throughput ratio is host-independent (both configs run in
   the same process on the same machine), so it gets a hard two-sided gate:
   it must stay within --tolerance (default 20%) of the baseline ratio.
   This is the regression the profile-driven steering work is guarding.
+* The memory-bound ratio, per config: art instrs/s over gzip instrs/s from
+  the report's per-run rows.  Also host-independent; it is gated one-sided
+  (must stay above baseline * (1 - tolerance)) and guards event-driven
+  load disambiguation: art is dominated by loads waiting on older stores,
+  gzip is not, so re-introducing a per-cycle LSQ sweep drops the ratio
+  about threefold while leaving Conv/Ring and the aggregate floor passing.
 * Absolute aggregate instrs/s only gets a floor: the baseline was measured
   on a deliberately slow reference host, so any healthy runner clears
   baseline * (1 - tolerance) easily while a catastrophic slowdown (a
@@ -32,6 +38,18 @@ def config_ips(report, name):
         if entry.get("name") == name:
             return float(entry["sim_instrs_per_second"])
     sys.exit(f"error: config {name!r} missing from report")
+
+
+def run_ips(report, config, benchmark):
+    for entry in report.get("runs", []):
+        if (entry.get("config") == config
+                and entry.get("benchmark") == benchmark):
+            return float(entry["sim_instrs_per_second"])
+    sys.exit(f"error: run {config}/{benchmark} missing from report")
+
+
+def membound_ratio(report, config):
+    return run_ips(report, config, "art") / run_ips(report, config, "gzip")
 
 
 def main():
@@ -68,6 +86,17 @@ def main():
             f"Conv/Ring throughput ratio {meas_ratio:.3f} outside "
             f"{base_ratio:.3f} +/- {tol:.0%} — the steering-path cost "
             f"moved relative to Ring")
+
+    for config, base_mem in sorted(baseline["membound_ratio"].items()):
+        meas_mem = membound_ratio(measured, config)
+        mem_floor = float(base_mem) * (1 - tol)
+        print(f"{config} art/gzip ratio: baseline {float(base_mem):.3f} "
+              f"(floor {mem_floor:.3f}), measured {meas_mem:.3f}")
+        if meas_mem < mem_floor:
+            failures.append(
+                f"{config} art/gzip throughput ratio {meas_mem:.3f} below "
+                f"floor {mem_floor:.3f} (baseline {float(base_mem):.3f} - "
+                f"{tol:.0%}) — memory-bound runs got relatively slower")
 
     base_agg = float(baseline["sim_instrs_per_second"])
     meas_agg = float(measured["sim_instrs_per_second"])

@@ -46,6 +46,7 @@ Processor::Processor(const ArchConfig& config, std::uint64_t seed)
       rob_(static_cast<std::size_t>(config.rob_size)) {
   config_.validate();
   event_ring_.resize(kEventRingSize);
+  lsq_ord_.resize(rob_.capacity());
   clusters_.reserve(static_cast<std::size_t>(config.num_clusters));
   for (int c = 0; c < config.num_clusters; ++c) {
     clusters_.emplace_back(config.iq_int, config.iq_fp, config.iq_comm,
@@ -310,7 +311,8 @@ void Processor::do_events() {
       case EventKind::AddrReady: {
         DynInst& inst = rob_.at(event.rob_index);
         const int cluster = rob_.cluster(event.rob_index);
-        lsq_.set_address(event.seq, inst.op.mem_addr, inst.op.mem_size);
+        lsq_.set_address(lsq_ord_[event.rob_index], event.seq,
+                         inst.op.mem_addr, inst.op.mem_size);
         if (inst.op.is_store()) {
           // The store retires from the cluster once its data has also been
           // read; the cache write happens at commit.  If the data is not
@@ -433,16 +435,29 @@ void Processor::do_memory() {
     const TimedRef due = load_due_.top();
     load_due_.pop();
     RINGCLU_ASSERT(rob_.seq(due.rob_index) == due.seq);
-    active_loads_.push_back(due.rob_index);
+    active_loads_.push_back(ActiveLoad{due.rob_index, kUnsettled});
   }
 
-  for (std::size_t i = 0; i < active_loads_.size();) {
-    const std::uint32_t rob_index = active_loads_[i];
+  // One order-preserving pass: loads that stay (gated or port-blocked) are
+  // compacted to the front, so next cycle's port arbitration order is
+  // unchanged.  A load gated at the current store epoch is still gated and
+  // its LSQ memo still holds, so it is counted without being re-asked.
+  const std::uint64_t epoch = lsq_.store_epoch();
+  std::size_t kept = 0;
+  for (ActiveLoad& load : active_loads_) {
+    if (load.wait_epoch == epoch) {
+      lsq_.count_load_wait();
+      active_loads_[kept++] = load;
+      continue;
+    }
+    const std::uint32_t rob_index = load.rob_index;
     DynInst& inst = rob_.at(rob_index);
-    const LoadGate gate = lsq_.query_load(rob_.seq(rob_index));
+    const LoadGate gate =
+        lsq_.query_load(lsq_ord_[rob_index], rob_.seq(rob_index));
     if (gate == LoadGate::MustWait) {
       lsq_.count_load_wait();
-      ++i;
+      load.wait_epoch = epoch;
+      active_loads_[kept++] = load;
       continue;
     }
     int latency;
@@ -451,7 +466,7 @@ void Processor::do_memory() {
       latency = 1;  // store-to-load forwarding inside the LSQ
     } else {
       if (dcache_ports_used_ >= config_.mem.l1d_ports) {
-        ++i;  // port contention: retry next cycle
+        active_loads_[kept++] = load;  // port contention: retry next cycle
         continue;
       }
       ++dcache_ports_used_;
@@ -466,9 +481,8 @@ void Processor::do_memory() {
                           dest_home(rob_.cluster(rob_index)), data_ready);
     }
     schedule(data_ready, EventKind::Complete, rob_index);
-    active_loads_.erase(active_loads_.begin() +
-                        static_cast<std::ptrdiff_t>(i));
   }
+  active_loads_.resize(kept);
 }
 
 // --- Issue ---------------------------------------------------------------
@@ -707,10 +721,9 @@ void Processor::apply_dispatch(const MicroOp& op, std::uint64_t seq,
     rename_[static_cast<std::size_t>(op.dst.flat())] = inst.dst_value;
   }
 
-  if (op.is_mem()) lsq_.allocate(seq, op.is_store());
-
   const std::uint32_t rob_index =
       rob_.push(std::move(inst), seq, InstState::Dispatched, cluster);
+  if (op.is_mem()) lsq_ord_[rob_index] = lsq_.allocate(seq, op.is_store());
   Cluster& cl = clusters_[static_cast<std::size_t>(cluster)];
   IssueQueue& queue =
       op_unit(op.cls) == UnitKind::Int ? cl.int_iq : cl.fp_iq;

@@ -290,7 +290,18 @@ class Processor final : public SteerOracle {
       load_due_;
   std::priority_queue<TimedRef, std::vector<TimedRef>, std::greater<>>
       store_due_;
-  std::vector<std::uint32_t> active_loads_;  ///< due, retrying gates/ports
+  /// A load on the active list.  wait_epoch is the LSQ store epoch at
+  /// which it last got MustWait (kUnsettled otherwise): while the epoch
+  /// has not moved its gate cannot have either, so it is not re-asked.
+  struct ActiveLoad {
+    std::uint32_t rob_index;
+    std::uint64_t wait_epoch;
+  };
+  static constexpr std::uint64_t kUnsettled = ~0ull;
+  std::vector<ActiveLoad> active_loads_;  ///< due, retrying gates/ports
+  /// LSQ ordinal of each ROB slot's memory op, for O(1) LSQ access.
+  // ckpt: derived (rebuilt from the ROB's memory ops on restore)
+  std::vector<std::uint64_t> lsq_ord_;
   std::priority_queue<CommDue, std::vector<CommDue>, std::greater<>>
       comm_due_;
   // ckpt: derived (per-cycle scratch)

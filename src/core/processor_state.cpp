@@ -148,8 +148,12 @@ void Processor::save_state(CheckpointWriter& out) const {
       out.u64(due.id);
       out.u8(due.cluster);
     }
-    out.vec_u64(std::vector<std::uint64_t>(active_loads_.begin(),
-                                           active_loads_.end()));
+    std::vector<std::uint64_t> active;
+    active.reserve(active_loads_.size());
+    for (const ActiveLoad& load : active_loads_) {
+      active.push_back(load.rob_index);
+    }
+    out.vec_u64(active);
     out.u64(events_pending_);
   }
   out.end_section();
@@ -264,6 +268,27 @@ void Processor::restore_state(CheckpointReader& in) {
   rob_.restore_state(in);
   if (!in.end_section()) return;
 
+  // LSQ ordinals restart at 0, oldest first: the ROB's memory ops, walked
+  // from the head, must be exactly the LSQ's entries in the same order.
+  {
+    std::uint64_t ord = lsq_.head_ordinal();
+    for (std::size_t i = 0; i < rob_.size(); ++i) {
+      const auto index = static_cast<std::uint32_t>(
+          (rob_.head_index() + i) % rob_.capacity());
+      if (!rob_.at(index).op.is_mem()) continue;
+      if (ord - lsq_.head_ordinal() >= lsq_.size() ||
+          lsq_.seq_at(ord) != rob_.seq(index)) {
+        in.fail("rob/lsq mismatch in checkpoint");
+        return;
+      }
+      lsq_ord_[index] = ord++;
+    }
+    if (ord - lsq_.head_ordinal() != lsq_.size()) {
+      in.fail("rob/lsq mismatch in checkpoint");
+      return;
+    }
+  }
+
   if (!in.begin_section(kTagEvents)) return;
   {
     for (auto& bucket : event_ring_) bucket.clear();
@@ -326,7 +351,13 @@ void Processor::restore_state(CheckpointReader& in) {
     }
     std::vector<std::uint64_t> active;
     in.vec_u64(active);
-    active_loads_.assign(active.begin(), active.end());
+    // Every active load starts unsettled and is asked once: its LSQ memo
+    // was saved, the store epoch that would let it skip was not.
+    active_loads_.clear();
+    for (const std::uint64_t rob_index : active) {
+      active_loads_.push_back(
+          ActiveLoad{static_cast<std::uint32_t>(rob_index), kUnsettled});
+    }
     events_pending_ = in.u64();
     if (in.ok() &&
         events_pending_ != ring_count + overflow_count) {

@@ -1,6 +1,6 @@
 #include "mem/lsq.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "core/checkpoint.h"
 
@@ -14,60 +14,54 @@ bool ranges_overlap(std::uint64_t a, std::uint32_t a_size, std::uint64_t b,
 
 }  // namespace
 
-LoadStoreQueue::LoadStoreQueue(std::size_t capacity) : capacity_(capacity) {
+LoadStoreQueue::LoadStoreQueue(std::size_t capacity)
+    : capacity_(capacity),
+      ring_(std::bit_ceil(capacity)),
+      mask_(ring_.size() - 1) {
   RINGCLU_EXPECTS(capacity > 0);
 }
 
-void LoadStoreQueue::allocate(std::uint64_t seq, bool is_store) {
+std::uint64_t LoadStoreQueue::allocate(std::uint64_t seq, bool is_store) {
   RINGCLU_EXPECTS(!full());
-  RINGCLU_EXPECTS(entries_.empty() || entries_.back().seq < seq);
-  entries_.push_back(Entry{seq, 0, 0, is_store, false});
+  RINGCLU_EXPECTS(size() == 0 || ring_[(next_ord_ - 1) & mask_].seq < seq);
+  ring_[next_ord_ & mask_] = Entry{seq, 0, 0, is_store, false};
+  return next_ord_++;
 }
 
-std::size_t LoadStoreQueue::find_index(std::uint64_t seq) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), seq,
-      [](const Entry& entry, std::uint64_t key) { return entry.seq < key; });
-  return it != entries_.end() && it->seq == seq
-             ? static_cast<std::size_t>(it - entries_.begin())
-             : entries_.size();
+void LoadStoreQueue::set_address(std::uint64_t ord, std::uint64_t seq,
+                                 std::uint64_t addr, std::uint32_t size) {
+  Entry& target = ring_[slot(ord, seq)];
+  target.addr = addr;
+  target.size = size;
+  target.addr_known = true;
+  if (target.is_store) ++store_epoch_;
 }
 
-void LoadStoreQueue::set_address(std::uint64_t seq, std::uint64_t addr,
-                                 std::uint32_t size) {
-  const std::size_t index = find_index(seq);
-  RINGCLU_EXPECTS(index < entries_.size());
-  Entry& entry = entries_[index];
-  entry.addr = addr;
-  entry.size = size;
-  entry.addr_known = true;
-}
-
-LoadGate LoadStoreQueue::query_load(std::uint64_t seq) const {
-  const std::size_t index = find_index(seq);
-  RINGCLU_EXPECTS(index < entries_.size());
-  const Entry& load = entries_[index];
+LoadGate LoadStoreQueue::query_load(std::uint64_t ord,
+                                    std::uint64_t seq) const {
+  const Entry& load = ring_[slot(ord, seq)];
   RINGCLU_EXPECTS(!load.is_store && load.addr_known);
 
   // Fast path: still blocked by the same store in the same state.
   if (load.must_wait_memo) {
-    const std::size_t blocker = find_index(load.blocker_seq);
-    if (blocker < entries_.size() &&
-        entries_[blocker].addr_known == load.blocker_addr_known) {
+    if (live(load.blocker_ord) &&
+        ring_[load.blocker_ord & mask_].addr_known ==
+            load.blocker_addr_known) {
       return LoadGate::MustWait;
     }
     load.must_wait_memo = false;  // blocker changed: rescan
   }
 
   // Scan older stores from youngest to oldest; the youngest matching store
-  // is the forwarding candidate.  Start just below the load's own slot:
+  // is the forwarding candidate.  Start just below the load's own ordinal:
   // younger entries never matter.
-  for (std::size_t i = index; i-- > 0;) {
-    const Entry& older = entries_[i];
+  for (std::uint64_t o = ord; o-- > head_ord_;) {
+    const Entry& older = ring_[o & mask_];
     if (!older.is_store) continue;
     if (!older.addr_known) {
       load.must_wait_memo = true;
       load.blocker_seq = older.seq;
+      load.blocker_ord = o;
       load.blocker_addr_known = false;
       return LoadGate::MustWait;
     }
@@ -78,6 +72,7 @@ LoadGate LoadStoreQueue::query_load(std::uint64_t seq) const {
       // Partial overlap: wait for the store to retire.
       load.must_wait_memo = true;
       load.blocker_seq = older.seq;
+      load.blocker_ord = o;
       load.blocker_addr_known = true;
       return LoadGate::MustWait;
     }
@@ -86,16 +81,16 @@ LoadGate LoadStoreQueue::query_load(std::uint64_t seq) const {
 }
 
 bool LoadStoreQueue::release(std::uint64_t seq) {
-  RINGCLU_EXPECTS(!entries_.empty());
-  RINGCLU_EXPECTS(entries_.front().seq == seq);
-  const bool was_store = entries_.front().is_store;
-  entries_.pop_front();
+  const bool was_store = ring_[slot(head_ord_, seq)].is_store;
+  ++head_ord_;
+  if (was_store) ++store_epoch_;
   return was_store;
 }
 
 void LoadStoreQueue::save_state(CheckpointWriter& out) const {
-  out.u64(entries_.size());
-  for (const Entry& entry : entries_) {
+  out.u64(size());
+  for (std::uint64_t ord = head_ord_; ord != next_ord_; ++ord) {
+    const Entry& entry = ring_[ord & mask_];
     out.u64(entry.seq);
     out.u64(entry.addr);
     out.u32(entry.size);
@@ -115,8 +110,9 @@ void LoadStoreQueue::restore_state(CheckpointReader& in) {
     in.fail("lsq overflow in checkpoint");
     return;
   }
-  entries_.clear();
-  for (std::uint64_t i = 0; i < count; ++i) {
+  head_ord_ = 0;
+  next_ord_ = count;
+  for (std::uint64_t ord = 0; ord < count; ++ord) {
     Entry entry;
     entry.seq = in.u64();
     entry.addr = in.u64();
@@ -126,7 +122,13 @@ void LoadStoreQueue::restore_state(CheckpointReader& in) {
     entry.must_wait_memo = in.boolean();
     entry.blocker_seq = in.u64();
     entry.blocker_addr_known = in.boolean();
-    entries_.push_back(entry);
+    // A memoised blocker is an older live store, unless it has since
+    // retired (the memo is then stale and the next query rescans).
+    for (std::uint64_t older = 0; entry.must_wait_memo && older < ord;
+         ++older) {
+      if (ring_[older].seq == entry.blocker_seq) entry.blocker_ord = older;
+    }
+    ring_[ord] = entry;
   }
   forwards_ = in.u64();
   load_waits_ = in.u64();

@@ -7,10 +7,15 @@
 /// store-to-load forwarding is supported); this is conservative, in the
 /// style of SimpleScalar's in-order disambiguation, and identical for the
 /// Ring and Conv machines.
+///
+/// Entries live in a fixed ring addressed by a monotone allocation
+/// ordinal: allocate() returns it and the caller hands it back to
+/// set_address() and query_load(), so no operation searches the queue.
+/// The ordinal names an entry from allocation until release; the seq
+/// passed alongside it is checked against the entry.
 
 #include <cstdint>
-#include <deque>
-#include <optional>
+#include <vector>
 
 #include "util/assert.h"
 
@@ -31,23 +36,44 @@ class LoadStoreQueue {
  public:
   explicit LoadStoreQueue(std::size_t capacity = 128);
 
-  [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool full() const { return size() >= capacity_; }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(next_ord_ - head_ord_);
+  }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Allocates an entry at dispatch (program order).  \pre !full().
-  void allocate(std::uint64_t seq, bool is_store);
+  /// Allocates an entry at dispatch (program order) and returns its
+  /// ordinal.  \pre !full().
+  std::uint64_t allocate(std::uint64_t seq, bool is_store);
 
-  /// Records the effective address once address generation completes.
-  void set_address(std::uint64_t seq, std::uint64_t addr, std::uint32_t size);
+  /// Records the effective address of entry \p ord (which holds \p seq)
+  /// once address generation completes.
+  void set_address(std::uint64_t ord, std::uint64_t seq, std::uint64_t addr,
+                   std::uint32_t size);
 
-  /// Checks whether the load \p seq (whose address must be set) may proceed.
-  [[nodiscard]] LoadGate query_load(std::uint64_t seq) const;
+  /// Checks whether the load at \p ord (which holds \p seq; its address
+  /// must be set) may proceed.
+  [[nodiscard]] LoadGate query_load(std::uint64_t ord,
+                                    std::uint64_t seq) const;
 
-  /// Removes the entry at commit.  Entries must be released in program
-  /// order.  Returns true if the released entry was a store (the caller
-  /// then charges a cache write).
+  /// Removes the oldest entry, which must hold \p seq, at commit.  Returns
+  /// true if it was a store (the caller then charges a cache write).
   bool release(std::uint64_t seq);
+
+  /// Ordinal of the oldest entry: live entries hold the ordinals
+  /// [head_ordinal(), head_ordinal() + size()).
+  [[nodiscard]] std::uint64_t head_ordinal() const { return head_ord_; }
+  /// Seq held by the live entry \p ord.
+  [[nodiscard]] std::uint64_t seq_at(std::uint64_t ord) const {
+    RINGCLU_EXPECTS(live(ord));
+    return ring_[ord & mask_].seq;
+  }
+
+  /// Advances exactly when a store's address becomes known or a store
+  /// leaves the queue — the only events that can change a load's gate,
+  /// which depends on older stores alone.  A load that got MustWait at
+  /// epoch e therefore still gets MustWait while the epoch is e.
+  [[nodiscard]] std::uint64_t store_epoch() const { return store_epoch_; }
 
   /// Statistics.
   [[nodiscard]] std::uint64_t forwards() const { return forwards_; }
@@ -59,6 +85,9 @@ class LoadStoreQueue {
   void restore_state(CheckpointReader& in);
 
  private:
+  /// blocker_ord of an entry whose blocker is unknown (not live).
+  static constexpr std::uint64_t kNoOrdinal = ~0ull;
+
   struct Entry {
     std::uint64_t seq = 0;
     std::uint64_t addr = 0;
@@ -70,20 +99,37 @@ class LoadStoreQueue {
     // overlap), and its result cannot change while that store is still
     // present with the same address-known state — older entries are never
     // inserted, addresses only become known, and releases are oldest-first.
-    // A gated load retrying every cycle therefore revalidates its blocker
-    // in O(log n) instead of rescanning.  (Proceed/Forward are terminal:
+    // A gated load that is re-asked revalidates its blocker in O(1) through
+    // blocker_ord instead of rescanning.  (Proceed/Forward are terminal:
     // the load accesses memory the same cycle, so they are never re-asked.)
     mutable bool must_wait_memo = false;
     mutable std::uint64_t blocker_seq = 0;
     mutable bool blocker_addr_known = false;
+    // ckpt: derived (ordinal of blocker_seq, re-found on restore)
+    mutable std::uint64_t blocker_ord = kNoOrdinal;
   };
 
-  /// Position of \p seq in entries_ (binary search; entries are seq-sorted
-  /// because allocation is in program order), or entries_.size().
-  [[nodiscard]] std::size_t find_index(std::uint64_t seq) const;
+  /// True while \p ord names a live entry (also false for kNoOrdinal).
+  [[nodiscard]] bool live(std::uint64_t ord) const {
+    return ord - head_ord_ < size();
+  }
+  /// Ring slot of the live entry \p ord, which must hold \p seq.
+  [[nodiscard]] std::size_t slot(std::uint64_t ord, std::uint64_t seq) const {
+    RINGCLU_EXPECTS(live(ord) && ring_[ord & mask_].seq == seq);
+    return static_cast<std::size_t>(ord & mask_);
+  }
 
   std::size_t capacity_;  // ckpt: derived (config; checked on restore)
-  std::deque<Entry> entries_;  // program order: front is oldest
+  /// Power-of-two ring of at least capacity_ slots; entry ord lives in
+  /// ring_[ord & mask_].
+  std::vector<Entry> ring_;
+  std::uint64_t mask_;  // ckpt: derived (ring size - 1, from capacity_)
+  // ckpt: derived (ordinals are rebased to 0 on restore)
+  std::uint64_t head_ord_ = 0;
+  // ckpt: derived (head_ord_ + the restored entry count)
+  std::uint64_t next_ord_ = 0;
+  // ckpt: derived (callers re-ask every waiting load after a restore)
+  std::uint64_t store_epoch_ = 0;
   std::uint64_t forwards_ = 0;
   std::uint64_t load_waits_ = 0;
 };

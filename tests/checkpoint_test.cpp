@@ -22,6 +22,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -33,6 +34,7 @@
 #include "harness/runner.h"
 #include "harness/sim_service.h"
 #include "trace/synth/suite.h"
+#include "util/rng.h"
 
 namespace ringclu {
 namespace {
@@ -150,7 +152,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Scenario{"Ring_8clus_1bus_2IW", "gcc"},
                       Scenario{"Conv_8clus_1bus_2IW", "gcc"},
                       Scenario{"Ring_4clus_1bus_2IW", "swim"},
-                      Scenario{"Ring_8clus_1bus_2IW+SSA", "mcf"}),
+                      Scenario{"Ring_8clus_1bus_2IW+SSA", "mcf"},
+                      // Memory-bound: many loads gated on older stores are
+                      // in flight at the warmup boundary.
+                      Scenario{"Conv_8clus_1bus_2IW", "ammp"},
+                      Scenario{"Ring_8clus_1bus_2IW", "art"}),
     [](const ::testing::TestParamInfo<Scenario>& param_info) {
       std::string name = std::string(param_info.param.preset) + "_" +
                          param_info.param.benchmark;
@@ -330,16 +336,18 @@ TEST_F(CheckpointRejection, SeedMismatch) {
 
 // ---- Crash-resume snapshots --------------------------------------------
 
-TEST(CheckpointSnapshot, MidMeasureResumeIsBitIdenticalToUninterrupted) {
-  const ArchConfig config = ArchConfig::preset("Ring_8clus_1bus_2IW");
-  const std::string benchmark = "gcc";
-  const std::filesystem::path dir = fresh_dir("snapshot");
+/// Snapshots once mid-measure, throws that processor away as a crash
+/// would, resumes from the snapshot and checks the finished run equals an
+/// uninterrupted one.  Returns the LSQ occupancy at the snapshot.
+std::size_t expect_snapshot_resume_is_exact(const char* preset,
+                                            const std::string& benchmark) {
+  const ArchConfig config = ArchConfig::preset(preset);
+  const std::filesystem::path dir = fresh_dir("snapshot_" + benchmark);
   const std::string snap = (dir / "snap.ckpt").string();
 
   const SimResult uninterrupted = cold_run(config, benchmark);
 
-  // The "interrupted" run: snapshot once mid-measure, then throw the
-  // processor away as a crash would.
+  std::size_t lsq_at_snapshot = 0;
   {
     auto trace = make_benchmark_trace(benchmark, kSeed);
     Processor processor(config, kSeed);
@@ -350,6 +358,7 @@ TEST(CheckpointSnapshot, MidMeasureResumeIsBitIdenticalToUninterrupted) {
     hooks.on_snapshot = [&] {
       if (saved) return;
       saved = true;
+      lsq_at_snapshot = processor.lsq_size();
       EXPECT_TRUE(processor.mid_measure());
       CheckpointMeta meta;
       meta.seed = kSeed;
@@ -358,17 +367,18 @@ TEST(CheckpointSnapshot, MidMeasureResumeIsBitIdenticalToUninterrupted) {
           << error;
     };
     (void)processor.measure(*trace, kMeasure, hooks);
-    ASSERT_TRUE(saved);
+    EXPECT_TRUE(saved);
+    if (!saved) return lsq_at_snapshot;
   }
 
   Processor resumed(config, kSeed);
   auto trace = make_benchmark_trace(benchmark, kSeed);
   CheckpointMeta meta;
   std::string error;
-  ASSERT_TRUE(restore_checkpoint(snap, resumed, *trace,
-                                 expectation(config, benchmark), &meta,
-                                 &error))
-      << error;
+  const bool restored = restore_checkpoint(
+      snap, resumed, *trace, expectation(config, benchmark), &meta, &error);
+  EXPECT_TRUE(restored) << error;
+  if (!restored) return lsq_at_snapshot;
   EXPECT_TRUE(resumed.mid_measure());
   EXPECT_GE(meta.committed, kWarmup + 4000);
 
@@ -376,6 +386,82 @@ TEST(CheckpointSnapshot, MidMeasureResumeIsBitIdenticalToUninterrupted) {
   expect_identical(uninterrupted.counters, finished.counters);
   EXPECT_EQ(finished.total_committed,
             uninterrupted.total_committed - meta.committed);
+  return lsq_at_snapshot;
+}
+
+TEST(CheckpointSnapshot, MidMeasureResumeIsBitIdenticalToUninterrupted) {
+  (void)expect_snapshot_resume_is_exact("Ring_8clus_1bus_2IW", "gcc");
+}
+
+// ammp keeps loads waiting on older stores in the LSQ, so the snapshot
+// carries disambiguation state that restore must rebuild exactly.
+TEST(CheckpointSnapshot, MidMeasureResumeWithLoadsInFlightIsExact) {
+  EXPECT_GT(expect_snapshot_resume_is_exact("Conv_8clus_1bus_2IW", "ammp"),
+            0u);
+}
+
+// ---- Pinned checkpoint bytes -------------------------------------------
+
+/// FNV-1a digest of a warmup checkpoint file, with the header's host-timed
+/// prefix_wall_seconds masked: every other byte is simulator state.
+std::uint64_t warmup_checkpoint_digest(const char* preset,
+                                       const std::string& benchmark,
+                                       std::size_t* lsq_size) {
+  const ArchConfig config = ArchConfig::preset(preset);
+  const std::filesystem::path dir =
+      fresh_dir(std::string("digest_") + preset + "_" + benchmark);
+  const std::string path = (dir / "warm.ckpt").string();
+  {
+    auto trace = make_benchmark_trace(benchmark, kSeed);
+    Processor processor(config, kSeed);
+    processor.warmup(*trace, kWarmup);
+    *lsq_size = processor.lsq_size();
+    CheckpointMeta meta;
+    meta.seed = kSeed;
+    meta.prefix_wall_seconds = 1.5;  // stands in for a host timing
+    std::string error;
+    EXPECT_TRUE(save_checkpoint(path, processor, *trace, meta, &error))
+        << error;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  // Header: magic u64, format u32, schema i64, fingerprint and workload as
+  // u32-length strings, seed/committed/trace position u64, then the f64.
+  const std::size_t wall_offset = 8 + 4 + 8 + 4 +
+                                  config.fingerprint().size() + 4 +
+                                  benchmark.size() + 3 * 8;
+  EXPECT_GE(bytes.size(), wall_offset + 8);
+  if (bytes.size() < wall_offset + 8) return 0;
+  EXPECT_EQ(bytes.substr(wall_offset, 8),
+            std::string("\0\0\0\0\0\0\xf8\x3f", 8))  // 1.5, LE
+      << "prefix_wall_seconds is not where the digest masks it";
+  bytes.replace(wall_offset, 8, 8, '\0');
+  return fnv1a(bytes);
+}
+
+// Restore-exactness tests compare a restored run with a cold one, so a
+// change that alters what is written (and how it is read back) in step
+// would pass them.  These digests pin the bytes themselves.
+TEST(CheckpointGolden, WarmupCheckpointBytesArePinned) {
+  struct Pinned {
+    const char* preset;
+    const char* benchmark;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {"Ring_8clus_1bus_2IW", "ammp", 0x8007d5f67ad38c9bULL},
+      {"Conv_8clus_1bus_2IW", "ammp", 0x20b1f4ee1d5617ffULL},
+  };
+  for (const Pinned& pin : pinned) {
+    std::size_t lsq_size = 0;
+    const std::uint64_t digest =
+        warmup_checkpoint_digest(pin.preset, pin.benchmark, &lsq_size);
+    EXPECT_GT(lsq_size, 0u) << pin.preset;
+    EXPECT_EQ(digest, pin.digest)
+        << pin.preset << "/" << pin.benchmark << ": checkpoint bytes changed"
+        << " (actual digest 0x" << std::hex << digest << ")";
+  }
 }
 
 // ---- Harness integration -----------------------------------------------
