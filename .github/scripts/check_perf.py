@@ -19,6 +19,10 @@ Three checks, tuned for noisy shared CI runners:
   debug-build leak into Release, an accidental O(n^2) scan) still trips it.
   Beating the baseline by more than the tolerance prints a reminder to
   refresh bench/perf_baseline.json; it never fails the build.
+* The packed-trace replay stage must have run: the report's packed_trace
+  row must exist and count more than 0 simulated instructions.  Its jobs
+  once went unwaited in contracts-off builds (the wait sat inside a
+  contract macro) and the row silently read 0.
 
 Exit status: 0 on pass, 1 listing every violated gate otherwise.
 """
@@ -97,6 +101,17 @@ def main():
                 f"{config} art/gzip throughput ratio {meas_mem:.3f} below "
                 f"floor {mem_floor:.3f} (baseline {float(base_mem):.3f} - "
                 f"{tol:.0%}) — memory-bound runs got relatively slower")
+
+    packed = measured.get("packed_trace")
+    if not isinstance(packed, dict):
+        failures.append("packed_trace row missing from the report — the "
+                        "packed-trace replay stage did not run")
+    else:
+        packed_instrs = int(packed.get("sim_instrs", 0))
+        print(f"packed-trace replay: {packed_instrs} instrs")
+        if packed_instrs <= 0:
+            failures.append("packed_trace stage simulated 0 instructions — "
+                            "its jobs did not run or were not waited for")
 
     base_agg = float(baseline["sim_instrs_per_second"])
     meas_agg = float(measured["sim_instrs_per_second"])

@@ -47,6 +47,7 @@ Processor::Processor(const ArchConfig& config, std::uint64_t seed)
   config_.validate();
   event_ring_.resize(kEventRingSize);
   lsq_ord_.resize(rob_.capacity());
+  parked_.resize(lsq_.slot_count());
   clusters_.reserve(static_cast<std::size_t>(config.num_clusters));
   for (int c = 0; c < config.num_clusters; ++c) {
     clusters_.emplace_back(config.iq_int, config.iq_fp, config.iq_comm,
@@ -264,12 +265,15 @@ void Processor::insert_comm_ready(int cluster, std::uint64_t id) {
   comm.first_ready_cycle = cycle_;
 }
 
-void Processor::drain_comm_wakeups() {
+bool Processor::drain_comm_wakeups() {
+  bool drained = false;
   while (!comm_due_.empty() && comm_due_.top().cycle <= cycle_) {
     const CommDue due = comm_due_.top();
     comm_due_.pop();
     insert_comm_ready(due.cluster, due.id);
+    drained = true;
   }
+  return drained;
 }
 
 // --- Events --------------------------------------------------------------
@@ -285,8 +289,8 @@ void Processor::complete_instruction(std::uint32_t rob_index) {
   }
 }
 
-void Processor::do_events() {
-  if (events_pending_ == 0) return;
+bool Processor::do_events() {
+  if (events_pending_ == 0) return false;
   std::vector<Event>& bucket =
       event_ring_[static_cast<std::size_t>(cycle_) & (kEventRingSize - 1)];
   // Far-scheduled events whose cycle has arrived merge into the bucket.
@@ -295,7 +299,7 @@ void Processor::do_events() {
     bucket.push_back(overflow_events_.top());
     overflow_events_.pop();
   }
-  if (bucket.empty()) return;
+  if (bucket.empty()) return false;
   std::sort(bucket.begin(), bucket.end(),
             [](const Event& a, const Event& b) { return a.seq < b.seq; });
   // Handlers cannot grow this bucket: schedule() rejects same-cycle events
@@ -314,6 +318,7 @@ void Processor::do_events() {
         lsq_.set_address(lsq_ord_[event.rob_index], event.seq,
                          inst.op.mem_addr, inst.op.mem_size);
         if (inst.op.is_store()) {
+          wake_parked(lsq_ord_[event.rob_index]);
           // The store retires from the cluster once its data has also been
           // read; the cache write happens at commit.  If the data is not
           // readable yet, park the store on its data value's wakeup (or a
@@ -351,11 +356,12 @@ void Processor::do_events() {
   }
   events_pending_ -= bucket.size();
   bucket.clear();
+  return true;
 }
 
 // --- Commit --------------------------------------------------------------
 
-void Processor::do_commit() {
+bool Processor::do_commit() {
   int committed = 0;
   while (committed < config_.commit_width && !rob_.empty()) {
     const std::uint32_t head_index = rob_.head_index();
@@ -368,6 +374,7 @@ void Processor::do_commit() {
       (void)mem_.data_access(head.op.mem_addr);  // write-allocate update
       ++counters_.stores;
       lsq_.release(head_seq);
+      wake_parked(lsq_ord_[head_index]);
     } else if (head.op.is_load()) {
       ++counters_.loads;
       lsq_.release(head_seq);
@@ -381,11 +388,12 @@ void Processor::do_commit() {
     ++counters_.committed;
     last_commit_cycle_ = cycle_;
   }
+  return committed > 0;
 }
 
 // --- Interconnect --------------------------------------------------------
 
-void Processor::do_bus() {
+bool Processor::do_bus() {
   deliveries_.clear();
   buses_.tick(deliveries_);
   for (const BusDelivery& delivery : deliveries_) {
@@ -394,6 +402,7 @@ void Processor::do_bus() {
     set_readable_waking(static_cast<ValueId>(delivery.payload),
                         delivery.dst_cluster, cycle_);
   }
+  return !deliveries_.empty();
 }
 
 // --- Memory --------------------------------------------------------------
@@ -414,7 +423,31 @@ bool Processor::try_complete_store(std::uint32_t rob_index) {
   return true;
 }
 
-void Processor::do_memory() {
+void Processor::park_load(const ActiveLoad& load) {
+  const std::uint64_t blocker = lsq_.blocker_ordinal(
+      lsq_ord_[load.rob_index], rob_.seq(load.rob_index));
+  parked_[lsq_.slot_of(blocker)].push_back(load);
+  ++parked_total_;
+}
+
+void Processor::wake_parked(std::uint64_t store_ord) {
+  std::vector<ActiveLoad>& parked = parked_[lsq_.slot_of(store_ord)];
+  if (parked.empty()) return;
+  for (const ActiveLoad& load : parked) {
+    active_loads_.insert(
+        std::upper_bound(active_loads_.begin(), active_loads_.end(),
+                         load.arrival,
+                         [](std::uint64_t arrival, const ActiveLoad& other) {
+                           return arrival < other.arrival;
+                         }),
+        load);
+  }
+  parked_total_ -= parked.size();
+  parked.clear();
+}
+
+bool Processor::do_memory() {
+  bool active = false;
   // Stores whose data value became readable this cycle complete now; the
   // (cycle, seq) heap order reproduces the historical sweep's same-cycle
   // ordering, and store completions commute anyway (per-value reader
@@ -425,39 +458,37 @@ void Processor::do_memory() {
     RINGCLU_ASSERT(rob_.seq(due.rob_index) == due.seq);
     const bool completed = try_complete_store(due.rob_index);
     RINGCLU_ASSERT(completed);
+    active = true;
   }
 
   // Loads whose address has reached the cache cluster join the active list
   // in arrival order (all loads share dcache_transfer, so (due cycle, seq)
-  // order equals the historical pending-list order); the active list then
-  // retries disambiguation gates and d-cache ports each cycle.
+  // order equals the historical pending-list order).
   while (!load_due_.empty() && load_due_.top().cycle <= cycle_) {
     const TimedRef due = load_due_.top();
     load_due_.pop();
     RINGCLU_ASSERT(rob_.seq(due.rob_index) == due.seq);
-    active_loads_.push_back(ActiveLoad{due.rob_index, kUnsettled});
+    active_loads_.push_back(ActiveLoad{due.rob_index, next_arrival_++});
+    active = true;
   }
 
-  // One order-preserving pass: loads that stay (gated or port-blocked) are
-  // compacted to the front, so next cycle's port arbitration order is
-  // unchanged.  A load gated at the current store epoch is still gated and
-  // its LSQ memo still holds, so it is counted without being re-asked.
-  const std::uint64_t epoch = lsq_.store_epoch();
+  // A parked load's blocker has not changed since it was gated, so it is
+  // still gated: it counts as a wait without being asked.
+  lsq_.count_load_waits(parked_total_);
+  if (active_loads_.empty()) return active;
+
+  // One order-preserving pass over the new, woken and port-blocked loads:
+  // gated ones park, port-blocked ones are compacted to the front, so next
+  // cycle's port arbitration order is unchanged.
   std::size_t kept = 0;
-  for (ActiveLoad& load : active_loads_) {
-    if (load.wait_epoch == epoch) {
-      lsq_.count_load_wait();
-      active_loads_[kept++] = load;
-      continue;
-    }
+  for (const ActiveLoad& load : active_loads_) {
     const std::uint32_t rob_index = load.rob_index;
     DynInst& inst = rob_.at(rob_index);
     const LoadGate gate =
         lsq_.query_load(lsq_ord_[rob_index], rob_.seq(rob_index));
     if (gate == LoadGate::MustWait) {
-      lsq_.count_load_wait();
-      load.wait_epoch = epoch;
-      active_loads_[kept++] = load;
+      lsq_.count_load_waits(1);
+      park_load(load);
       continue;
     }
     int latency;
@@ -483,6 +514,7 @@ void Processor::do_memory() {
     schedule(data_ready, EventKind::Complete, rob_index);
   }
   active_loads_.resize(kept);
+  return true;
 }
 
 // --- Issue ---------------------------------------------------------------
@@ -575,12 +607,12 @@ void Processor::issue_comms(int cluster) {
   }
 }
 
-void Processor::do_issue() {
-  drain_comm_wakeups();
+bool Processor::do_issue() {
+  const bool drained = drain_comm_wakeups();
   // Nothing ready anywhere: no instruction or comm can issue, every slot
   // is idle, and the NREADY matching is zero by zero demand.  Skip the
   // whole stage — the common case on stall-dominated cycles.
-  if (ready_total_ == 0) return;
+  if (ready_total_ == 0) return drained;
   const int n = config_.num_clusters;
   std::array<std::uint32_t, kMaxClusters> unissued_int{};
   std::array<std::uint32_t, kMaxClusters> unissued_fp{};
@@ -622,6 +654,7 @@ void Processor::do_issue() {
                         {idle_int.data(), count}) +
         nready_matching({unissued_fp.data(), count}, {idle_fp.data(), count});
   }
+  return true;
 }
 
 // --- Dispatch ------------------------------------------------------------
@@ -754,15 +787,19 @@ void Processor::apply_dispatch(const MicroOp& op, std::uint64_t seq,
   ++counters_.dispatched_per_cluster[static_cast<std::size_t>(cluster)];
 }
 
-void Processor::do_dispatch() {
+bool Processor::do_dispatch() {
   int dispatched = 0;
   bool steer_stalled = false;
   bool rob_stalled = false;
   bool lsq_stalled = false;
+  bool in_decode = false;
 
   while (dispatched < config_.dispatch_width && !decodeq_.empty()) {
     const FrontEndOp front = decodeq_.front();
-    if (front.stage_cycle >= cycle_) break;  // still in decode this cycle
+    if (front.stage_cycle >= cycle_) {  // still in decode this cycle
+      in_decode = true;
+      break;
+    }
     if (rob_.full()) {
       rob_stalled = true;
       break;
@@ -783,6 +820,10 @@ void Processor::do_dispatch() {
       continue;
     }
 
+    if (steer_stall_holds_) {  // same op, same machine: same stall
+      steer_stalled = true;
+      break;
+    }
     const SteerRequest request = build_request(front.op);
     steering_srcs_ = request.srcs;
     const SteerDecision decision = policy_->steer(request, steer_context_);
@@ -800,28 +841,38 @@ void Processor::do_dispatch() {
   if (steer_stalled) ++counters_.steer_stall_cycles;
   if (rob_stalled) ++counters_.rob_stall_cycles;
   if (lsq_stalled) ++counters_.lsq_stall_cycles;
+  // A stalled steer() that may have side effects (an RNG draw) can be
+  // neither remembered nor repeated by the quiescent-cycle skip.
+  const bool pure_stall = steer_stalled && policy_->stalled_steer_is_pure();
+  steer_stall_holds_ = pure_stall;
+  return dispatched > 0 || in_decode || (steer_stalled && !pure_stall);
 }
 
 // --- Front end -----------------------------------------------------------
 
-void Processor::do_decode() {
+bool Processor::do_decode() {
   int moved = 0;
   while (moved < config_.decode_width && !fetchq_.empty() &&
          decodeq_.size() < static_cast<std::size_t>(config_.decodeq_size)) {
     FrontEndOp front = fetchq_.front();
-    if (front.stage_cycle >= cycle_) break;  // fetched this cycle
+    if (front.stage_cycle >= cycle_) return true;  // fetched this cycle
     front.stage_cycle = cycle_;
     decodeq_.push_back(front);
     fetchq_.pop_front();
     ++moved;
   }
+  return moved > 0;
 }
 
-void Processor::do_fetch(TraceSource& trace) {
-  if (fetch_blocked_) return;
+bool Processor::do_fetch(TraceSource& trace) {
+  if (fetch_blocked_) return false;
   if (cycle_ < icache_stall_until_) {
     ++counters_.icache_stall_cycles;
-    return;
+    return false;
+  }
+  if (trace_exhausted_ && !have_peeked_) return false;
+  if (fetchq_.size() >= static_cast<std::size_t>(config_.fetchq_size)) {
+    return false;
   }
 
   int fetched = 0;
@@ -869,21 +920,27 @@ void Processor::do_fetch(TraceSource& trace) {
     if (fetch_blocked_) break;   // wait for the branch to resolve
     if (taken_branch) break;     // one taken branch per fetch cycle
   }
+  return true;
 }
 
 // --- Main loop -----------------------------------------------------------
 
-void Processor::step() {
+bool Processor::step() {
   ++cycle_;
   dcache_ports_used_ = 0;
 
-  do_events();
-  do_commit();
-  do_bus();
-  do_memory();
-  do_issue();
-  do_dispatch();
-  do_decode();
+  bool active = do_events();
+  active = do_commit() || active;
+  active = do_bus() || active;
+  active = do_memory() || active;
+  active = do_issue() || active;
+  // Steering reads only what these stages change (queues, registers, the
+  // value map) and what dispatch itself changes; decode and fetch leave it
+  // alone.  So after a pure steer stall and quiet stages since, the same
+  // front op stalls again, and dispatch need not ask.
+  if (active) steer_stall_holds_ = false;
+  active = do_dispatch() || active;
+  active = do_decode() || active;
 
   ++counters_.cycles;
   counters_.rob_occupancy_sum += rob_.size();
@@ -893,6 +950,81 @@ void Processor::step() {
     dump_state(stderr);
     RINGCLU_ASSERT(false && "watchdog: no commit progress");
   }
+  return active;
+}
+
+void Processor::advance(TraceSource& trace) {
+  const std::array<std::uint64_t, 4> stalls_before = {
+      counters_.steer_stall_cycles, counters_.rob_stall_cycles,
+      counters_.lsq_stall_cycles, counters_.icache_stall_cycles};
+  const bool active = step();
+  if (do_fetch(trace) || active) return;
+  skip_quiet_cycles(stalls_before);
+}
+
+// --- Quiescent-cycle skip ------------------------------------------------
+//
+// A quiet cycle changed nothing but time and the per-cycle sums.  The next
+// cycle starts from the same state, so it does the same unless a stored
+// time comes due: the only state read against cycle_ on a quiet cycle is
+// the event ring, the load/store/comm due heaps, the i-cache stall and
+// the watchdog (function-unit timing matters only with ready work, and
+// any ready work makes a cycle active).  Every cycle before the earliest
+// such trigger is therefore quiet too.  Skipping them requires idle buses
+// (a datum in flight moves every cycle) and a steering policy whose
+// stalled steer() has no side effects (do_dispatch reports an impure
+// stall as activity).
+
+std::int64_t Processor::next_trigger() const {
+  std::int64_t trigger = last_commit_cycle_ + kWatchdogCycles;
+  if (!load_due_.empty()) trigger = std::min(trigger, load_due_.top().cycle);
+  if (!store_due_.empty()) {
+    trigger = std::min(trigger, store_due_.top().cycle);
+  }
+  if (!comm_due_.empty()) trigger = std::min(trigger, comm_due_.top().cycle);
+  if (!fetch_blocked_ && cycle_ < icache_stall_until_) {
+    trigger = std::min(trigger, icache_stall_until_);
+  }
+  if (!overflow_events_.empty()) {
+    trigger = std::min(trigger, overflow_events_.top().cycle);
+  }
+  if (events_pending_ > overflow_events_.size()) {
+    // Ring events lie within kEventRingSize cycles of now, one cycle per
+    // bucket.
+    const std::int64_t last =
+        std::min(trigger, cycle_ + static_cast<std::int64_t>(kEventRingSize));
+    for (std::int64_t cycle = cycle_ + 1; cycle < last; ++cycle) {
+      if (!event_ring_[static_cast<std::size_t>(cycle) &
+                       (kEventRingSize - 1)]
+               .empty()) {
+        return cycle;
+      }
+    }
+  }
+  return trigger;
+}
+
+void Processor::skip_quiet_cycles(
+    const std::array<std::uint64_t, 4>& stalls_before) {
+  if (!buses_.idle()) return;
+  const std::int64_t skip = next_trigger() - 1 - cycle_;
+  if (skip <= 0) return;
+  const auto cycles = static_cast<std::uint64_t>(skip);
+  cycle_ += skip;
+  counters_.cycles += cycles;
+  counters_.rob_occupancy_sum += cycles * rob_.size();
+  counters_.regs_in_use_sum +=
+      cycles * static_cast<std::uint64_t>(regs_.total_in_use());
+  // At most one dispatch stall counter and the i-cache stall counter moved
+  // on the quiet cycle; each skipped cycle moves them again.
+  std::uint64_t* const stalls[] = {
+      &counters_.steer_stall_cycles, &counters_.rob_stall_cycles,
+      &counters_.lsq_stall_cycles, &counters_.icache_stall_cycles};
+  for (std::size_t i = 0; i < stalls_before.size(); ++i) {
+    *stalls[i] += cycles * (*stalls[i] - stalls_before[i]);
+  }
+  lsq_.count_load_waits(cycles * parked_total_);
+  buses_.idle_ticks(cycles);
 }
 
 void Processor::dump_state(std::FILE* out) const {
@@ -900,7 +1032,7 @@ void Processor::dump_state(std::FILE* out) const {
                static_cast<long long>(cycle_), config_.name.c_str());
   std::fprintf(out, "rob: %zu/%zu fetchq=%zu decodeq=%zu pending_loads=%zu\n",
                rob_.size(), rob_.capacity(), fetchq_.size(), decodeq_.size(),
-               active_loads_.size() + load_due_.size());
+               active_loads_.size() + parked_total_ + load_due_.size());
   if (!rob_.empty()) {
     const std::uint32_t head_index = rob_.head_index();
     const DynInst& head = rob_.at(head_index);
@@ -959,8 +1091,7 @@ void Processor::warmup(TraceSource& trace, std::uint64_t warmup_instrs) {
   // The bound is absolute (total committed), matching the historical
   // monolithic run(): a second run() on the same processor skips warmup.
   while (committed_total_ < warmup_instrs && !drained()) {
-    step();
-    do_fetch(trace);
+    advance(trace);
   }
   // Synced here so a warmup checkpoint captures consistent counters.
   sync_external();
@@ -1029,8 +1160,7 @@ SimResult Processor::measure(TraceSource& trace, std::uint64_t measure_instrs,
                    : 0;
 
   while (committed_total_ < measure_target_ && !drained()) {
-    step();
-    do_fetch(trace);
+    advance(trace);
     if (sampling &&
         committed_total_ - measure_start_committed_ >= next_boundary) {
       // One sample per crossing step: a commit burst that jumps several

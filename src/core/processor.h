@@ -13,7 +13,13 @@
 ///
 /// Trace-driven, correct-path-only: a mispredicted branch stalls fetch
 /// until it resolves instead of injecting wrong-path work (see DESIGN.md).
+///
+/// After a cycle in which no stage changed state, the clock jumps to the
+/// cycle before the next timed trigger, adding the skipped cycles'
+/// per-cycle sums in one step (DESIGN.md §6): observably identical to
+/// stepping through them.
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <queue>
@@ -105,6 +111,8 @@ class Processor final : public SteerOracle {
   // --- Introspection (invariant tests / debugging) -----------------------
   [[nodiscard]] std::size_t rob_size() const { return rob_.size(); }
   [[nodiscard]] std::size_t lsq_size() const { return lsq_.size(); }
+  /// Gated loads parked on their blocking stores right now.
+  [[nodiscard]] std::size_t parked_loads() const { return parked_total_; }
   [[nodiscard]] std::size_t frontend_queue_size() const {
     return fetchq_.size() + decodeq_.size();
   }
@@ -186,6 +194,13 @@ class Processor final : public SteerOracle {
     }
   };
 
+  /// A load past its due cycle.  arrival orders loads as they left
+  /// load_due_, which is the d-cache port arbitration order.
+  struct ActiveLoad {
+    std::uint32_t rob_index;
+    std::uint64_t arrival;
+  };
+
   /// What a fired value-waiter token wakes.  Packing: kind in the top two
   /// bits, cluster (used by Comm wakes) in the next four, payload index
   /// (ROB slot or comm id) in the low 58.
@@ -203,16 +218,31 @@ class Processor final : public SteerOracle {
   /// counters_; called at phase boundaries and before sampling/snapshots.
   void sync_external();
 
-  // Pipeline stages.
-  void step();
-  void do_events();
-  void do_commit();
-  void do_bus();
-  void do_memory();
-  void do_issue();
-  void do_dispatch();
-  void do_decode();
-  void do_fetch(TraceSource& trace);
+  /// One cycle (step() then fetch), followed by the quiescent-cycle skip
+  /// when no stage changed state.
+  void advance(TraceSource& trace);
+
+  // Pipeline stages.  Each returns true when it changed simulator state
+  // beyond the per-cycle sums the quiescent-cycle skip accounts for.
+  [[nodiscard]] bool step();
+  [[nodiscard]] bool do_events();
+  [[nodiscard]] bool do_commit();
+  [[nodiscard]] bool do_bus();
+  [[nodiscard]] bool do_memory();
+  [[nodiscard]] bool do_issue();
+  [[nodiscard]] bool do_dispatch();
+  [[nodiscard]] bool do_decode();
+  [[nodiscard]] bool do_fetch(TraceSource& trace);
+
+  // Quiescent-cycle skip.
+  /// Earliest cycle after now at which a timed trigger can make a stage
+  /// act: an event bucket, a load/store/comm due time, the end of an
+  /// i-cache stall, or the watchdog.
+  [[nodiscard]] std::int64_t next_trigger() const;
+  /// Advances the clock over the quiet cycles before next_trigger(),
+  /// repeating the last (quiet) cycle's per-cycle sums; \p stalls_before
+  /// holds the stall counters as that cycle began.
+  void skip_quiet_cycles(const std::array<std::uint64_t, 4>& stalls_before);
 
   // Issue helpers.
   void issue_ready_list(int cluster, IssueQueue& queue,
@@ -232,14 +262,22 @@ class Processor final : public SteerOracle {
   void push_ready(std::uint32_t rob_index);
   void insert_comm_ready(int cluster, std::uint64_t id);
   /// Moves comms whose operands became readable this cycle into their
-  /// clusters' ready lists.
-  void drain_comm_wakeups();
+  /// clusters' ready lists; true if it moved any.
+  bool drain_comm_wakeups();
 
   // Dispatch helpers.
   [[nodiscard]] SteerRequest build_request(const MicroOp& op) const;
   void apply_dispatch(const MicroOp& op, std::uint64_t seq,
                       const SteerRequest& request,
                       const SteerDecision& decision);
+
+  // Memory helpers.
+  /// Parks a gated load on its blocking store's LSQ slot.
+  void park_load(const ActiveLoad& load);
+  /// Returns the loads parked on the store at LSQ ordinal \p store_ord to
+  /// the active list, in arrival order: called exactly when that store's
+  /// address is set and when it is released.
+  void wake_parked(std::uint64_t store_ord);
 
   // Completion / commit helpers.
   void complete_instruction(std::uint32_t rob_index);
@@ -284,21 +322,23 @@ class Processor final : public SteerOracle {
   /// Completion-time buckets replacing the historical per-cycle sweeps of
   /// pending loads/stores: a load sits in load_due_ until its address
   /// reaches the cache cluster, then moves to active_loads_ (arrival
-  /// order) while gated on disambiguation or d-cache ports; a store sits
-  /// in store_due_ until its data value is readable.
+  /// order) to ask its disambiguation gate and a d-cache port; a store
+  /// sits in store_due_ until its data value is readable.
   std::priority_queue<TimedRef, std::vector<TimedRef>, std::greater<>>
       load_due_;
   std::priority_queue<TimedRef, std::vector<TimedRef>, std::greater<>>
       store_due_;
-  /// A load on the active list.  wait_epoch is the LSQ store epoch at
-  /// which it last got MustWait (kUnsettled otherwise): while the epoch
-  /// has not moved its gate cannot have either, so it is not re-asked.
-  struct ActiveLoad {
-    std::uint32_t rob_index;
-    std::uint64_t wait_epoch;
-  };
-  static constexpr std::uint64_t kUnsettled = ~0ull;
-  std::vector<ActiveLoad> active_loads_;  ///< due, retrying gates/ports
+  /// Loads to ask this cycle (new, woken or port-blocked), by arrival.
+  std::vector<ActiveLoad> active_loads_;
+  /// Gated (MustWait) loads, parked per LSQ slot of their blocking store
+  /// until wake_parked() returns them.  Checkpoints save them merged into
+  /// active_loads_ by arrival; restore asks every load again and re-parks.
+  // ckpt: derived (rebuilt by the first memory stage after restore)
+  std::vector<std::vector<ActiveLoad>> parked_;
+  // ckpt: derived (size of every parked_ list together)
+  std::size_t parked_total_ = 0;
+  // ckpt: derived (restore renumbers the saved loads from 0)
+  std::uint64_t next_arrival_ = 0;
   /// LSQ ordinal of each ROB slot's memory op, for O(1) LSQ access.
   // ckpt: derived (rebuilt from the ROB's memory ops on restore)
   std::vector<std::uint64_t> lsq_ord_;
@@ -330,6 +370,12 @@ class Processor final : public SteerOracle {
   MicroOp peeked_;
 
   int dcache_ports_used_ = 0;
+
+  /// Dispatch stalled on steering last cycle with a pure stall, and no
+  /// stage before dispatch has acted since: the front op would stall
+  /// again (see step()).
+  // ckpt: derived (false after restore: the first dispatch asks again)
+  bool steer_stall_holds_ = false;
 
   /// Sources of the instruction currently being steered/dispatched; these
   /// must never be chosen as copy-eviction victims on its behalf.

@@ -10,6 +10,7 @@
 /// mutable field is overwritten.  Scratch buffers that are empty between
 /// cycles (deliveries_, steering_srcs_) are cleared, not serialized.
 
+#include <algorithm>
 #include <queue>
 #include <vector>
 
@@ -148,11 +149,18 @@ void Processor::save_state(CheckpointWriter& out) const {
       out.u64(due.id);
       out.u8(due.cluster);
     }
-    std::vector<std::uint64_t> active;
-    active.reserve(active_loads_.size());
-    for (const ActiveLoad& load : active_loads_) {
-      active.push_back(load.rob_index);
+    // Active and parked loads as one list in arrival order.
+    std::vector<ActiveLoad> loads(active_loads_);
+    for (const std::vector<ActiveLoad>& parked : parked_) {
+      loads.insert(loads.end(), parked.begin(), parked.end());
     }
+    std::sort(loads.begin(), loads.end(),
+              [](const ActiveLoad& a, const ActiveLoad& b) {
+                return a.arrival < b.arrival;
+              });
+    std::vector<std::uint64_t> active;
+    active.reserve(loads.size());
+    for (const ActiveLoad& load : loads) active.push_back(load.rob_index);
     out.vec_u64(active);
     out.u64(events_pending_);
   }
@@ -351,13 +359,16 @@ void Processor::restore_state(CheckpointReader& in) {
     }
     std::vector<std::uint64_t> active;
     in.vec_u64(active);
-    // Every active load starts unsettled and is asked once: its LSQ memo
-    // was saved, the store epoch that would let it skip was not.
+    // Every saved load is asked once on the next memory stage, which
+    // re-parks the gated ones: the parking lists are derived state.
     active_loads_.clear();
+    for (std::vector<ActiveLoad>& parked : parked_) parked.clear();
+    parked_total_ = 0;
     for (const std::uint64_t rob_index : active) {
-      active_loads_.push_back(
-          ActiveLoad{static_cast<std::uint32_t>(rob_index), kUnsettled});
+      active_loads_.push_back(ActiveLoad{
+          static_cast<std::uint32_t>(rob_index), active_loads_.size()});
     }
+    next_arrival_ = active_loads_.size();
     events_pending_ = in.u64();
     if (in.ok() &&
         events_pending_ != ring_count + overflow_count) {
@@ -431,6 +442,7 @@ void Processor::restore_state(CheckpointReader& in) {
   // Per-cycle scratch: empty between cycles by construction.
   deliveries_.clear();
   steering_srcs_.clear();
+  steer_stall_holds_ = false;
   // Host-side wall accounting restarts; the harness adds restore time.
   pre_run_wall_seconds_ = 0.0;
 }

@@ -54,6 +54,10 @@ void BusSet::tick(std::vector<BusDelivery>& out) {
   for (PipelinedRingBus& bus : buses_) bus.tick(out);
 }
 
+void BusSet::idle_ticks(std::uint64_t cycles) {
+  for (PipelinedRingBus& bus : buses_) bus.idle_ticks(cycles);
+}
+
 void BusSet::save_state(CheckpointWriter& out) const {
   out.u64(buses_.size());
   for (const PipelinedRingBus& bus : buses_) bus.save_state(out);

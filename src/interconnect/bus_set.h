@@ -59,6 +59,18 @@ class BusSet {
   /// Advances all buses one cycle; collects deliveries.
   void tick(std::vector<BusDelivery>& out);
 
+  /// True when no bus has a datum in flight.
+  [[nodiscard]] bool idle() const {
+    for (const PipelinedRingBus& bus : buses_) {
+      if (bus.in_flight() != 0) return false;
+    }
+    return true;
+  }
+
+  /// Exactly \p cycles tick() calls on idle buses, in one step.
+  /// \pre idle().
+  void idle_ticks(std::uint64_t cycles);
+
   [[nodiscard]] int num_buses() const {
     return static_cast<int>(buses_.size());
   }

@@ -74,6 +74,13 @@ void PipelinedRingBus::tick(std::vector<BusDelivery>& out) {
   RINGCLU_ASSERT(due == 0);
 }
 
+void PipelinedRingBus::idle_ticks(std::uint64_t cycles) {
+  RINGCLU_EXPECTS(in_flight_ == 0);
+  ticks_ += cycles;
+  shift_ = static_cast<std::size_t>((shift_ + cycles % slots_.size()) %
+                                    slots_.size());
+}
+
 void PipelinedRingBus::save_state(CheckpointWriter& out) const {
   out.u64(slots_.size());
   for (const Slot& slot : slots_) {

@@ -53,6 +53,10 @@ class PipelinedRingBus {
   /// Must be called exactly once per simulated cycle, before injections.
   void tick(std::vector<BusDelivery>& out);
 
+  /// Exactly \p cycles calls of tick() on an empty bus, in one step.
+  /// \pre in_flight() == 0.
+  void idle_ticks(std::uint64_t cycles);
+
   [[nodiscard]] int num_clusters() const { return num_clusters_; }
   [[nodiscard]] int hop_latency() const { return hop_latency_; }
   [[nodiscard]] RingDirection direction() const { return direction_; }

@@ -34,7 +34,6 @@ void LoadStoreQueue::set_address(std::uint64_t ord, std::uint64_t seq,
   target.addr = addr;
   target.size = size;
   target.addr_known = true;
-  if (target.is_store) ++store_epoch_;
 }
 
 LoadGate LoadStoreQueue::query_load(std::uint64_t ord,
@@ -42,20 +41,33 @@ LoadGate LoadStoreQueue::query_load(std::uint64_t ord,
   const Entry& load = ring_[slot(ord, seq)];
   RINGCLU_EXPECTS(!load.is_store && load.addr_known);
 
-  // Fast path: still blocked by the same store in the same state.
-  if (load.must_wait_memo) {
-    if (live(load.blocker_ord) &&
-        ring_[load.blocker_ord & mask_].addr_known ==
-            load.blocker_addr_known) {
-      return LoadGate::MustWait;
-    }
-    load.must_wait_memo = false;  // blocker changed: rescan
-  }
-
   // Scan older stores from youngest to oldest; the youngest matching store
   // is the forwarding candidate.  Start just below the load's own ordinal:
   // younger entries never matter.
-  for (std::uint64_t o = ord; o-- > head_ord_;) {
+  std::uint64_t from = ord;
+  if (load.must_wait_memo) {
+    if (live(load.blocker_ord)) {
+      // Still blocked by the same store in the same state.
+      if (ring_[load.blocker_ord & mask_].addr_known ==
+          load.blocker_addr_known) {
+        return LoadGate::MustWait;
+      }
+      // The blocker's address became known.  The stores between it and
+      // the load were cleared by the scan that found it (known address, no
+      // overlap, no exact match), addresses never change and nothing is
+      // inserted below a load, so the scan resumes at the blocker.
+      from = load.blocker_ord + 1;
+    } else if (load.blocker_ord < head_ord_) {
+      // The blocker retired, and every store older than it went first:
+      // only cleared stores remain below the load.
+      load.must_wait_memo = false;
+      return LoadGate::Proceed;
+    }
+    // Else the blocker was not re-found on restore: rescan from the load.
+    load.must_wait_memo = false;
+  }
+
+  for (std::uint64_t o = from; o-- > head_ord_;) {
     const Entry& older = ring_[o & mask_];
     if (!older.is_store) continue;
     if (!older.addr_known) {
@@ -80,10 +92,16 @@ LoadGate LoadStoreQueue::query_load(std::uint64_t ord,
   return LoadGate::Proceed;
 }
 
+std::uint64_t LoadStoreQueue::blocker_ordinal(std::uint64_t ord,
+                                              std::uint64_t seq) const {
+  const Entry& load = ring_[slot(ord, seq)];
+  RINGCLU_EXPECTS(load.must_wait_memo && live(load.blocker_ord));
+  return load.blocker_ord;
+}
+
 bool LoadStoreQueue::release(std::uint64_t seq) {
   const bool was_store = ring_[slot(head_ord_, seq)].is_store;
   ++head_ord_;
-  if (was_store) ++store_epoch_;
   return was_store;
 }
 

@@ -56,6 +56,19 @@ class LoadStoreQueue {
   [[nodiscard]] LoadGate query_load(std::uint64_t ord,
                                     std::uint64_t seq) const;
 
+  /// Ordinal of the store that gates the load at \p ord (which holds
+  /// \p seq).  \pre its last query_load returned MustWait.  The gate can
+  /// change only when that store's address is set or it is released.
+  [[nodiscard]] std::uint64_t blocker_ordinal(std::uint64_t ord,
+                                              std::uint64_t seq) const;
+
+  /// Ring slots (a power of two, at least capacity()); live entries occupy
+  /// distinct slots, entry ord the slot slot_of(ord).
+  [[nodiscard]] std::size_t slot_count() const { return ring_.size(); }
+  [[nodiscard]] std::size_t slot_of(std::uint64_t ord) const {
+    return static_cast<std::size_t>(ord & mask_);
+  }
+
   /// Removes the oldest entry, which must hold \p seq, at commit.  Returns
   /// true if it was a store (the caller then charges a cache write).
   bool release(std::uint64_t seq);
@@ -69,17 +82,11 @@ class LoadStoreQueue {
     return ring_[ord & mask_].seq;
   }
 
-  /// Advances exactly when a store's address becomes known or a store
-  /// leaves the queue — the only events that can change a load's gate,
-  /// which depends on older stores alone.  A load that got MustWait at
-  /// epoch e therefore still gets MustWait while the epoch is e.
-  [[nodiscard]] std::uint64_t store_epoch() const { return store_epoch_; }
-
   /// Statistics.
   [[nodiscard]] std::uint64_t forwards() const { return forwards_; }
   [[nodiscard]] std::uint64_t load_waits() const { return load_waits_; }
   void count_forward() { ++forwards_; }
-  void count_load_wait() { ++load_waits_; }
+  void count_load_waits(std::uint64_t loads) { load_waits_ += loads; }
 
   void save_state(CheckpointWriter& out) const;
   void restore_state(CheckpointReader& in);
@@ -100,8 +107,10 @@ class LoadStoreQueue {
     // present with the same address-known state — older entries are never
     // inserted, addresses only become known, and releases are oldest-first.
     // A gated load that is re-asked revalidates its blocker in O(1) through
-    // blocker_ord instead of rescanning.  (Proceed/Forward are terminal:
-    // the load accesses memory the same cycle, so they are never re-asked.)
+    // blocker_ord; when the blocker changed, the scan resumes at the
+    // blocker (or answers Proceed if it retired) instead of at the load.
+    // (Proceed/Forward are terminal: the load accesses memory the same
+    // cycle, so they are never re-asked.)
     mutable bool must_wait_memo = false;
     mutable std::uint64_t blocker_seq = 0;
     mutable bool blocker_addr_known = false;
@@ -128,8 +137,6 @@ class LoadStoreQueue {
   std::uint64_t head_ord_ = 0;
   // ckpt: derived (head_ord_ + the restored entry count)
   std::uint64_t next_ord_ = 0;
-  // ckpt: derived (callers re-ask every waiting load after a restore)
-  std::uint64_t store_epoch_ = 0;
   std::uint64_t forwards_ = 0;
   std::uint64_t load_waits_ = 0;
 };

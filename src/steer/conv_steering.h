@@ -38,6 +38,8 @@ class ConvSteering final : public SteeringPolicy {
   [[nodiscard]] std::string_view name() const override {
     return "conv_dcount";
   }
+  /// DCOUNT moves only in on_dispatch().
+  [[nodiscard]] bool stalled_steer_is_pure() const override { return true; }
 
   [[nodiscard]] const DcountTracker& dcount() const { return dcount_; }
 

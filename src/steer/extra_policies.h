@@ -24,6 +24,8 @@ class RoundRobinSteering final : public SteeringPolicy {
   [[nodiscard]] std::string_view name() const override {
     return "round_robin";
   }
+  /// next_ advances only on a placement.
+  [[nodiscard]] bool stalled_steer_is_pure() const override { return true; }
 
   void save_state(CheckpointWriter& out) const override { out.i64(next_); }
 
@@ -46,6 +48,8 @@ class RandomSteering final : public SteeringPolicy {
                                     const SteerContext& context) override;
 
   [[nodiscard]] std::string_view name() const override { return "random"; }
+  // stalled_steer_is_pure() stays false: every steer() draws from rng_,
+  // stalled or not.
 
   void save_state(CheckpointWriter& out) const override {
     for (std::uint64_t word : rng_.state()) out.u64(word);

@@ -39,6 +39,8 @@ class RingSteering final : public SteeringPolicy {
   [[nodiscard]] std::string_view name() const override {
     return "ring_dependence";
   }
+  /// The rotation moves only in on_dispatch().
+  [[nodiscard]] bool stalled_steer_is_pure() const override { return true; }
 
   void save_state(CheckpointWriter& out) const override {
     out.i64(rotate_);

@@ -28,6 +28,8 @@ class SimpleSteering final : public SteeringPolicy {
                                     const SteerContext& context) override;
 
   [[nodiscard]] std::string_view name() const override { return "ssa"; }
+  /// The round-robin pointer advances only on a placement.
+  [[nodiscard]] bool stalled_steer_is_pure() const override { return true; }
 
   void save_state(CheckpointWriter& out) const override {
     out.i64(round_robin_);

@@ -110,6 +110,12 @@ class SteeringPolicy {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
+  /// True when a steer() that returns a stall changes no policy state (no
+  /// RNG draw, no rotation), so repeating it on an unchanged machine
+  /// repeats the stall.  Lets the core skip steer-stalled quiet cycles
+  /// (DESIGN.md §6).  The conservative default keeps every cycle stepped.
+  [[nodiscard]] virtual bool stalled_steer_is_pure() const { return false; }
+
   /// Checkpoint hooks.  The defaults serialize nothing — correct only for
   /// stateless policies; every policy with mutable state (rotation
   /// counters, DCOUNT, RNG, ...) must override both, or restored runs will

@@ -22,6 +22,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -336,29 +337,44 @@ TEST_F(CheckpointRejection, SeedMismatch) {
 
 // ---- Crash-resume snapshots --------------------------------------------
 
+/// What the processor held when the snapshot was taken.
+struct SnapshotPoint {
+  std::size_t lsq = 0;
+  std::size_t parked = 0;
+};
+
 /// Snapshots once mid-measure, throws that processor away as a crash
 /// would, resumes from the snapshot and checks the finished run equals an
-/// uninterrupted one.  Returns the LSQ occupancy at the snapshot.
-std::size_t expect_snapshot_resume_is_exact(const char* preset,
-                                            const std::string& benchmark) {
+/// uninterrupted one.  The snapshot is taken at the first crossing of a
+/// \p interval boundary (at least 4000 instructions in) where \p take
+/// accepts the processor.
+SnapshotPoint expect_snapshot_resume_is_exact(
+    const char* preset, const std::string& benchmark,
+    std::uint64_t interval = 4000,
+    const std::function<bool(const Processor&)>& take =
+        [](const Processor&) { return true; }) {
   const ArchConfig config = ArchConfig::preset(preset);
   const std::filesystem::path dir = fresh_dir("snapshot_" + benchmark);
   const std::string snap = (dir / "snap.ckpt").string();
 
   const SimResult uninterrupted = cold_run(config, benchmark);
 
-  std::size_t lsq_at_snapshot = 0;
+  SnapshotPoint at_snapshot;
   {
     auto trace = make_benchmark_trace(benchmark, kSeed);
     Processor processor(config, kSeed);
     processor.warmup(*trace, kWarmup);
     bool saved = false;
     RunHooks hooks;
-    hooks.snapshot_interval_instrs = 4000;
+    hooks.snapshot_interval_instrs = interval;
     hooks.on_snapshot = [&] {
-      if (saved) return;
+      if (saved || processor.committed_total() < kWarmup + 4000 ||
+          !take(processor)) {
+        return;
+      }
       saved = true;
-      lsq_at_snapshot = processor.lsq_size();
+      at_snapshot.lsq = processor.lsq_size();
+      at_snapshot.parked = processor.parked_loads();
       EXPECT_TRUE(processor.mid_measure());
       CheckpointMeta meta;
       meta.seed = kSeed;
@@ -368,7 +384,7 @@ std::size_t expect_snapshot_resume_is_exact(const char* preset,
     };
     (void)processor.measure(*trace, kMeasure, hooks);
     EXPECT_TRUE(saved);
-    if (!saved) return lsq_at_snapshot;
+    if (!saved) return at_snapshot;
   }
 
   Processor resumed(config, kSeed);
@@ -378,7 +394,7 @@ std::size_t expect_snapshot_resume_is_exact(const char* preset,
   const bool restored = restore_checkpoint(
       snap, resumed, *trace, expectation(config, benchmark), &meta, &error);
   EXPECT_TRUE(restored) << error;
-  if (!restored) return lsq_at_snapshot;
+  if (!restored) return at_snapshot;
   EXPECT_TRUE(resumed.mid_measure());
   EXPECT_GE(meta.committed, kWarmup + 4000);
 
@@ -386,7 +402,7 @@ std::size_t expect_snapshot_resume_is_exact(const char* preset,
   expect_identical(uninterrupted.counters, finished.counters);
   EXPECT_EQ(finished.total_committed,
             uninterrupted.total_committed - meta.committed);
-  return lsq_at_snapshot;
+  return at_snapshot;
 }
 
 TEST(CheckpointSnapshot, MidMeasureResumeIsBitIdenticalToUninterrupted) {
@@ -396,8 +412,22 @@ TEST(CheckpointSnapshot, MidMeasureResumeIsBitIdenticalToUninterrupted) {
 // ammp keeps loads waiting on older stores in the LSQ, so the snapshot
 // carries disambiguation state that restore must rebuild exactly.
 TEST(CheckpointSnapshot, MidMeasureResumeWithLoadsInFlightIsExact) {
-  EXPECT_GT(expect_snapshot_resume_is_exact("Conv_8clus_1bus_2IW", "ammp"),
-            0u);
+  EXPECT_GT(
+      expect_snapshot_resume_is_exact("Conv_8clus_1bus_2IW", "ammp").lsq,
+      0u);
+}
+
+// Parked loads are saved merged into the active list in arrival order and
+// re-parked by the first memory stage after restore: a snapshot taken
+// while some are parked must resume exactly.
+TEST(CheckpointSnapshot, MidMeasureResumeWithParkedLoadsIsExact) {
+  EXPECT_GT(expect_snapshot_resume_is_exact(
+                "Ring_8clus_1bus_2IW", "equake", 100,
+                [](const Processor& processor) {
+                  return processor.parked_loads() > 1;
+                })
+                .parked,
+            1u);
 }
 
 // ---- Pinned checkpoint bytes -------------------------------------------
@@ -462,6 +492,79 @@ TEST(CheckpointGolden, WarmupCheckpointBytesArePinned) {
         << pin.preset << "/" << pin.benchmark << ": checkpoint bytes changed"
         << " (actual digest 0x" << std::hex << digest << ")";
   }
+}
+
+/// FNV-1a digest of a run's measured counters followed by its end-of-run
+/// state (save_state bytes: everything a checkpoint holds).
+std::uint64_t end_of_run_digest(const ArchConfig& config,
+                                const std::string& benchmark,
+                                SimCounters* measured) {
+  auto trace = make_benchmark_trace(benchmark, kSeed);
+  Processor processor(config, kSeed);
+  *measured = processor.run(*trace, kWarmup, kMeasure).counters;
+  CheckpointWriter out;
+  measured->save_state(out);
+  processor.save_state(out);
+  return fnv1a(out.bytes());
+}
+
+// steer=random draws from its RNG on every steer(), stalled or not, and
+// Conv ammp stalls in steering on a large share of its cycles.  A
+// quiescent-cycle skip that repeated a stall without its draw would move
+// the RNG state and every later placement.  Generated before the skip
+// existed.
+TEST(CheckpointGolden, RandomSteeringRunIsPinned) {
+  ArchConfig config = ArchConfig::preset("Conv_8clus_1bus_2IW");
+  ASSERT_FALSE(config.set_steering("random").has_value());
+  SimCounters measured;
+  const std::uint64_t digest = end_of_run_digest(config, "ammp", &measured);
+  EXPECT_GT(measured.steer_stall_cycles * 5, measured.cycles)
+      << "no longer steer-stall heavy";
+  EXPECT_EQ(digest, 0x3d3ed98b8d042206ULL)
+      << "actual digest 0x" << std::hex << digest;
+}
+
+// With a 3-cycle address transfer a load reaches the cache cluster after
+// cycles in which nothing else may happen: its load_due_ time is then the
+// only trigger that ends a quiescent-cycle skip.  (At the paper's 1-cycle
+// transfer it always follows an active cycle.)  Generated before the skip
+// existed.
+TEST(CheckpointGolden, SlowAddressTransferRunIsPinned) {
+  ArchConfig config = ArchConfig::preset("Ring_8clus_1bus_2IW");
+  config.dcache_transfer = 3;
+  SimCounters measured;
+  const std::uint64_t digest =
+      end_of_run_digest(config, "equake", &measured);
+  EXPECT_EQ(digest, 0x341373f63d6e69ccULL)
+      << "actual digest 0x" << std::hex << digest;
+}
+
+// A mid-measure snapshot taken while loads are parked: save merges the
+// parking lists into the active list by arrival, which must reproduce
+// the one arrival-ordered list the format has always held.  Generated
+// before parking existed.
+TEST(CheckpointGolden, SnapshotWithParkedLoadsIsPinned) {
+  constexpr std::uint64_t kSnapshotAt = kWarmup + 2300;
+  const ArchConfig config = ArchConfig::preset("Ring_8clus_1bus_2IW");
+  auto trace = make_benchmark_trace("equake", kSeed);
+  Processor processor(config, kSeed);
+  processor.warmup(*trace, kWarmup);
+  std::string bytes;
+  std::size_t parked = 0;
+  RunHooks hooks;
+  hooks.snapshot_interval_instrs = 100;
+  hooks.on_snapshot = [&] {
+    if (!bytes.empty() || processor.committed_total() < kSnapshotAt) return;
+    parked = processor.parked_loads();
+    CheckpointWriter out;
+    processor.save_state(out);
+    bytes = out.bytes();
+  };
+  (void)processor.measure(*trace, kMeasure, hooks);
+  EXPECT_GE(parked, 4u);
+  const std::uint64_t digest = fnv1a(bytes);
+  EXPECT_EQ(digest, 0xb1cd11b3a1e7b8cbULL)
+      << "actual digest 0x" << std::hex << digest;
 }
 
 // ---- Harness integration -----------------------------------------------

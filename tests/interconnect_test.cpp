@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "interconnect/bus_set.h"
 #include "interconnect/ring_bus.h"
 
@@ -102,6 +103,35 @@ TEST(RingBus, OccupancyStats) {
   EXPECT_EQ(bus.injections(), 1u);
   EXPECT_EQ(bus.ticks(), 2u);
   EXPECT_EQ(bus.busy_slot_cycles(), 1u);  // occupied during one tick only
+}
+
+// idle_ticks(n) is n tick() calls on an empty bus: the same state, byte
+// for byte, so later traffic behaves identically.  Covers both directions
+// and frame wrap-around (n larger than the slot count).
+TEST(RingBus, IdleTicksEqualSingleTicks) {
+  for (const RingDirection dir :
+       {RingDirection::Forward, RingDirection::Backward}) {
+    for (const int cycles : {1, 5, 16, 37}) {
+      PipelinedRingBus stepped(8, 2, dir);
+      PipelinedRingBus skipped(8, 2, dir);
+      EXPECT_TRUE(tick(stepped, cycles).empty());
+      skipped.idle_ticks(static_cast<std::uint64_t>(cycles));
+      CheckpointWriter stepped_state;
+      CheckpointWriter skipped_state;
+      stepped.save_state(stepped_state);
+      skipped.save_state(skipped_state);
+      EXPECT_EQ(skipped_state.bytes(), stepped_state.bytes())
+          << "cycles=" << cycles;
+      // Traffic injected now must land at the same cycle on both.
+      stepped.inject(1, 6, 7);
+      skipped.inject(1, 6, 7);
+      for (int cycle = 1; cycle <= 16; ++cycle) {
+        EXPECT_EQ(tick(stepped, 1).size(), tick(skipped, 1).size())
+            << "cycles=" << cycles << " cycle=" << cycle;
+      }
+      EXPECT_EQ(skipped.in_flight(), 0);
+    }
+  }
 }
 
 TEST(BusSet, RingOrientationAllForward) {

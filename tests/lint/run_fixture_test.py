@@ -32,6 +32,7 @@ EXPECTED_RULES = (
     "ckpt-coverage",
     "ckpt-pair",
     "env-getenv",
+    "contract-side-effect",
     "strict-suppression",
 )
 

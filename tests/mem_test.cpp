@@ -4,6 +4,7 @@
 
 #include <deque>
 #include <map>
+#include <vector>
 
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
@@ -179,27 +180,10 @@ TEST(Lsq, SmallerStoreCoveringLoadForwards) {
   EXPECT_EQ(lsq.query_load(load, 2), LoadGate::Forward);
 }
 
-TEST(Lsq, StoreEpochMovesOnlyOnStoreAddressAndStoreRelease) {
-  LoadStoreQueue lsq;
-  std::uint64_t epoch = lsq.store_epoch();
-  const auto store = lsq.allocate(1, true);
-  const auto load = lsq.allocate(2, false);
-  EXPECT_EQ(lsq.store_epoch(), epoch) << "allocation";
-  lsq.set_address(load, 2, 0x100, 8);
-  EXPECT_EQ(lsq.store_epoch(), epoch) << "load address";
-  (void)lsq.query_load(load, 2);
-  EXPECT_EQ(lsq.store_epoch(), epoch) << "query";
-  lsq.set_address(store, 1, 0x200, 8);
-  EXPECT_NE(lsq.store_epoch(), epoch) << "store address";
-  epoch = lsq.store_epoch();
-  EXPECT_TRUE(lsq.release(1));
-  EXPECT_NE(lsq.store_epoch(), epoch) << "store release";
-  epoch = lsq.store_epoch();
-  EXPECT_FALSE(lsq.release(2));
-  EXPECT_EQ(lsq.store_epoch(), epoch) << "load release";
-}
-
-TEST(Lsq, MustWaitHoldsWhileTheStoreEpochStands) {
+// A gated load's answer can change only when its blocking store's address
+// is set or the store leaves the queue: the processor parks the load on
+// that store until then.
+TEST(Lsq, MustWaitHoldsWhileTheBlockerStands) {
   LoadStoreQueue lsq;
   const auto store = lsq.allocate(1, true);
   const auto load = lsq.allocate(2, false);
@@ -207,18 +191,51 @@ TEST(Lsq, MustWaitHoldsWhileTheStoreEpochStands) {
   const auto younger_load = lsq.allocate(4, false);
   lsq.set_address(load, 2, 0x100, 8);
   ASSERT_EQ(lsq.query_load(load, 2), LoadGate::MustWait);
-  const std::uint64_t epoch = lsq.store_epoch();
-  // Traffic that leaves the epoch alone leaves the gate alone.
+  ASSERT_EQ(lsq.blocker_ordinal(load, 2), store);
+  // Younger traffic, a younger store's address included, leaves it gated.
   lsq.set_address(younger_load, 4, 0x100, 8);
   (void)lsq.allocate(5, false);
-  ASSERT_EQ(lsq.store_epoch(), epoch);
-  EXPECT_EQ(lsq.query_load(load, 2), LoadGate::MustWait);
-  // A younger store's address moves the epoch without ungating the load.
   lsq.set_address(younger_store, 3, 0x100, 8);
-  EXPECT_NE(lsq.store_epoch(), epoch);
   EXPECT_EQ(lsq.query_load(load, 2), LoadGate::MustWait);
+  EXPECT_EQ(lsq.blocker_ordinal(load, 2), store);
   lsq.set_address(store, 1, 0x100, 8);
   EXPECT_EQ(lsq.query_load(load, 2), LoadGate::Forward);
+}
+
+// A gated load whose blocker resolves without conflict resumes its scan
+// at the blocker and finds the next older store whose address is unknown.
+TEST(Lsq, ResolvedBlockerRegatesOnAnOlderUnknownStore) {
+  LoadStoreQueue lsq;
+  const auto oldest = lsq.allocate(1, true);
+  const auto cleared = lsq.allocate(2, true);
+  const auto blocker = lsq.allocate(3, true);
+  const auto load = lsq.allocate(4, false);
+  lsq.set_address(cleared, 2, 0x200, 8);
+  lsq.set_address(load, 4, 0x100, 8);
+  ASSERT_EQ(lsq.query_load(load, 4), LoadGate::MustWait);
+  EXPECT_EQ(lsq.blocker_ordinal(load, 4), blocker);
+  lsq.set_address(blocker, 3, 0x300, 8);  // no overlap
+  EXPECT_EQ(lsq.query_load(load, 4), LoadGate::MustWait);
+  EXPECT_EQ(lsq.blocker_ordinal(load, 4), oldest);
+  lsq.set_address(oldest, 1, 0x100, 8);
+  EXPECT_EQ(lsq.query_load(load, 4), LoadGate::Forward);
+}
+
+// A partial-overlap blocker gates the load until it retires; every store
+// older than it retired first, so the load then proceeds.
+TEST(Lsq, RetiredPartialOverlapBlockerLetsTheLoadProceed) {
+  LoadStoreQueue lsq;
+  const auto blocker = lsq.allocate(1, true);
+  const auto cleared = lsq.allocate(2, true);
+  const auto load = lsq.allocate(3, false);
+  lsq.set_address(blocker, 1, 0x104, 8);  // overlaps the load's upper half
+  lsq.set_address(cleared, 2, 0x200, 8);
+  lsq.set_address(load, 3, 0x100, 8);
+  ASSERT_EQ(lsq.query_load(load, 3), LoadGate::MustWait);
+  EXPECT_EQ(lsq.blocker_ordinal(load, 3), blocker);
+  EXPECT_EQ(lsq.query_load(load, 3), LoadGate::MustWait);
+  EXPECT_TRUE(lsq.release(1));
+  EXPECT_EQ(lsq.query_load(load, 3), LoadGate::Proceed);
 }
 
 /// Memo-free reference model: every query is the full disambiguation scan.
@@ -232,44 +249,100 @@ struct ReferenceLsq {
     std::uint32_t size = 0;
   };
 
-  [[nodiscard]] LoadGate query(std::size_t index) const {
+  /// \p blocker receives the gating store's ordinal on MustWait.
+  [[nodiscard]] LoadGate query(std::size_t index,
+                               std::uint64_t* blocker = nullptr) const {
     const Entry& load = entries[index];
     for (std::size_t i = index; i-- > 0;) {
       const Entry& older = entries[i];
       if (!older.is_store) continue;
-      if (!older.addr_known) return LoadGate::MustWait;
+      if (!older.addr_known ||
+          (older.addr < load.addr + load.size &&
+           load.addr < older.addr + older.size &&
+           !(older.addr == load.addr && older.size >= load.size))) {
+        if (blocker != nullptr) *blocker = older.ord;
+        return LoadGate::MustWait;
+      }
       if (older.addr == load.addr && older.size >= load.size) {
         return LoadGate::Forward;
       }
-      if (older.addr < load.addr + load.size &&
-          load.addr < older.addr + older.size) {
-        return LoadGate::MustWait;
-      }
     }
     return LoadGate::Proceed;
+  }
+
+  [[nodiscard]] std::size_t index_of(std::uint64_t seq) const {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i].seq == seq) return i;
+    }
+    return entries.size();
   }
 
   std::deque<Entry> entries;  // program order: front is oldest
 };
 
 // Thousands of random operations on an 8-entry queue, so the ring wraps
-// many times: every gate matches the reference scan, the store epoch moves
-// exactly on store set_address/release, and a load gated at epoch e is
-// still gated while the epoch stays e.
+// many times: every gate and blocker matches the reference scan, and a
+// load stays gated on the same blocker while that store is still queued
+// with the same address-known state (what parking relies on).  Loads
+// gated on a store are re-asked as soon as it is released, so blockers
+// retire under the memo, partial-overlap ones included.
 TEST(Lsq, RandomisedOperationsMatchReferenceScan) {
   constexpr std::size_t kCapacity = 8;
   LoadStoreQueue lsq(kCapacity);
   ReferenceLsq ref;
-  // Epoch at which each load (by seq) last got MustWait.
-  std::map<std::uint64_t, std::uint64_t> waited_at;
+  // Each gated load's (by seq) blocker and whether the blocker's address
+  // was known when the load was last asked.
+  struct Gate {
+    std::uint64_t blocker;
+    bool blocker_addr_known;
+  };
+  std::map<std::uint64_t, Gate> blocked_by;
   Rng rng(20050419);
   std::uint64_t next_seq = 1;
   std::size_t queries = 0;
   std::size_t must_waits = 0;
   std::size_t forwards = 0;
+  std::size_t held_gates = 0;
+  std::size_t retired_blockers = 0;
+  std::size_t retired_partial_blockers = 0;
+  // The reference entry holding ordinal \p ord, or null once released.
+  auto find_ord = [&](std::uint64_t ord) -> const ReferenceLsq::Entry* {
+    for (const ReferenceLsq::Entry& entry : ref.entries) {
+      if (entry.ord == ord) return &entry;
+    }
+    return nullptr;
+  };
+  // Asks the load \p seq, checks the gate and blocker against the
+  // reference and records the outcome.
+  auto ask = [&](std::uint64_t seq, int step) {
+    const std::size_t index = ref.index_of(seq);
+    const ReferenceLsq::Entry& entry = ref.entries[index];
+    std::uint64_t blocker = 0;
+    const LoadGate expected = ref.query(index, &blocker);
+    const auto gated = blocked_by.find(entry.seq);
+    if (gated != blocked_by.end()) {
+      const ReferenceLsq::Entry* const old = find_ord(gated->second.blocker);
+      if (old != nullptr &&
+          old->addr_known == gated->second.blocker_addr_known) {
+        ASSERT_EQ(expected, LoadGate::MustWait) << "step " << step;
+        ASSERT_EQ(blocker, gated->second.blocker) << "step " << step;
+        ++held_gates;
+      }
+    }
+    ASSERT_EQ(lsq.query_load(entry.ord, entry.seq), expected)
+        << "step " << step << " seq " << entry.seq;
+    ++queries;
+    if (expected == LoadGate::MustWait) {
+      ASSERT_EQ(lsq.blocker_ordinal(entry.ord, entry.seq), blocker)
+          << "step " << step << " seq " << entry.seq;
+      blocked_by[entry.seq] = Gate{blocker, find_ord(blocker)->addr_known};
+      ++must_waits;
+    } else {
+      blocked_by.erase(entry.seq);
+      forwards += expected == LoadGate::Forward;
+    }
+  };
   for (int step = 0; step < 50000; ++step) {
-    const std::uint64_t epoch = lsq.store_epoch();
-    bool store_event = false;
     switch (rng.uniform(6)) {  // queries get half the draws
       case 0: {  // allocate
         if (lsq.full()) break;
@@ -293,48 +366,47 @@ TEST(Lsq, RandomisedOperationsMatchReferenceScan) {
         entry.size = rng.uniform(2) == 0 ? 4 : 8;
         entry.addr_known = true;
         lsq.set_address(entry.ord, entry.seq, entry.addr, entry.size);
-        store_event = entry.is_store;
         break;
       }
-      case 2: {  // release the oldest
+      case 2: {  // release the oldest, then re-ask the loads it gated
         if (ref.entries.empty()) break;
         const ReferenceLsq::Entry oldest = ref.entries.front();
         ref.entries.pop_front();
-        waited_at.erase(oldest.seq);
+        blocked_by.erase(oldest.seq);
         ASSERT_EQ(lsq.release(oldest.seq), oldest.is_store);
-        store_event = oldest.is_store;
+        std::vector<std::uint64_t> gated;
+        for (const auto& [seq, gate] : blocked_by) {
+          if (gate.blocker == oldest.ord) gated.push_back(seq);
+        }
+        for (const std::uint64_t seq : gated) {
+          ask(seq, step);
+          ASSERT_FALSE(::testing::Test::HasFatalFailure());
+          ASSERT_EQ(blocked_by.count(seq), 0u)
+              << "a retired blocker still gates seq " << seq;
+          ++retired_blockers;
+          retired_partial_blockers += oldest.addr_known;
+        }
         break;
       }
       default: {  // query a random load whose address is known
         if (ref.entries.empty()) break;
-        const std::size_t index = rng.uniform(ref.entries.size());
-        const ReferenceLsq::Entry& entry = ref.entries[index];
+        const ReferenceLsq::Entry& entry =
+            ref.entries[rng.uniform(ref.entries.size())];
         if (entry.is_store || !entry.addr_known) break;
-        const LoadGate expected = ref.query(index);
-        const auto waited = waited_at.find(entry.seq);
-        if (waited != waited_at.end() && waited->second == epoch) {
-          ASSERT_EQ(expected, LoadGate::MustWait) << "step " << step;
-        }
-        ASSERT_EQ(lsq.query_load(entry.ord, entry.seq), expected)
-            << "step " << step << " seq " << entry.seq;
-        ++queries;
-        if (expected == LoadGate::MustWait) {
-          waited_at[entry.seq] = epoch;
-          ++must_waits;
-        } else {
-          waited_at.erase(entry.seq);
-          forwards += expected == LoadGate::Forward;
-        }
+        ask(entry.seq, step);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure());
         break;
       }
     }
-    ASSERT_EQ(lsq.store_epoch() != epoch, store_event) << "step " << step;
     ASSERT_EQ(lsq.size(), ref.entries.size());
   }
   // The mix must exercise every outcome, and wrap the 8-slot ring often.
   EXPECT_GT(queries, 3000u);
   EXPECT_GT(must_waits, 700u);
   EXPECT_GT(forwards, 60u);
+  EXPECT_GT(held_gates, 300u);
+  EXPECT_GT(retired_blockers, 300u);
+  EXPECT_GT(retired_partial_blockers, 100u);
   EXPECT_GT(lsq.head_ordinal(), 500 * kCapacity);
 }
 

@@ -208,6 +208,45 @@ TEST(PipelineTiming, StoreToLoadForwardingBeatsCache) {
   EXPECT_GT(result.counters.load_forwards, 8000u);
 }
 
+TEST(PipelineTiming, PartialOverlapLoadWaitsForTheStoreToRetire) {
+  // x = load [B] (a cold miss); store [A] = x; y = load [A+off]; then
+  // independent work.  The store's address is known at once, its data only
+  // after the miss, so it retires late.  At off = 4 the load overlaps half
+  // the store: it can neither forward nor pass it, parks on it, and only
+  // the store's release at commit wakes it (no later store exists to wake
+  // it any other way).  At off = 0 it forwards from the store instead.
+  const auto run = [](std::uint64_t offset) {
+    MicroOp miss;
+    miss.cls = OpClass::Load;
+    miss.dst = RegId::int_reg(2);
+    miss.src[0] = RegId::int_reg(1);
+    miss.mem_addr = 0x90000;
+    miss.mem_size = 8;
+    MicroOp store;
+    store.cls = OpClass::Store;
+    store.src[0] = RegId::int_reg(0);
+    store.src[1] = RegId::int_reg(2);
+    store.mem_addr = 0x2000;
+    store.mem_size = 8;
+    MicroOp load;
+    load.cls = OpClass::Load;
+    load.dst = RegId::int_reg(3);
+    load.src[0] = RegId::int_reg(0);
+    load.mem_addr = 0x2000 + offset;
+    load.mem_size = 8;
+    std::vector<MicroOp> ops{miss, store, load};
+    for (int i = 0; i < 64; ++i) ops.push_back(alu(4 + i % 8));
+    for (std::size_t i = 0; i < ops.size(); ++i) ops[i].pc = 0x1000 + 4 * i;
+    VectorTraceSource trace(std::move(ops), /*loop=*/false, "overlap");
+    Processor cpu(ArchConfig::preset("Ring_8clus_1bus_2IW"));
+    return cpu.run(trace, 0, 1000000).counters;  // budget > stream
+  };
+  const SimCounters overlapping = run(4);
+  EXPECT_EQ(overlapping.committed, 67u);  // drained, no hang
+  EXPECT_EQ(overlapping.load_forwards, 0u);
+  EXPECT_EQ(run(0).load_forwards, 1u);
+}
+
 // --- Branch timing -----------------------------------------------------------
 
 TEST(PipelineTiming, MispredictsStallFetch) {

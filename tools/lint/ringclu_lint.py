@@ -35,6 +35,14 @@ Rule families (see DESIGN.md section 12 for the full catalog):
                          parse_int/parse_bool helpers (util/env.h is the
                          only sanctioned caller).
 
+  contracts
+    contract-side-effect a mutating or blocking member call (wait, pop[_*],
+                         push[_*], insert, erase, submit[_*], next, release,
+                         allocate, step, run) inside RINGCLU_EXPECTS /
+                         RINGCLU_ENSURES / RINGCLU_ASSERT: with
+                         -DRINGCLU_CONTRACTS=OFF the condition is an
+                         unevaluated sizeof operand, so the call vanishes.
+
 Suppression syntax (same line as the finding, or an immediately preceding
 comment-only line):
 
@@ -84,6 +92,10 @@ RULES = {
     "ckpt-pair": "class defines only one of save_state/restore_state",
     "env-getenv": (
         "direct getenv() bypasses the strict util/env.h parse helpers"
+    ),
+    "contract-side-effect": (
+        "mutating/blocking call inside a contract macro vanishes when "
+        "contracts are compiled out"
     ),
 }
 
@@ -608,6 +620,15 @@ NONDET_TOKEN_RE = re.compile(
     r"\b(rand|srand|random_device|gettimeofday|clock_gettime|chrono|time|clock)\b"
 )
 GETENV_RE = re.compile(r"\bgetenv\b")
+CONTRACT_MACRO_RE = re.compile(
+    r"\b(RINGCLU_EXPECTS|RINGCLU_ENSURES|RINGCLU_ASSERT)\s*\("
+)
+# Member calls that change state or block: the condition of a contract
+# macro is not evaluated at all when contracts are compiled out.
+SIDE_EFFECT_CALL_RE = re.compile(
+    r"(?:\.|->)\s*(wait|(?:pop|push|submit)(?:_\w+)?|insert|erase|next|release"
+    r"|allocate|step|run)\s*\("
+)
 
 
 def preprocessor_lines(sf: SourceFile) -> set:
@@ -812,6 +833,41 @@ def check_getenv(sf: SourceFile, findings: list):
         )
 
 
+def check_contract_side_effects(sf: SourceFile, findings: list):
+    pp = preprocessor_lines(sf)
+    for m in CONTRACT_MACRO_RE.finditer(sf.blanked):
+        if sf.line_of(m.start()) in pp:
+            continue  # the macro definitions themselves
+        # The condition: up to the matching ')'.
+        open_idx = m.end() - 1
+        depth = 0
+        close = len(sf.blanked)
+        for i in range(open_idx, len(sf.blanked)):
+            if sf.blanked[i] == "(":
+                depth += 1
+            elif sf.blanked[i] == ")":
+                depth -= 1
+                if depth == 0:
+                    close = i
+                    break
+        condition = sf.blanked[open_idx:close]
+        for call in SIDE_EFFECT_CALL_RE.finditer(condition):
+            line = sf.line_of(open_idx + call.start())
+            if is_suppressed(sf, line, "contract-side-effect"):
+                continue
+            findings.append(
+                Finding(
+                    sf.path,
+                    line,
+                    "contract-side-effect",
+                    f"call of '{call.group(1)}()' inside {m.group(1)}: with "
+                    "-DRINGCLU_CONTRACTS=OFF the condition is an unevaluated "
+                    "sizeof operand and the call never happens; make the "
+                    "call outside the macro and check its result",
+                )
+            )
+
+
 def body_identifiers(body: str) -> set:
     return set(IDENT_RE.findall(body))
 
@@ -997,6 +1053,7 @@ def main() -> int:
         check_unordered_iteration(sf, unordered_vars, findings)
         check_nondet_sources(sf, findings)
         check_getenv(sf, findings)
+        check_contract_side_effects(sf, findings)
     check_checkpoint_coverage(files, classes, bodies, findings)
 
     if args.strict:
