@@ -25,6 +25,10 @@ void ValueMap::adjust_idle(const ValueInfo& value, int cluster, int delta) {
   }
   if (value.pending_readers[static_cast<std::size_t>(cluster)] != 0) return;
   idle_copies_[idle_index(cluster, value.cls)] += delta;
+  if (delta > 0 &&
+      ((idle_watch_[static_cast<std::size_t>(value.cls)] >> cluster) & 1u)) {
+    idle_watch_hit_ = true;
+  }
 }
 
 ValueId ValueMap::create(RegClass cls, int home_cluster) {

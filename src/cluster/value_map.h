@@ -145,6 +145,16 @@ class ValueMap {
            value.pending_readers[static_cast<std::size_t>(cluster)] == 0;
   }
 
+  /// Arms the steer-stall watch (DESIGN.md §6): from now on, the first
+  /// idle copy gained in a (cluster, class) whose bit is set in
+  /// \p clusters_by_class sets idle_watch_hit().
+  void watch_idle(
+      const std::array<std::uint16_t, kNumRegClasses>& clusters_by_class) {
+    idle_watch_ = clusters_by_class;
+    idle_watch_hit_ = false;
+  }
+  [[nodiscard]] bool idle_watch_hit() const { return idle_watch_hit_; }
+
   /// Removes the copy in \p cluster (register freeing is the caller's job).
   void evict_copy(ValueId id, int cluster);
 
@@ -182,6 +192,12 @@ class ValueMap {
   std::vector<ValueInfo> values_;
   /// Idle copies per (cluster, class); see idle_copy_count().
   std::vector<int> idle_copies_;
+  /// Steer-stall watch; see watch_idle().  The processor re-arms it at
+  /// every stall it remembers, and remembers none across a restore.
+  // ckpt: derived (re-armed by the next steer stall)
+  std::array<std::uint16_t, kNumRegClasses> idle_watch_{};
+  // ckpt: derived (re-armed by the next steer stall)
+  bool idle_watch_hit_ = false;
   /// Waiter arena: per-value singly linked lists (head/tail parallel to
   /// values_, appended at the tail so subscription order is preserved)
   /// threaded through one shared node pool.

@@ -61,6 +61,7 @@ Processor::Processor(const ArchConfig& config, std::uint64_t seed)
   steer_context_.oracle = this;
   steer_context_.arch = config.arch;
   steer_context_.num_clusters = config.num_clusters;
+  steer_context_.watch = &steer_watch_;
 
   // Initial architectural state: each logical register's value is homed
   // round-robin across the clusters and readable from cycle 0.
@@ -128,7 +129,7 @@ bool Processor::allocate_reg_evicting(int cluster, RegClass cls) {
         values_.find_evictable(cls, cluster, cycle_, exclude);
     if (victim == kInvalidValue) return false;
     values_.evict_copy(victim, cluster);
-    regs_.release(cluster, cls);
+    release_reg(cluster, cls);
     ++counters_.copy_evictions;
   }
   regs_.allocate(cluster, cls);
@@ -142,14 +143,14 @@ void Processor::maybe_eager_release(ValueId id, int cluster) {
   if (info.pending_readers[static_cast<std::size_t>(cluster)] != 0) return;
   if (!info.readable_in(cluster, cycle_)) return;  // copy still in flight
   values_.evict_copy(id, cluster);
-  regs_.release(cluster, info.cls);
+  release_reg(cluster, info.cls);
   ++counters_.copy_evictions;  // eager releases count as proactive evictions
 }
 
 void Processor::release_value(ValueId id) {
   const ValueInfo& info = values_.info(id);
   for (int c = 0; c < config_.num_clusters; ++c) {
-    if (info.mapped_in(c)) regs_.release(c, info.cls);
+    if (info.mapped_in(c)) release_reg(c, info.cls);
   }
   values_.release(id);
 }
@@ -481,11 +482,13 @@ bool Processor::do_memory() {
   // gated ones park, port-blocked ones are compacted to the front, so next
   // cycle's port arbitration order is unchanged.
   std::size_t kept = 0;
-  for (const ActiveLoad& load : active_loads_) {
+  for (ActiveLoad& load : active_loads_) {
     const std::uint32_t rob_index = load.rob_index;
     DynInst& inst = rob_.at(rob_index);
     const LoadGate gate =
-        lsq_.query_load(lsq_ord_[rob_index], rob_.seq(rob_index));
+        load.cleared
+            ? LoadGate::Proceed
+            : lsq_.query_load(lsq_ord_[rob_index], rob_.seq(rob_index));
     if (gate == LoadGate::MustWait) {
       lsq_.count_load_waits(1);
       park_load(load);
@@ -497,6 +500,7 @@ bool Processor::do_memory() {
       latency = 1;  // store-to-load forwarding inside the LSQ
     } else {
       if (dcache_ports_used_ >= config_.mem.l1d_ports) {
+        load.cleared = true;
         active_loads_[kept++] = load;  // port contention: retry next cycle
         continue;
       }
@@ -571,6 +575,7 @@ void Processor::issue_ready_list(int cluster, IssueQueue& queue,
     issue_instruction(cluster, ref.rob_index);
     ++issued;
     queue.remove_seq(ref.seq);
+    wake_steer_iq(cluster, op_unit(rob_.at(ref.rob_index).op.cls));
     ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(i));
     --ready_total_;
   }
@@ -602,6 +607,7 @@ void Processor::issue_comms(int cluster) {
     counters_.comm_contention_sum +=
         static_cast<std::uint64_t>(cycle_ - comm.first_ready_cycle);
     cl.comm_queue.remove_at(pos);
+    wake_steer_comm(cluster);
     ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(i));
     --ready_total_;
   }
@@ -820,16 +826,21 @@ bool Processor::do_dispatch() {
       continue;
     }
 
-    if (steer_stall_holds_) {  // same op, same machine: same stall
-      steer_stalled = true;
+    if (steer_stall_holds_ && !steer_watch_woken()) {
+      steer_stalled = true;  // same op, no watched change: same stall
       break;
     }
+    steer_stall_holds_ = false;
     const SteerRequest request = build_request(front.op);
     steering_srcs_ = request.srcs;
+    steer_watch_.clear();
     const SteerDecision decision = policy_->steer(request, steer_context_);
     if (decision.stall) {
       steering_srcs_.clear();
       steer_stalled = true;
+      if (policy_->stalled_steer_is_pure()) {
+        hold_steer_stall(front.op, request);
+      }
       break;
     }
     apply_dispatch(front.op, front.seq, request, decision);
@@ -844,8 +855,33 @@ bool Processor::do_dispatch() {
   // A stalled steer() that may have side effects (an RNG draw) can be
   // neither remembered nor repeated by the quiescent-cycle skip.
   const bool pure_stall = steer_stalled && policy_->stalled_steer_is_pure();
-  steer_stall_holds_ = pure_stall;
   return dispatched > 0 || in_decode || (steer_stalled && !pure_stall);
+}
+
+void Processor::hold_steer_stall(const MicroOp& op,
+                                 const SteerRequest& request) {
+  steer_stall_holds_ = true;
+  steer_watch_unit_ = op_unit(op.cls);
+  steer_watch_srcs_.clear();
+  for (const ValueId src : request.srcs) {
+    const ValueInfo& info = values_.info(src);
+    steer_watch_srcs_.push_back(WatchedSource{
+        src, static_cast<std::uint32_t>(info.produced) << 16 |
+                 info.mapped_mask});
+  }
+  values_.watch_idle(steer_watch_.regs);
+}
+
+bool Processor::steer_watch_woken() const {
+  if (values_.idle_watch_hit()) return true;
+  for (const WatchedSource& src : steer_watch_srcs_) {
+    const ValueInfo& info = values_.info(src.value);
+    if ((static_cast<std::uint32_t>(info.produced) << 16 |
+         info.mapped_mask) != src.state) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // --- Front end -----------------------------------------------------------
@@ -934,11 +970,6 @@ bool Processor::step() {
   active = do_bus() || active;
   active = do_memory() || active;
   active = do_issue() || active;
-  // Steering reads only what these stages change (queues, registers, the
-  // value map) and what dispatch itself changes; decode and fetch leave it
-  // alone.  So after a pure steer stall and quiet stages since, the same
-  // front op stalls again, and dispatch need not ask.
-  if (active) steer_stall_holds_ = false;
   active = do_dispatch() || active;
   active = do_decode() || active;
 

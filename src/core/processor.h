@@ -113,6 +113,8 @@ class Processor final : public SteerOracle {
   [[nodiscard]] std::size_t lsq_size() const { return lsq_.size(); }
   /// Gated loads parked on their blocking stores right now.
   [[nodiscard]] std::size_t parked_loads() const { return parked_total_; }
+  /// Dispatch is holding a remembered steer stall (DESIGN.md §6).
+  [[nodiscard]] bool steer_stall_held() const { return steer_stall_holds_; }
   [[nodiscard]] std::size_t frontend_queue_size() const {
     return fetchq_.size() + decodeq_.size();
   }
@@ -199,6 +201,11 @@ class Processor final : public SteerOracle {
   struct ActiveLoad {
     std::uint32_t rob_index;
     std::uint64_t arrival;
+    /// Answered Proceed but denied a d-cache port.  Proceed is final (no
+    /// older store can appear, addresses never change), so the load is
+    /// not asked again.
+    // ckpt: derived (restored loads start uncleared and are asked again)
+    bool cleared = false;
   };
 
   /// What a fired value-waiter token wakes.  Packing: kind in the top two
@@ -267,6 +274,28 @@ class Processor final : public SteerOracle {
 
   // Dispatch helpers.
   [[nodiscard]] SteerRequest build_request(const MicroOp& op) const;
+  /// Remembers a pure steer stall of an op with \p request, watching the
+  /// resources the steer() call recorded in steer_watch_.
+  void hold_steer_stall(const MicroOp& op, const SteerRequest& request);
+  /// True when a source of the held stall changed its produced bit or
+  /// mapped mask, or a watched (cluster, class) gained an idle copy.
+  [[nodiscard]] bool steer_watch_woken() const;
+  /// Wake hooks: a resource of \p cluster gained capacity.
+  void wake_steer_iq(int cluster, UnitKind kind) {
+    if (kind == steer_watch_unit_ && ((steer_watch_.iq >> cluster) & 1u)) {
+      steer_stall_holds_ = false;
+    }
+  }
+  void wake_steer_comm(int cluster) {
+    if ((steer_watch_.comm >> cluster) & 1u) steer_stall_holds_ = false;
+  }
+  /// Frees a register, waking a steer stall that watches it.
+  void release_reg(int cluster, RegClass cls) {
+    regs_.release(cluster, cls);
+    if ((steer_watch_.regs[static_cast<std::size_t>(cls)] >> cluster) & 1u) {
+      steer_stall_holds_ = false;
+    }
+  }
   void apply_dispatch(const MicroOp& op, std::uint64_t seq,
                       const SteerRequest& request,
                       const SteerDecision& decision);
@@ -371,11 +400,26 @@ class Processor final : public SteerOracle {
 
   int dcache_ports_used_ = 0;
 
-  /// Dispatch stalled on steering last cycle with a pure stall, and no
-  /// stage before dispatch has acted since: the front op would stall
-  /// again (see step()).
+  /// Steer-stall memo (DESIGN.md §6): the front op stalled on a pure
+  /// steer stall, and since then no resource in steer_watch_ gained
+  /// capacity and no source in steer_watch_srcs_ changed, so it would
+  /// stall again.  The wake hooks (wake_steer_*) and the checks at
+  /// dispatch clear it.
   // ckpt: derived (false after restore: the first dispatch asks again)
   bool steer_stall_holds_ = false;
+  /// Resources that rejected the front op's candidates at its last steer().
+  // ckpt: derived (per-stall scratch, re-armed by the next stall)
+  SteerWatch steer_watch_;
+  // ckpt: derived (per-stall scratch: unit kind of steer_watch_.iq)
+  UnitKind steer_watch_unit_ = UnitKind::Int;
+  /// The stalled op's sources and their produced bit (bit 16) and mapped
+  /// mask at the stall.
+  struct WatchedSource {
+    ValueId value = kInvalidValue;
+    std::uint32_t state = 0;
+  };
+  // ckpt: derived (per-stall scratch, re-armed by the next stall)
+  StaticVector<WatchedSource, kMaxSrcOperands> steer_watch_srcs_;
 
   /// Sources of the instruction currently being steered/dispatched; these
   /// must never be chosen as copy-eviction victims on its behalf.

@@ -8,6 +8,7 @@ namespace ringclu {
 BusSet::BusSet(int num_clusters, int num_buses, BusOrientation orientation,
                int hop_latency)
     : num_clusters_(num_clusters) {
+  RINGCLU_EXPECTS(num_clusters >= 1 && num_clusters <= 16);  // nearest_
   RINGCLU_EXPECTS(num_buses >= 1 && num_buses <= 4);
   RINGCLU_EXPECTS(orientation != BusOrientation::OppositeDirections ||
                   num_buses == 2);
@@ -34,6 +35,24 @@ BusSet::BusSet(int num_clusters, int num_buses, BusOrientation orientation,
       min_distance_[static_cast<std::size_t>(src) *
                         static_cast<std::size_t>(num_clusters) +
                     static_cast<std::size_t>(dst)] = best;
+    }
+  }
+
+  // Distances and indices fit a nibble each (kMaxClusters = 16).
+  nearest_.assign(static_cast<std::size_t>(num_clusters) * 2 * 256, 0xff);
+  for (int dst = 0; dst < num_clusters; ++dst) {
+    for (int half = 0; half < 2; ++half) {
+      for (int bits = 1; bits < 256; ++bits) {
+        std::uint8_t best = 0xff;
+        for (int b = 0; b < 8; ++b) {
+          const int src = half * 8 + b;
+          if (((bits >> b) & 1) == 0 || src >= num_clusters) continue;
+          const int distance = src == dst ? 0 : min_distance(src, dst);
+          best = std::min(best, static_cast<std::uint8_t>(distance << 4 | src));
+        }
+        nearest_[static_cast<std::size_t>((dst * 2 + half) * 256 + bits)] =
+            best;
+      }
     }
   }
 }

@@ -11,6 +11,7 @@
 /// reduce the distance of the communications" (Section 4.2); a
 /// communication uses the direction with the fewer hops.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -26,6 +27,12 @@ enum class BusOrientation : std::uint8_t {
   OppositeDirections,  ///< bus 0 forward, bus 1 backward (Conv, 2 buses)
 };
 
+/// The nearest cluster of a set to a destination (BusSet::nearest).
+struct NearestSource {
+  int distance = 0;      ///< 0 when the destination is in the set
+  int from_cluster = 0;  ///< lowest index among the nearest
+};
+
 class BusSet {
  public:
   BusSet(int num_clusters, int num_buses, BusOrientation orientation,
@@ -39,6 +46,20 @@ class BusSet {
     return min_distance_[static_cast<std::size_t>(src) *
                              static_cast<std::size_t>(num_clusters_) +
                          static_cast<std::size_t>(dst)];
+  }
+
+  /// The cluster of \p mask (bit c = cluster c; non-empty, and only bits
+  /// below num_clusters) nearest to \p dst, and its distance, ties to the
+  /// lowest index: what a scan of the set in ascending order with strict
+  /// improvement finds.  Two table lookups: one per byte of the mask, the
+  /// lower byte winning ties.
+  [[nodiscard]] NearestSource nearest(std::uint32_t mask, int dst) const {
+    RINGCLU_EXPECTS(mask != 0 && (mask >> num_clusters_) == 0);
+    const std::size_t row = static_cast<std::size_t>(dst) * 2 * 256;
+    const std::uint8_t entry =
+        std::min(nearest_[row + (mask & 0xffu)],
+                 nearest_[row + 256 + ((mask >> 8) & 0xffu)]);
+    return NearestSource{entry >> 4, entry & 0xf};
   }
 
   /// Attempts to inject a datum, choosing among minimum-distance buses that
@@ -88,6 +109,13 @@ class BusSet {
   std::vector<PipelinedRingBus> buses_;
   // ckpt: derived (built at construction from the ring geometry)
   std::vector<int> min_distance_;  ///< n x n lookup, built at construction
+  /// nearest() table: per destination, two 256-entry halves indexed by the
+  /// low and the high byte of a mask.  An entry packs distance << 4 |
+  /// source, so the smaller byte is the nearer source and, at equal
+  /// distance, the lower index; an empty half reads 0xff, which loses to
+  /// any entry of the other half or equals it.
+  // ckpt: derived (built at construction from min_distance_)
+  std::vector<std::uint8_t> nearest_;
 };
 
 }  // namespace ringclu

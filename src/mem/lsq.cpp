@@ -17,14 +17,18 @@ bool ranges_overlap(std::uint64_t a, std::uint32_t a_size, std::uint64_t b,
 LoadStoreQueue::LoadStoreQueue(std::size_t capacity)
     : capacity_(capacity),
       ring_(std::bit_ceil(capacity)),
-      mask_(ring_.size() - 1) {
+      mask_(ring_.size() - 1),
+      store_ords_(ring_.size()) {
   RINGCLU_EXPECTS(capacity > 0);
 }
 
 std::uint64_t LoadStoreQueue::allocate(std::uint64_t seq, bool is_store) {
   RINGCLU_EXPECTS(!full());
   RINGCLU_EXPECTS(size() == 0 || ring_[(next_ord_ - 1) & mask_].seq < seq);
-  ring_[next_ord_ & mask_] = Entry{seq, 0, 0, is_store, false};
+  Entry& entry = ring_[next_ord_ & mask_];
+  entry = Entry{seq, 0, 0, is_store, false};
+  entry.stores_before = next_store_;
+  if (is_store) store_ords_[next_store_++ & mask_] = next_ord_;
   return next_ord_++;
 }
 
@@ -42,9 +46,9 @@ LoadGate LoadStoreQueue::query_load(std::uint64_t ord,
   RINGCLU_EXPECTS(!load.is_store && load.addr_known);
 
   // Scan older stores from youngest to oldest; the youngest matching store
-  // is the forwarding candidate.  Start just below the load's own ordinal:
-  // younger entries never matter.
-  std::uint64_t from = ord;
+  // is the forwarding candidate.  Start just below the load's own store
+  // number: younger entries never matter, and loads are not visited.
+  std::uint64_t from = load.stores_before;
   if (load.must_wait_memo) {
     if (live(load.blocker_ord)) {
       // Still blocked by the same store in the same state.
@@ -56,7 +60,7 @@ LoadGate LoadStoreQueue::query_load(std::uint64_t ord,
       // the load were cleared by the scan that found it (known address, no
       // overlap, no exact match), addresses never change and nothing is
       // inserted below a load, so the scan resumes at the blocker.
-      from = load.blocker_ord + 1;
+      from = ring_[load.blocker_ord & mask_].stores_before + 1;
     } else if (load.blocker_ord < head_ord_) {
       // The blocker retired, and every store older than it went first:
       // only cleared stores remain below the load.
@@ -67,9 +71,9 @@ LoadGate LoadStoreQueue::query_load(std::uint64_t ord,
     load.must_wait_memo = false;
   }
 
-  for (std::uint64_t o = from; o-- > head_ord_;) {
+  for (std::uint64_t k = from; k-- > head_store_;) {
+    const std::uint64_t o = store_ords_[k & mask_];
     const Entry& older = ring_[o & mask_];
-    if (!older.is_store) continue;
     if (!older.addr_known) {
       load.must_wait_memo = true;
       load.blocker_seq = older.seq;
@@ -102,6 +106,7 @@ std::uint64_t LoadStoreQueue::blocker_ordinal(std::uint64_t ord,
 bool LoadStoreQueue::release(std::uint64_t seq) {
   const bool was_store = ring_[slot(head_ord_, seq)].is_store;
   ++head_ord_;
+  if (was_store) ++head_store_;
   return was_store;
 }
 
@@ -130,6 +135,8 @@ void LoadStoreQueue::restore_state(CheckpointReader& in) {
   }
   head_ord_ = 0;
   next_ord_ = count;
+  head_store_ = 0;
+  next_store_ = 0;
   for (std::uint64_t ord = 0; ord < count; ++ord) {
     Entry entry;
     entry.seq = in.u64();
@@ -146,6 +153,8 @@ void LoadStoreQueue::restore_state(CheckpointReader& in) {
          ++older) {
       if (ring_[older].seq == entry.blocker_seq) entry.blocker_ord = older;
     }
+    entry.stores_before = next_store_;
+    if (entry.is_store) store_ords_[next_store_++] = ord;
     ring_[ord] = entry;
   }
   forwards_ = in.u64();

@@ -116,6 +116,10 @@ class LoadStoreQueue {
     mutable bool blocker_addr_known = false;
     // ckpt: derived (ordinal of blocker_seq, re-found on restore)
     mutable std::uint64_t blocker_ord = kNoOrdinal;
+    /// Stores allocated before this entry: a store's own store number,
+    /// and for a load the store number of the next younger store.
+    // ckpt: derived (renumbered from 0 on restore)
+    std::uint64_t stores_before = 0;
   };
 
   /// True while \p ord names a live entry (also false for kNoOrdinal).
@@ -137,6 +141,15 @@ class LoadStoreQueue {
   std::uint64_t head_ord_ = 0;
   // ckpt: derived (head_ord_ + the restored entry count)
   std::uint64_t next_ord_ = 0;
+  /// Ordinals of the live stores by store number: store k is at
+  /// store_ords_[k & mask_], and the live stores are the numbers
+  /// [head_store_, next_store_).  query_load walks only these.
+  // ckpt: derived (rebuilt from the restored entries)
+  std::vector<std::uint64_t> store_ords_;
+  // ckpt: derived (renumbered from 0 on restore)
+  std::uint64_t head_store_ = 0;
+  // ckpt: derived (the restored store count)
+  std::uint64_t next_store_ = 0;
   std::uint64_t forwards_ = 0;
   std::uint64_t load_waits_ = 0;
 };

@@ -5,22 +5,17 @@ namespace ringclu {
 SteerDecision ConvSteering::select_least_loaded(const SteerRequest& request,
                                                 const SteerContext& context,
                                                 std::uint32_t candidate_mask) {
-  SteerDecision best = SteerDecision::stalled();
-  std::int64_t best_load = 0;
+  // Candidates in (DCOUNT, index) order: the first viable one is the
+  // least-loaded viable cluster, lowest index among equals.  A stall has
+  // planned (and rejected) every candidate.
   SteerDecision plan;
-  for (int c = 0; c < num_clusters_; ++c) {
+  for (const std::size_t c : dcount_.order()) {
     if (((candidate_mask >> c) & 1u) == 0) continue;
-    const std::int64_t load = dcount_.count(c);
-    // A candidate that cannot beat the current best is skipped before the
-    // (comparatively expensive) viability check; only would-be winners are
-    // planned.  Identical outcome to planning every candidate: losers
-    // never replaced best either way.
-    if (!best.stall && load >= best_load) continue;
-    if (!plan_candidate(request, c, context, plans_, plan)) continue;
-    best = plan;
-    best_load = load;
+    if (plan_candidate(request, static_cast<int>(c), context, plans_, plan)) {
+      return plan;
+    }
   }
-  return best;
+  return SteerDecision::stalled();
 }
 
 SteerDecision ConvSteering::steer(const SteerRequest& request,
@@ -28,8 +23,8 @@ SteerDecision ConvSteering::steer(const SteerRequest& request,
   const std::uint32_t all_mask =
       num_clusters_ >= 32 ? 0xffffffffu : ((1u << num_clusters_) - 1u);
 
-  // One value-map pass per request: every plan_operand answer any of the
-  // stages below needs comes from this table.
+  // One value-map read per operand: every plan_operand answer any of the
+  // stages below needs comes from these masks.
   plans_.build(request, context);
 
   // Imbalance override: balance first, communications be damned.

@@ -60,7 +60,7 @@ class ConvSteering final : public SteeringPolicy {
   int num_clusters_;  // ckpt: derived (config)
   int threshold_;  // ckpt: derived (config)
   DcountTracker dcount_;
-  /// Per-request plan table (steer_common.h); rebuilt by every steer()
+  /// Per-request operand plans (steer_common.h); rebuilt by every steer()
   /// call, so it carries no cross-instruction state and is not serialized.
   SteerPlanCache plans_;  // ckpt: derived (per-request scratch)
 };

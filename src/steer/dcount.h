@@ -9,6 +9,10 @@
 /// subtracts 1 from every other counter, so the sum stays at zero.
 /// Counters saturate so that ancient history cannot dominate.  The
 /// imbalance figure is (max - min) / N, in instructions.
+///
+/// The tracker also keeps the clusters in (count, index) order, updated in
+/// on_dispatch(): imbalance() reads its two ends, and a least-loaded search
+/// walks it from the front and stops at the first acceptable cluster.
 
 #include <cstdint>
 #include <vector>
@@ -26,7 +30,16 @@ class DcountTracker {
   void on_dispatch(int cluster);
 
   /// (max - min) / N, in instruction units.
-  [[nodiscard]] double imbalance() const;
+  [[nodiscard]] double imbalance() const {
+    return static_cast<double>(counters_[order_.back()] -
+                               counters_[order_.front()]) /
+           static_cast<double>(num_clusters());
+  }
+
+  /// Every cluster, least loaded first (ties: lower index first).
+  [[nodiscard]] const std::vector<std::size_t>& order() const {
+    return order_;
+  }
 
   /// Counter value for a cluster (lower = less loaded).
   [[nodiscard]] std::int64_t count(int cluster) const {
@@ -35,7 +48,9 @@ class DcountTracker {
   }
 
   /// Cluster with the lowest DCOUNT (ties: lowest index).
-  [[nodiscard]] int least_loaded() const;
+  [[nodiscard]] int least_loaded() const {
+    return static_cast<int>(order_.front());
+  }
 
   [[nodiscard]] int num_clusters() const {
     return static_cast<int>(counters_.size());
@@ -50,11 +65,22 @@ class DcountTracker {
     in.vec_i64(counters_);
     if (in.ok() && counters_.size() != size) {
       in.fail("dcount size mismatch");
+      counters_.assign(size, 0);
     }
+    sort_order();
   }
 
  private:
+  /// True when cluster \p a precedes \p b in order_.
+  [[nodiscard]] bool before(std::size_t a, std::size_t b) const {
+    return counters_[a] != counters_[b] ? counters_[a] < counters_[b] : a < b;
+  }
+  /// Restores order_ after counters_ moved arbitrarily: an insertion sort.
+  void sort_order();
+
   std::vector<std::int64_t> counters_;
+  // ckpt: derived (rebuilt from counters_ on restore)
+  std::vector<std::size_t> order_;
   std::int64_t limit_;  // ckpt: derived (config)
 };
 

@@ -14,7 +14,12 @@
 ///       });
 ///
 /// Configuration files and the CLI then name it like any built-in
-/// ("steer": "my_policy").  A registry name is the only way a policy is
+/// ("steer": "my_policy").  A policy that returns true from
+/// SteeringPolicy::stalled_steer_is_pure() makes the promise documented
+/// there: a stall changes no policy state, rejects every candidate it
+/// considered through plan_candidate(), and reads only placement-driven
+/// state and its sources' value-map entries; the core then re-asks it
+/// only when a resource that rejected a candidate frees (DESIGN.md §9).  A registry name is the only way a policy is
 /// named: ArchConfig::steer holds one, and the Processor builds its
 /// policy from it here.  See DESIGN.md §9.
 

@@ -61,7 +61,7 @@ class RingSteering final : public SteeringPolicy {
 
   int num_clusters_;  // ckpt: derived (config)
   int rotate_ = 0;  ///< round-robin tie-break state
-  /// Per-request plan table (steer_common.h); rebuilt by every steer()
+  /// Per-request operand plans (steer_common.h); rebuilt by every steer()
   /// call, so it carries no cross-instruction state and is not serialized.
   SteerPlanCache plans_;  // ckpt: derived (per-request scratch)
 };

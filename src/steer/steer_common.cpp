@@ -1,50 +1,20 @@
 #include "steer/steer_common.h"
 
-#include <bit>
-
-#include "util/assert.h"
+#include <algorithm>
 
 namespace ringclu {
 
 CommPlanStep plan_operand(ValueId value, int cluster,
                           const SteerContext& context) {
-  const ValueInfo& info = context.values->info(value);
-  if (info.mapped_in(cluster)) return CommPlanStep{0, -1};
-
-  CommPlanStep best{INT32_MAX, -1};
-  for (int s = 0; s < context.num_clusters; ++s) {
-    if (!info.mapped_in(s)) continue;
-    const int distance = context.buses->min_distance(s, cluster);
-    if (distance < best.distance) best = CommPlanStep{distance, s};
-  }
-  RINGCLU_ASSERT(best.from_cluster >= 0);  // every live value is mapped
-  return best;
+  return plan_step(*context.buses, context.values->info(value).mapped_mask,
+                   cluster);
 }
 
 void SteerPlanCache::build(const SteerRequest& request,
                            const SteerContext& context) {
-  const ValueMap& values = *context.values;
-  const BusSet& buses = *context.buses;
+  buses_ = context.buses;
   for (std::size_t i = 0; i < request.srcs.size(); ++i) {
-    const ValueInfo& info = values.info(request.srcs[i]);
-    std::array<CommPlanStep, kMaxClusters>& row = steps_[i];
-    for (int c = 0; c < context.num_clusters; ++c) {
-      if (info.mapped_in(c)) {
-        row[static_cast<std::size_t>(c)] = CommPlanStep{0, -1};
-        continue;
-      }
-      CommPlanStep best{INT32_MAX, -1};
-      // Ascending source order with strict improvement: the same
-      // lowest-index-among-equals tie-break as plan_operand.
-      for (std::uint32_t mask = info.mapped_mask; mask != 0;
-           mask &= mask - 1) {
-        const int s = std::countr_zero(mask);
-        const int distance = buses.min_distance(s, c);
-        if (distance < best.distance) best = CommPlanStep{distance, s};
-      }
-      RINGCLU_ASSERT(best.from_cluster >= 0);  // every live value is mapped
-      row[static_cast<std::size_t>(c)] = best;
-    }
+    masks_[i] = context.values->info(request.srcs[i]).mapped_mask;
   }
 }
 
@@ -57,8 +27,13 @@ bool plan_candidate_impl(const SteerRequest& request, int cluster,
                          const SteerContext& context, StepFn step,
                          SteerDecision& decision) {
   const SteerOracle& oracle = *context.oracle;
+  SteerWatch* const watch = context.watch;
+  const auto bit = [](int c) { return static_cast<std::uint16_t>(1u << c); };
 
-  if (!oracle.iq_can_accept(cluster, op_unit(request.cls))) return false;
+  if (!oracle.iq_can_accept(cluster, op_unit(request.cls))) {
+    if (watch != nullptr) watch->iq |= bit(cluster);
+    return false;
+  }
 
   decision.comms.clear();
 
@@ -99,6 +74,9 @@ bool plan_candidate_impl(const SteerRequest& request, int cluster,
 
   for (const Need& need : needs) {
     if (!oracle.regs_obtainable(need.cluster, need.cls, need.count)) {
+      if (watch != nullptr) {
+        watch->regs[static_cast<std::size_t>(need.cls)] |= bit(need.cluster);
+      }
       return false;
     }
   }
@@ -108,7 +86,10 @@ bool plan_candidate_impl(const SteerRequest& request, int cluster,
     for (std::size_t j = 0; j < i; ++j) {
       if (comm_sources[j] == comm_sources[i]) ++required;
     }
-    if (oracle.comm_free_entries(comm_sources[i]) < required) return false;
+    if (oracle.comm_free_entries(comm_sources[i]) < required) {
+      if (watch != nullptr) watch->comm |= bit(comm_sources[i]);
+      return false;
+    }
   }
 
   decision.stall = false;
@@ -134,15 +115,6 @@ bool plan_candidate(const SteerRequest& request, int cluster,
   return plan_candidate_impl(
       request, cluster, context,
       [&](std::size_t i) { return plans.step(i, cluster); }, decision);
-}
-
-int total_comm_distance(const SteerRequest& request, int cluster,
-                        const SteerContext& context) {
-  int total = 0;
-  for (std::size_t i = 0; i < request.srcs.size(); ++i) {
-    total += plan_operand(request.srcs[i], cluster, context).distance;
-  }
-  return total;
 }
 
 int longest_comm_distance(const SteerRequest& request, int cluster,

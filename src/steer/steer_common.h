@@ -18,26 +18,35 @@ struct CommPlanStep {
   int from_cluster = -1;  ///< -1 when no communication is needed
 };
 
+/// The CommPlanStep for a value mapped in \p mapped_mask: one
+/// BusSet::nearest() lookup.
+[[nodiscard]] inline CommPlanStep plan_step(const BusSet& buses,
+                                            std::uint32_t mapped_mask,
+                                            int cluster) {
+  const NearestSource nearest = buses.nearest(mapped_mask, cluster);
+  return CommPlanStep{nearest.distance,
+                      nearest.distance == 0 ? -1 : nearest.from_cluster};
+}
+
 [[nodiscard]] CommPlanStep plan_operand(ValueId value, int cluster,
                                         const SteerContext& context);
 
-/// The full (operand x cluster) CommPlanStep table for one steering
-/// request, computed in a single pass over the value map.  Multi-pass
+/// The operand plans of one steering request.  build() reads each
+/// source's mapped mask once (O(operands)); step() is then one
+/// BusSet::nearest() lookup, so a policy pays for the (operand, cluster)
+/// pairs it actually looks at, with no value-map access.  Multi-pass
 /// policies (Conv's imbalance / pending / distance stages, Ring's
-/// distance-then-select) build it once per request and read every
-/// subsequent plan_operand answer from here instead of redoing the cluster
-/// scan per candidate per stage.  Entries are identical to what
-/// plan_operand returns (same ascending-cluster tie-break), so cached and
-/// uncached policies produce byte-equal decision streams.
+/// distance-then-select) build it once per request.  Entries are identical
+/// to what plan_operand returns (the same table), so cached and uncached
+/// policies produce byte-equal decision streams.
 class SteerPlanCache {
  public:
-  /// Recomputes the table for \p request against the current value map.
+  /// Records \p request's source masks against the current value map.
   void build(const SteerRequest& request, const SteerContext& context);
 
-  /// The cached plan_operand(request.srcs[operand], cluster) answer.
-  [[nodiscard]] const CommPlanStep& step(std::size_t operand,
-                                         int cluster) const {
-    return steps_[operand][static_cast<std::size_t>(cluster)];
+  /// The plan_operand(request.srcs[operand], cluster) answer.
+  [[nodiscard]] CommPlanStep step(std::size_t operand, int cluster) const {
+    return plan_step(*buses_, masks_[operand], cluster);
   }
 
   /// Sum of communication distances \p request would incur at \p cluster.
@@ -62,13 +71,15 @@ class SteerPlanCache {
   }
 
  private:
-  std::array<std::array<CommPlanStep, kMaxClusters>, kMaxSrcOperands> steps_;
+  const BusSet* buses_ = nullptr;
+  std::array<std::uint32_t, kMaxSrcOperands> masks_{};
 };
 
 /// Checks whether \p cluster can accept \p request: issue-queue entry,
 /// destination register at the dest-home cluster, and a copy register plus
 /// a comm-queue entry for every operand not mapped at \p cluster.  On
-/// success fills \p decision with the cluster and planned comms.
+/// success fills \p decision with the cluster and planned comms; on
+/// failure records the failed check in context.watch, if set.
 [[nodiscard]] bool plan_candidate(const SteerRequest& request, int cluster,
                                   const SteerContext& context,
                                   SteerDecision& decision);
@@ -79,10 +90,6 @@ class SteerPlanCache {
                                   const SteerContext& context,
                                   const SteerPlanCache& plans,
                                   SteerDecision& decision);
-
-/// Sum of communication distances \p request would incur at \p cluster.
-[[nodiscard]] int total_comm_distance(const SteerRequest& request, int cluster,
-                                      const SteerContext& context);
 
 /// Longest single-operand communication distance at \p cluster (the Conv
 /// criterion: "clusters that minimize the longest communication distance").

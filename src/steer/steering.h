@@ -9,6 +9,7 @@
 /// comm-queue and register availability).  It returns the chosen cluster
 /// plus the communication instructions the choice requires, or "stall".
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -72,6 +73,20 @@ class SteerOracle {
   [[nodiscard]] virtual int free_regs_total(int cluster) const = 0;
 };
 
+/// The resources whose capacity checks rejected candidates during one
+/// steer(), as cluster masks (bit c = cluster c).  plan_candidate() records
+/// the check that failed for each rejected candidate; after a pure stall
+/// (SteeringPolicy::stalled_steer_is_pure()) the core re-asks the policy
+/// only once one of these resources gains capacity (DESIGN.md §6).
+struct SteerWatch {
+  std::uint16_t iq = 0;    ///< issue queues of the op's unit kind
+  std::uint16_t comm = 0;  ///< comm queues at operands' source clusters
+  /// Register files, per register class.
+  std::array<std::uint16_t, kNumRegClasses> regs{};
+
+  void clear() { *this = SteerWatch{}; }
+};
+
 /// Everything a policy may consult.
 struct SteerContext {
   const ValueMap* values = nullptr;
@@ -79,6 +94,8 @@ struct SteerContext {
   const SteerOracle* oracle = nullptr;
   ArchKind arch = ArchKind::Ring;
   int num_clusters = 0;
+  /// Where plan_candidate() records rejections; null records nothing.
+  SteerWatch* watch = nullptr;
 };
 
 /// One required inter-cluster copy.
@@ -110,10 +127,19 @@ class SteeringPolicy {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// True when a steer() that returns a stall changes no policy state (no
-  /// RNG draw, no rotation), so repeating it on an unchanged machine
-  /// repeats the stall.  Lets the core skip steer-stalled quiet cycles
-  /// (DESIGN.md §6).  The conservative default keeps every cycle stepped.
+  /// True when every stall steer() returns is *pure*:
+  ///   - it changes no policy state (no RNG draw, no rotation);
+  ///   - every candidate it considered was planned with plan_candidate()
+  ///     and rejected, so the context's SteerWatch names a failed
+  ///     capacity check for each of them;
+  ///   - its candidate sets read only the value-map entries of the
+  ///     request's sources and policy state that moves only when an
+  ///     instruction is placed (DCOUNT, a rotation).
+  /// The core then repeats the stall without asking until a watched
+  /// resource gains capacity or a source's `produced` or `mapped_mask`
+  /// changes, and may skip steer-stalled quiet cycles (DESIGN.md §6).  The
+  /// conservative default asks again every cycle.  A wrapper policy
+  /// forwards this only if it forwards steer() unchanged.
   [[nodiscard]] virtual bool stalled_steer_is_pure() const { return false; }
 
   /// Checkpoint hooks.  The defaults serialize nothing — correct only for

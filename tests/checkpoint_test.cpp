@@ -26,6 +26,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/arch_config.h"
 #include "core/checkpoint.h"
@@ -34,6 +35,7 @@
 #include "harness/result_store.h"
 #include "harness/runner.h"
 #include "harness/sim_service.h"
+#include "steer/registry.h"
 #include "trace/synth/suite.h"
 #include "util/rng.h"
 
@@ -341,6 +343,7 @@ TEST_F(CheckpointRejection, SeedMismatch) {
 struct SnapshotPoint {
   std::size_t lsq = 0;
   std::size_t parked = 0;
+  bool steer_stall_held = false;
 };
 
 /// Snapshots once mid-measure, throws that processor away as a crash
@@ -375,6 +378,7 @@ SnapshotPoint expect_snapshot_resume_is_exact(
       saved = true;
       at_snapshot.lsq = processor.lsq_size();
       at_snapshot.parked = processor.parked_loads();
+      at_snapshot.steer_stall_held = processor.steer_stall_held();
       EXPECT_TRUE(processor.mid_measure());
       CheckpointMeta meta;
       meta.seed = kSeed;
@@ -428,6 +432,17 @@ TEST(CheckpointSnapshot, MidMeasureResumeWithParkedLoadsIsExact) {
                 })
                 .parked,
             1u);
+}
+
+// A remembered steer stall is not saved: the restored processor asks the
+// policy again on its first dispatch, which must stall the same way.
+TEST(CheckpointSnapshot, MidMeasureResumeWhileASteerStallIsHeldIsExact) {
+  EXPECT_TRUE(expect_snapshot_resume_is_exact(
+                  "Conv_8clus_1bus_2IW", "ammp", 10,
+                  [](const Processor& processor) {
+                    return processor.steer_stall_held();
+                  })
+                  .steer_stall_held);
 }
 
 // ---- Pinned checkpoint bytes -------------------------------------------
@@ -565,6 +580,143 @@ TEST(CheckpointGolden, SnapshotWithParkedLoadsIsPinned) {
   const std::uint64_t digest = fnv1a(bytes);
   EXPECT_EQ(digest, 0xb1cd11b3a1e7b8cbULL)
       << "actual digest 0x" << std::hex << digest;
+}
+
+// ---- Watched steer stalls ----------------------------------------------
+
+/// steer() calls the counting wrappers below have seen.
+struct SteerTally {
+  std::uint64_t calls = 0;
+  std::uint64_t stalls = 0;
+};
+SteerTally g_steer_tally;
+
+/// Wraps the machine's built-in policy and counts its steer() calls.  With
+/// \p forward_purity it forwards stalled_steer_is_pure(), so the core holds
+/// watched stalls and skips steer-stalled quiet cycles; without, it keeps
+/// the default and the core asks on every steer-stalled cycle.
+class CountingSteering final : public SteeringPolicy {
+ public:
+  CountingSteering(std::unique_ptr<SteeringPolicy> inner, bool forward_purity)
+      : inner_(std::move(inner)), forward_purity_(forward_purity) {}
+
+  [[nodiscard]] SteerDecision steer(const SteerRequest& request,
+                                    const SteerContext& context) override {
+    SteerDecision decision = inner_->steer(request, context);
+    ++g_steer_tally.calls;
+    g_steer_tally.stalls += decision.stall;
+    return decision;
+  }
+  void on_dispatch(int cluster) override { inner_->on_dispatch(cluster); }
+  [[nodiscard]] std::string_view name() const override {
+    return inner_->name();
+  }
+  [[nodiscard]] bool stalled_steer_is_pure() const override {
+    return forward_purity_ && inner_->stalled_steer_is_pure();
+  }
+  void save_state(CheckpointWriter& out) const override {
+    inner_->save_state(out);
+  }
+  void restore_state(CheckpointReader& in) override {
+    inner_->restore_state(in);
+  }
+
+ private:
+  std::unique_ptr<SteeringPolicy> inner_;
+  bool forward_purity_;  // ckpt: derived (config)
+};
+
+/// \p preset with its steering wrapped by a CountingSteering.  A
+/// "+eager" suffix turns on eager copy release: only then can a source of
+/// a held stall lose a copy (change its mapped mask) while dispatch waits.
+ArchConfig counting_config(std::string preset, bool forward_purity) {
+  const std::string eager_suffix = "+eager";
+  const bool eager = preset.ends_with(eager_suffix);
+  if (eager) preset.resize(preset.size() - eager_suffix.size());
+  static const bool registered = [] {
+    for (const bool forward : {true, false}) {
+      SteeringRegistry::global().register_policy(
+          forward ? "test_counting_pure" : "test_counting_plain",
+          [forward](const SteerFactoryArgs& args) {
+            return std::make_unique<CountingSteering>(
+                SteeringRegistry::global().create("enhanced", args), forward);
+          });
+    }
+    return true;
+  }();
+  (void)registered;
+  ArchConfig config = ArchConfig::preset(preset);
+  config.eager_copy_release = eager;
+  EXPECT_FALSE(config
+                   .set_steering(forward_purity ? "test_counting_pure"
+                                                : "test_counting_plain")
+                   .has_value());
+  return config;
+}
+
+/// Measured counters and end-of-run state bytes of one run, and the
+/// steer() calls it made.
+struct CountedRun {
+  SimCounters counters;
+  std::string state;
+  SteerTally tally;
+};
+
+CountedRun counted_run(const std::string& preset, const std::string& benchmark,
+                       bool forward_purity, std::uint64_t warmup = kWarmup,
+                       std::uint64_t measure = kMeasure) {
+  const ArchConfig config = counting_config(preset, forward_purity);
+  auto trace = make_benchmark_trace(benchmark, kSeed);
+  Processor processor(config, kSeed);
+  g_steer_tally = SteerTally{};
+  CountedRun run;
+  run.counters = processor.run(*trace, warmup, measure).counters;
+  run.tally = g_steer_tally;
+  CheckpointWriter out;
+  processor.save_state(out);
+  run.state = out.bytes();
+  return run;
+}
+
+// Holding a stall until a watched resource frees (and skipping the quiet
+// cycles it allows) must be invisible: the same counters and the same
+// end-of-run checkpoint bytes as asking the policy on every stalled cycle.
+TEST(WatchedSteerStall, HoldingStallsMatchesAskingEveryCycle) {
+  const std::pair<const char*, const char*> runs[] = {
+      {"Ring_8clus_1bus_2IW", "ammp"},  {"Ring_8clus_1bus_2IW", "art"},
+      {"Ring_8clus_1bus_2IW", "crafty"}, {"Conv_8clus_1bus_2IW", "ammp"},
+      {"Conv_8clus_1bus_2IW", "art"},  {"Conv_8clus_1bus_2IW", "crafty"},
+      {"Conv_8clus_2bus_2IW", "ammp"}, {"Conv_8clus_1bus_2IW@2cyc", "ammp"},
+      {"Ring_8clus_1bus_2IW+eager", "ammp"},
+      {"Conv_8clus_1bus_2IW+eager", "ammp"},
+      {"Conv_8clus_1bus_2IW+eager", "crafty"},
+  };
+  int stalling_runs = 0;
+  for (const auto& [preset, benchmark] : runs) {
+    SCOPED_TRACE(std::string(preset) + " " + benchmark);
+    const CountedRun held = counted_run(preset, benchmark, true);
+    const CountedRun asked = counted_run(preset, benchmark, false);
+    expect_identical(held.counters, asked.counters);
+    EXPECT_TRUE(held.state == asked.state) << "end-of-run state differs";
+    EXPECT_LE(held.tally.stalls, asked.tally.stalls);
+    stalling_runs += held.tally.stalls < asked.tally.stalls;
+  }
+  // Ring art stalls too rarely to matter; the rest hold stalls.
+  EXPECT_GE(stalling_runs, 9);
+}
+
+// On Conv ammp most steer-stalled cycles end with no watched resource
+// freed, so holding the stall spares most stalled steer() calls.
+TEST(WatchedSteerStall, SparesMostStalledCallsOnConvAmmp) {
+  const CountedRun held = counted_run("Conv_8clus_1bus_2IW", "ammp", true,
+                                      10000, 50000);
+  const CountedRun asked = counted_run("Conv_8clus_1bus_2IW", "ammp", false,
+                                       10000, 50000);
+  // Asking every cycle stalls once per steer-stalled cycle.
+  EXPECT_GE(asked.tally.stalls, asked.counters.steer_stall_cycles);
+  EXPECT_LE(held.tally.stalls * 5, asked.tally.stalls)
+      << held.tally.stalls << " held vs " << asked.tally.stalls
+      << " asked stalled calls";
 }
 
 // ---- Harness integration -----------------------------------------------

@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "mem/lsq.h"
@@ -285,7 +286,10 @@ struct ReferenceLsq {
 // load stays gated on the same blocker while that store is still queued
 // with the same address-known state (what parking relies on).  Loads
 // gated on a store are re-asked as soon as it is released, so blockers
-// retire under the memo, partial-overlap ones included.
+// retire under the memo, partial-overlap ones included.  The queue is
+// also saved and restored into a fresh one now and then: the store-only
+// walk's derived ring (store ordinals, per-entry store counts) must be
+// rebuilt exactly, ordinals renumbered from 0.
 TEST(Lsq, RandomisedOperationsMatchReferenceScan) {
   constexpr std::size_t kCapacity = 8;
   LoadStoreQueue lsq(kCapacity);
@@ -305,6 +309,8 @@ TEST(Lsq, RandomisedOperationsMatchReferenceScan) {
   std::size_t held_gates = 0;
   std::size_t retired_blockers = 0;
   std::size_t retired_partial_blockers = 0;
+  std::size_t restores = 0;
+  std::size_t released = 0;
   // The reference entry holding ordinal \p ord, or null once released.
   auto find_ord = [&](std::uint64_t ord) -> const ReferenceLsq::Entry* {
     for (const ReferenceLsq::Entry& entry : ref.entries) {
@@ -343,6 +349,26 @@ TEST(Lsq, RandomisedOperationsMatchReferenceScan) {
     }
   };
   for (int step = 0; step < 50000; ++step) {
+    if (step % 97 == 96) {  // save, restore into a fresh queue, rebase
+      CheckpointWriter out;
+      lsq.save_state(out);
+      LoadStoreQueue restored(kCapacity);
+      CheckpointReader in(out.bytes());
+      restored.restore_state(in);
+      ASSERT_TRUE(in.ok()) << "step " << step;
+      lsq = restored;
+      std::map<std::uint64_t, std::uint64_t> rebased;
+      for (std::size_t i = 0; i < ref.entries.size(); ++i) {
+        rebased[ref.entries[i].ord] = i;
+        ref.entries[i].ord = i;
+      }
+      for (auto& [seq, gate] : blocked_by) {
+        const auto it = rebased.find(gate.blocker);
+        // A retired blocker's ordinal is gone; only live ones carry over.
+        gate.blocker = it != rebased.end() ? it->second : ~0ull;
+      }
+      ++restores;
+    }
     switch (rng.uniform(6)) {  // queries get half the draws
       case 0: {  // allocate
         if (lsq.full()) break;
@@ -374,6 +400,7 @@ TEST(Lsq, RandomisedOperationsMatchReferenceScan) {
         ref.entries.pop_front();
         blocked_by.erase(oldest.seq);
         ASSERT_EQ(lsq.release(oldest.seq), oldest.is_store);
+        ++released;
         std::vector<std::uint64_t> gated;
         for (const auto& [seq, gate] : blocked_by) {
           if (gate.blocker == oldest.ord) gated.push_back(seq);
@@ -407,7 +434,10 @@ TEST(Lsq, RandomisedOperationsMatchReferenceScan) {
   EXPECT_GT(held_gates, 300u);
   EXPECT_GT(retired_blockers, 300u);
   EXPECT_GT(retired_partial_blockers, 100u);
-  EXPECT_GT(lsq.head_ordinal(), 500 * kCapacity);
+  EXPECT_GT(restores, 500u);
+  // Restores renumber ordinals from 0, so the releases are counted here
+  // (without restores, released == lsq.head_ordinal()).
+  EXPECT_GT(released, 500 * kCapacity);
 }
 
 }  // namespace

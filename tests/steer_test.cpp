@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/regfile.h"
+#include "core/checkpoint.h"
 #include "cluster/value_map.h"
 #include "interconnect/bus_set.h"
 #include "steer/conv_steering.h"
@@ -602,6 +603,221 @@ TEST(ConvSteering, PlanCacheMatchesUncachedReferenceStream) {
   // The stream must have exercised both outcomes to mean anything.
   EXPECT_GT(steered, 20);
   EXPECT_GT(stalled, 0);
+}
+
+// --- Table-driven operand plans and the ordered Conv search -------------
+
+/// The per-source scan plan_operand made before BusSet::nearest(): the
+/// nearest mapped cluster, lowest index among equals; {0, -1} when \p dst
+/// itself is in \p mask.
+CommPlanStep brute_force_plan(const BusSet& buses, std::uint32_t mask,
+                              int dst, int clusters) {
+  if (((mask >> dst) & 1u) != 0) return CommPlanStep{0, -1};
+  CommPlanStep best{INT32_MAX, -1};
+  for (int s = 0; s < clusters; ++s) {
+    if (((mask >> s) & 1u) == 0) continue;
+    const int distance = buses.min_distance(s, dst);
+    if (distance < best.distance) best = CommPlanStep{distance, s};
+  }
+  return best;
+}
+
+TEST(BusSet, NearestMatchesBruteForcePlanForEveryMask) {
+  struct Geometry {
+    int buses;
+    BusOrientation orientation;
+  };
+  const Geometry geometries[] = {{1, BusOrientation::AllForward},
+                                 {2, BusOrientation::AllForward},
+                                 {2, BusOrientation::OppositeDirections}};
+  int checked_16 = 0;
+  for (const int clusters : {2, 4, 8, 16}) {
+    for (const Geometry& geometry : geometries) {
+      for (const int hop : {1, 2}) {
+        const BusSet buses(clusters, geometry.buses, geometry.orientation,
+                           hop);
+        for (std::uint32_t mask = 1; mask < (1u << clusters); ++mask) {
+          for (int dst = 0; dst < clusters; ++dst) {
+            const CommPlanStep want =
+                brute_force_plan(buses, mask, dst, clusters);
+            const CommPlanStep got = plan_step(buses, mask, dst);
+            ASSERT_EQ(got.distance, want.distance)
+                << clusters << " clusters, mask " << mask << ", dst " << dst;
+            ASSERT_EQ(got.from_cluster, want.from_cluster)
+                << clusters << " clusters, mask " << mask << ", dst " << dst;
+            checked_16 += clusters == 16;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked_16, 6 * 65535 * 16);
+
+  // plan_operand reads the same table through a live value.
+  Machine m(ArchKind::Conv, 8, BusOrientation::OppositeDirections, 2);
+  const ValueId v = m.values.create(RegClass::Int, 6);
+  m.values.add_copy(v, 1);
+  for (int dst = 0; dst < 8; ++dst) {
+    const CommPlanStep want = brute_force_plan(
+        m.bus_set, m.values.info(v).mapped_mask, dst, 8);
+    EXPECT_EQ(plan_operand(v, dst, m.context).distance, want.distance);
+    EXPECT_EQ(plan_operand(v, dst, m.context).from_cluster,
+              want.from_cluster);
+  }
+}
+
+/// (count, index) order and imbalance recomputed from the counters.
+void expect_dcount_consistent(const DcountTracker& dcount) {
+  const int n = dcount.num_clusters();
+  std::vector<std::size_t> want(static_cast<std::size_t>(n));
+  for (std::size_t c = 0; c < want.size(); ++c) want[c] = c;
+  std::sort(want.begin(), want.end(), [&](std::size_t a, std::size_t b) {
+    const std::int64_t ca = dcount.count(static_cast<int>(a));
+    const std::int64_t cb = dcount.count(static_cast<int>(b));
+    return ca != cb ? ca < cb : a < b;
+  });
+  ASSERT_EQ(dcount.order(), want);
+  const std::int64_t lo = dcount.count(static_cast<int>(want.front()));
+  const std::int64_t hi = dcount.count(static_cast<int>(want.back()));
+  ASSERT_DOUBLE_EQ(dcount.imbalance(), static_cast<double>(hi - lo) / n);
+  ASSERT_EQ(dcount.least_loaded(), static_cast<int>(want.front()));
+}
+
+TEST(Dcount, OrderAndImbalanceStayConsistentAfterClamping) {
+  std::mt19937 rng(7);
+  for (const int clusters : {2, 4, 8, 16}) {
+    // Saturation 2: counters clamp at +/- 2N within a few dispatches, so
+    // clamped ties (which clamping creates and the order must break by
+    // index) are common.
+    DcountTracker dcount(clusters, /*saturation=*/2);
+    int clamped_ties = 0;
+    for (int step = 0; step < 4000; ++step) {
+      // Bursts to one cluster drive it to the top and the others to the
+      // bottom of the range.
+      const int target = static_cast<int>(rng() % clusters);
+      const int burst = (rng() % 4) == 0 ? static_cast<int>(rng() % 12) : 1;
+      for (int i = 0; i < burst; ++i) dcount.on_dispatch(target);
+      expect_dcount_consistent(dcount);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "step " << step;
+      const std::int64_t limit = 2LL * clusters;
+      int at_floor = 0;
+      for (int c = 0; c < clusters; ++c) at_floor += dcount.count(c) == -limit;
+      clamped_ties += at_floor > 1;
+      if (step % 500 == 499) {  // the order is rebuilt on restore
+        CheckpointWriter out;
+        dcount.save_state(out);
+        DcountTracker restored(clusters, 2);
+        CheckpointReader in(out.bytes());
+        restored.restore_state(in);
+        ASSERT_TRUE(in.ok());
+        expect_dcount_consistent(restored);
+        ASSERT_EQ(restored.order(), dcount.order());
+      }
+    }
+    // DCOUNT sums to zero, so two clusters never tie at a bound.
+    if (clusters > 2) {
+      EXPECT_GT(clamped_ties, 100) << clusters << " clusters";
+    }
+    dcount.reset();
+    expect_dcount_consistent(dcount);
+  }
+}
+
+/// Drives ConvSteering and the reference loop (UncachedConvReference, the
+/// ascending-index search that keeps the least-loaded viable candidate)
+/// through randomised DCOUNT, including long bursts that saturate it, and
+/// randomised viability, requiring equal decisions throughout.
+TEST(ConvSteering, OrderedSearchMatchesReferenceLoop) {
+  for (const int clusters : {4, 8, 16}) {
+    Machine m(ArchKind::Conv, clusters, BusOrientation::OppositeDirections,
+              2);
+    ConvSteering ordered(clusters, /*dcount_threshold=*/4);
+    UncachedConvReference reference(clusters, 4);
+    std::mt19937 rng(static_cast<unsigned>(clusters) * 1009u);
+    std::vector<ValueId> values;
+    for (int i = 0; i < 24; ++i) {
+      const ValueId v = m.values.create(RegClass::Int, i % clusters);
+      m.values.info(v).produced = (i % 3) != 0;
+      if ((i % 4) == 0) m.values.add_copy(v, (i + clusters / 2) % clusters);
+      values.push_back(v);
+    }
+    int steered = 0;
+    int stalled = 0;
+    for (int step = 0; step < 3000; ++step) {
+      // DCOUNT: ordinary dispatches, ties, and bursts up to saturation.
+      if ((rng() % 50) == 0) {
+        const int target = static_cast<int>(rng() % clusters);
+        const int burst = static_cast<int>(rng() % 5000);
+        for (int i = 0; i < burst; ++i) {
+          ordered.on_dispatch(target);
+          reference.on_dispatch(target);
+        }
+      }
+      // Viability: issue queues and comm queues come and go.
+      for (int c = 0; c < clusters; ++c) {
+        m.oracle.iq_ok_[static_cast<std::size_t>(c)] = (rng() % 3) != 0;
+        m.oracle.comm_free_[static_cast<std::size_t>(c)] =
+            static_cast<int>(rng() % 3);
+      }
+      SteerRequest request = req0();
+      const std::size_t sources = rng() % 3;
+      for (std::size_t i = 0; i < sources; ++i) {
+        const ValueId pick = values[rng() % values.size()];
+        if (request.srcs.contains(pick)) continue;
+        request.srcs.push_back(pick);
+        request.src_cls.push_back(RegClass::Int);
+      }
+      const SteerDecision got = ordered.steer(request, m.context);
+      const SteerDecision want = reference.steer(request, m.context);
+      ASSERT_EQ(got.stall, want.stall) << "step " << step;
+      ASSERT_EQ(got.cluster, want.cluster) << "step " << step;
+      ASSERT_EQ(got.comms.size(), want.comms.size()) << "step " << step;
+      for (std::size_t i = 0; i < got.comms.size(); ++i) {
+        ASSERT_EQ(got.comms[i].operand, want.comms[i].operand);
+        ASSERT_EQ(got.comms[i].from_cluster, want.comms[i].from_cluster);
+      }
+      if (got.stall) {
+        ++stalled;
+        continue;
+      }
+      ++steered;
+      ordered.on_dispatch(got.cluster);
+      reference.on_dispatch(got.cluster);
+    }
+    EXPECT_GT(steered, 1000) << clusters << " clusters";
+    EXPECT_GT(stalled, 50) << clusters << " clusters";
+  }
+}
+
+/// A stall records, for every rejected candidate, the check that failed.
+TEST(PlanCandidate, RecordsTheFailedCheckInTheWatch) {
+  Machine m(ArchKind::Conv, 4, BusOrientation::AllForward);
+  SteerWatch watch;
+  m.context.watch = &watch;
+  const ValueId v = m.values.create(RegClass::Fp, 2);
+  SteerRequest request = req1(v);
+  request.src_cls[0] = RegClass::Fp;
+  SteerDecision decision;
+
+  m.oracle.iq_ok_[0] = false;  // cluster 0: issue queue full
+  EXPECT_FALSE(plan_candidate(request, 0, m.context, decision));
+  m.oracle.comm_free_[2] = 0;  // cluster 1 needs a comm from 2
+  EXPECT_FALSE(plan_candidate(request, 1, m.context, decision));
+  for (int i = 0; i < 48; ++i) m.oracle.regs_.allocate(3, RegClass::Fp);
+  EXPECT_FALSE(plan_candidate(request, 3, m.context, decision));  // copy reg
+  EXPECT_EQ(watch.iq, 0b0001);
+  EXPECT_EQ(watch.comm, 0b0100);
+  EXPECT_EQ(watch.regs[static_cast<std::size_t>(RegClass::Fp)], 0b1000);
+  EXPECT_EQ(watch.regs[static_cast<std::size_t>(RegClass::Int)], 0);
+
+  // The steer() of a pure policy that stalls leaves one entry per
+  // candidate: Conv's pending operand makes cluster 2 the only one.
+  for (int i = 0; i < 48; ++i) m.oracle.regs_.allocate(2, RegClass::Int);
+  watch.clear();
+  ConvSteering conv(4, 8);
+  EXPECT_TRUE(conv.steer(req1(v), m.context).stall);
+  EXPECT_EQ(watch.iq | watch.comm, 0);
+  EXPECT_EQ(watch.regs[static_cast<std::size_t>(RegClass::Int)], 0b0100);
 }
 
 }  // namespace
