@@ -85,8 +85,7 @@ int main() {
   const RunnerOptions options = RunnerOptions::from_env();
   const std::vector<std::string> presets = {"Ring_8clus_1bus_2IW",
                                             "Conv_8clus_1bus_2IW"};
-  const std::vector<std::string> benchmarks =
-      ExperimentRunner::default_benchmarks();
+  const std::vector<std::string> benchmarks = default_benchmarks();
 
   SimServiceOptions service_options;
   service_options.threads = options.threads;

@@ -977,7 +977,10 @@ bool Processor::step() {
   counters_.rob_occupancy_sum += rob_.size();
   counters_.regs_in_use_sum += static_cast<std::uint64_t>(regs_.total_in_use());
 
-  if (!rob_.empty() && cycle_ - last_commit_cycle_ >= kWatchdogCycles) {
+  // Armed whenever work is in flight: a dispatch wedged with an empty ROB
+  // and a full front end is a deadlock too.
+  const bool in_flight = !rob_.empty() || frontend_queue_size() > 0;
+  if (in_flight && cycle_ - last_commit_cycle_ >= kWatchdogCycles) {
     dump_state(stderr);
     RINGCLU_ASSERT(false && "watchdog: no commit progress");
   }

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "harness/runner.h"
+#include "stats/metrics.h"
 #include "util/assert.h"
 #include "util/format.h"
 
@@ -40,6 +41,151 @@ void read_run_field(const JsonValue& run, std::string_view key,
   out = static_cast<std::uint64_t>(member->number);
 }
 
+/// The keys a report table of \p kind accepts, for diagnostics.
+std::string_view table_keys(ReportTable::Kind kind) {
+  switch (kind) {
+    case ReportTable::Kind::Metric: return "metric, rows, decimals, title";
+    case ReportTable::Kind::Speedup: return "speedup, title";
+    case ReportTable::Kind::Shares: return "shares, title";
+  }
+  return "";
+}
+
+/// Reads one "report" entry; appends a message per problem to \p errors.
+/// Point names are checked later, against the expanded points.
+ReportTable read_table(const JsonValue& entry, std::size_t i,
+                       std::vector<std::string>& errors) {
+  ReportTable table;
+  const JsonValue* metric = entry.find("metric");
+  const JsonValue* speedup = entry.find("speedup");
+  const JsonValue* shares = entry.find("shares");
+  const int shapes =
+      (metric != nullptr) + (speedup != nullptr) + (shares != nullptr);
+  if (shapes != 1) {
+    errors.push_back(str_format(
+        "report[%zu]: expected exactly one of the keys metric, speedup, "
+        "shares",
+        i));
+    return table;
+  }
+  if (speedup != nullptr) table.kind = ReportTable::Kind::Speedup;
+  if (shares != nullptr) table.kind = ReportTable::Kind::Shares;
+
+  const std::string_view valid = table_keys(table.kind);
+  for (const auto& [key, value] : entry.object) {
+    const bool known =
+        key == "title" ||
+        (table.kind == ReportTable::Kind::Metric &&
+         (key == "metric" || key == "rows" || key == "decimals")) ||
+        (table.kind == ReportTable::Kind::Speedup && key == "speedup") ||
+        (table.kind == ReportTable::Kind::Shares && key == "shares");
+    if (!known) {
+      errors.push_back(str_format(
+          "report[%zu]: unknown key '%s'; valid keys: %.*s", i, key.c_str(),
+          static_cast<int>(valid.size()), valid.data()));
+    }
+  }
+  if (const JsonValue* title = entry.find("title")) {
+    if (title->is_string()) {
+      table.title = title->string;
+    } else {
+      errors.push_back(str_format("report[%zu].title: expected a string", i));
+    }
+  }
+
+  switch (table.kind) {
+    case ReportTable::Kind::Metric: {
+      if (!metric->is_string()) {
+        errors.push_back(
+            str_format("report[%zu].metric: expected a metric name", i));
+      } else if (MetricsRegistry::builtin().try_find(metric->string) ==
+                 nullptr) {
+        std::vector<std::string> names;
+        for (const MetricDesc& desc : MetricsRegistry::builtin().metrics()) {
+          names.push_back(desc.name);
+        }
+        errors.push_back(str_format(
+            "report[%zu].metric: unknown metric '%s'; valid metrics: %s", i,
+            metric->string.c_str(), join(names, ", ").c_str()));
+      } else {
+        table.metric = metric->string;
+      }
+      if (const JsonValue* rows = entry.find("rows")) {
+        bool ok = rows->is_array();
+        for (const JsonValue& row : rows->array) {
+          ok = ok && row.is_string();
+          if (ok) table.points.push_back(row.string);
+        }
+        if (!ok) {
+          errors.push_back(str_format(
+              "report[%zu].rows: expected an array of point names", i));
+        }
+      }
+      if (const JsonValue* decimals = entry.find("decimals")) {
+        if (!decimals->is_number() || decimals->number < 0.0 ||
+            decimals->number > 9.0 ||
+            decimals->number != std::floor(decimals->number)) {
+          errors.push_back(str_format(
+              "report[%zu].decimals: expected an integer from 0 to 9", i));
+        } else {
+          table.decimals = static_cast<int>(decimals->number);
+        }
+      }
+      break;
+    }
+    case ReportTable::Kind::Speedup: {
+      bool ok = speedup->is_array() && !speedup->array.empty();
+      for (const JsonValue& pair : speedup->array) {
+        ok = ok && pair.is_array() && pair.array.size() == 2 &&
+             pair.array[0].is_string() && pair.array[1].is_string();
+        if (ok) {
+          table.pairs.emplace_back(pair.array[0].string, pair.array[1].string);
+        }
+      }
+      if (!ok) {
+        errors.push_back(
+            str_format("report[%zu].speedup: expected a non-empty array of "
+                       "[numerator, denominator] point-name pairs",
+                       i));
+      }
+      break;
+    }
+    case ReportTable::Kind::Shares:
+      if (shares->is_string()) {
+        table.points.push_back(shares->string);
+      } else {
+        errors.push_back(
+            str_format("report[%zu].shares: expected a point name", i));
+      }
+      break;
+  }
+  return table;
+}
+
+/// Appends a message per report row that names no expanded point (or
+/// alias of one).
+void check_report_points(const std::vector<ReportTable>& report,
+                         const std::vector<ExperimentPoint>& points,
+                         std::vector<std::string>& errors) {
+  std::vector<std::string> known;
+  for (const ExperimentPoint& point : points) {
+    known.insert(known.end(), point.aliases.begin(), point.aliases.end());
+  }
+  const auto check = [&](std::size_t i, const std::string& name) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      errors.push_back(str_format("report[%zu]: unknown point '%s'; points: %s",
+                                  i, name.c_str(), join(known, ", ").c_str()));
+    }
+  };
+  for (std::size_t i = 0; i < report.size(); ++i) {
+    for (const std::string& name : report[i].points) check(i, name);
+    for (const auto& [numerator, denominator] : report[i].pairs) {
+      check(i, numerator);
+      check(i, denominator);
+    }
+  }
+}
+
 }  // namespace
 
 std::optional<ExperimentSpec> ExperimentSpec::from_json(
@@ -59,13 +205,13 @@ std::optional<ExperimentSpec> ExperimentSpec::from_json(
   }
 
   static constexpr std::string_view kValidKeys[] = {
-      "sweep_schema", "name", "base", "axes", "benchmarks", "run"};
+      "sweep_schema", "name", "base", "axes", "benchmarks", "run", "report"};
   for (const auto& [key, value] : document->object) {
     if (std::find(std::begin(kValidKeys), std::end(kValidKeys), key) ==
         std::end(kValidKeys)) {
       out.push_back(str_format(
           "unknown key '%s'; valid keys: sweep_schema, name, base, axes, "
-          "benchmarks, run",
+          "benchmarks, run, report",
           key.c_str()));
     }
   }
@@ -181,14 +327,30 @@ std::optional<ExperimentSpec> ExperimentSpec::from_json(
     }
   }
 
+  if (const JsonValue* report = document->find("report")) {
+    if (!report->is_array()) {
+      out.push_back("report: expected an array of table objects");
+    } else {
+      for (std::size_t i = 0; i < report->array.size(); ++i) {
+        if (!report->array[i].is_object()) {
+          out.push_back(str_format("report[%zu]: expected an object", i));
+          continue;
+        }
+        spec.report.push_back(read_table(report->array[i], i, out));
+      }
+    }
+  }
+
   // Expansion errors (bad axis fields, invalid points) are spec errors
   // too: a spec that cannot expand should fail at load time, not at
   // submit time.  The trial expansion runs even when parsing already
   // failed, so axis problems surface alongside the other errors — the
-  // whole list in one pass.
+  // whole list in one pass.  Report rows are checked against the points
+  // only when the expansion succeeded.
   std::vector<std::string> expansion_errors;
-  (void)spec.expand(&expansion_errors);
+  const std::vector<ExperimentPoint> points = spec.expand(&expansion_errors);
   out.insert(out.end(), expansion_errors.begin(), expansion_errors.end());
+  if (expansion_errors.empty()) check_report_points(spec.report, points, out);
   if (out.size() != before) return std::nullopt;
   return spec;
 }

@@ -16,7 +16,12 @@
 ///       {"field": "hop_latency", "values": [1, 2]}
 ///     ],
 ///     "benchmarks": ["gzip", "swim"],         // optional: suite default
-///     "run": {"instrs": 200000, "warmup": 20000, "seed": 42}  // optional
+///     "run": {"instrs": 200000, "warmup": 20000, "seed": 42},  // optional
+///     "report": [                             // optional (schema 2)
+///       {"metric": "nready_avg", "decimals": 3, "title": "..."},
+///       {"speedup": [["Ring_8clus_1bus_2IW", "Conv_8clus_1bus_2IW"]]},
+///       {"shares": "Ring_8clus_1bus_2IW"}
+///     ]
 ///   }
 ///
 /// An axis "field" is any dotted ArchConfig field (ArchConfig::field_names
@@ -25,12 +30,15 @@
 /// Table 3 matrix verbatim.  expand() walks the cross-product in
 /// declaration order (the last axis varies fastest), names every point
 /// deterministically, and collapses duplicate design points by config
-/// fingerprint so one simulation serves all of them.  See DESIGN.md §9.
+/// fingerprint so one simulation serves all of them.  The "report" array
+/// names the tables `--sweep` prints (ReportTable; report.h renders
+/// them).  See DESIGN.md §9.
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/arch_config.h"
@@ -56,7 +64,27 @@ struct ExperimentPoint {
 };
 
 /// Version of the sweep-spec JSON schema (the "sweep_schema" field).
-inline constexpr int kSweepSchemaVersion = 1;
+/// Version 2 added "report"; version 1 specs parse unchanged.
+inline constexpr int kSweepSchemaVersion = 2;
+
+/// One table of a sweep's report.  Metric and Speedup tables have one
+/// column per benchmark group (AVERAGE, INT, FP); a Shares table has one
+/// row per benchmark and one column per cluster.
+struct ReportTable {
+  enum class Kind { Metric, Speedup, Shares };
+  Kind kind = Kind::Metric;
+  std::string title;  ///< printed above the table; "" prints none
+  /// Metric: the registry metric (stats/metrics.h) averaged per group.
+  std::string metric = "ipc";
+  /// Metric: decimals per cell.
+  int decimals = 3;
+  /// Metric: the row points (empty = every point).  Shares: exactly one
+  /// point, whose per-cluster dispatch shares are tabulated.
+  std::vector<std::string> points;
+  /// Speedup: one row per (numerator, denominator) point pair; a cell is
+  /// the group's geometric-mean IPC ratio minus one.
+  std::vector<std::pair<std::string, std::string>> pairs;
+};
 
 /// A declared experiment: base + axes + workloads + run control.
 struct ExperimentSpec {
@@ -64,17 +92,20 @@ struct ExperimentSpec {
   ArchConfig base;
   std::vector<SweepAxis> axes;
   /// Benchmarks to run every point on; empty = the caller's default
-  /// (ExperimentRunner::default_benchmarks in the CLI).
+  /// (default_benchmarks() in the CLI).
   std::vector<std::string> benchmarks;
   /// Run-control overrides; absent fields inherit the caller's defaults.
   std::optional<std::uint64_t> instrs;
   std::optional<std::uint64_t> warmup;
   std::optional<std::uint64_t> seed;
+  /// Tables to print after the run; empty = one {"metric": "ipc"} table.
+  std::vector<ReportTable> report;
 
   /// Parses a sweep-spec document.  Same error contract as
   /// ArchConfig::from_json: every problem (unknown key, bad axis field,
-  /// invalid expanded point, unknown benchmark) is appended to \p errors
-  /// and nullopt is returned if there was any.
+  /// invalid expanded point, unknown benchmark, unknown report key, metric
+  /// or point name) is appended to \p errors and nullopt is returned if
+  /// there was any.
   [[nodiscard]] static std::optional<ExperimentSpec> from_json(
       std::string_view text, std::vector<std::string>* errors = nullptr);
 
@@ -100,7 +131,7 @@ struct ExperimentSpec {
 };
 
 /// Builds the (point x benchmark) job list, point-major — the order
-/// --matrix uses, so aggregation and progress reporting are shared.
+/// render_report (report.h) reads results in.
 [[nodiscard]] std::vector<SimJob> make_sweep_jobs(
     const std::vector<ExperimentPoint>& points,
     const std::vector<std::string>& benchmarks, const RunParams& params,

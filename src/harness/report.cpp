@@ -1,8 +1,11 @@
 #include "harness/report.h"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "stats/metrics.h"
+#include "stats/table.h"
 #include "trace/synth/suite.h"
 #include "util/assert.h"
 #include "util/format.h"
@@ -94,6 +97,138 @@ const SimResult& find_result(std::span<const SimResult> results,
     RINGCLU_UNREACHABLE("benchmark not present in result set");
   }
   return *result;
+}
+
+namespace {
+
+constexpr BenchGroup kGroups[] = {BenchGroup::All, BenchGroup::Int,
+                                  BenchGroup::Fp};
+
+/// The results of each named point (aliases included), one per benchmark.
+class PointSlices {
+ public:
+  PointSlices(std::span<const ExperimentPoint> points,
+              std::span<const SimResult> results)
+      : points_(points), results_(results) {
+    RINGCLU_EXPECTS(!points.empty() && results.size() % points.size() == 0);
+    per_point_ = results.size() / points.size();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      for (const std::string& alias : points[i].aliases) {
+        index_.emplace(alias, i);
+      }
+    }
+  }
+
+  [[nodiscard]] const ExperimentPoint& point(std::string_view name) const {
+    return points_[find(name)];
+  }
+  [[nodiscard]] std::span<const SimResult> operator[](
+      std::string_view name) const {
+    return results_.subspan(find(name) * per_point_, per_point_);
+  }
+
+ private:
+  [[nodiscard]] std::size_t find(std::string_view name) const {
+    const auto it = index_.find(name);
+    RINGCLU_EXPECTS(it != index_.end() && "report names an unknown point");
+    return it->second;
+  }
+
+  std::span<const ExperimentPoint> points_;
+  std::span<const SimResult> results_;
+  std::size_t per_point_ = 0;
+  std::map<std::string, std::size_t, std::less<>> index_;
+};
+
+/// Rows are points; cells are the metric's group means.
+std::string render_metric(const ReportTable& table,
+                          std::span<const ExperimentPoint> points,
+                          const PointSlices& slices) {
+  std::vector<std::string> rows = table.points;
+  if (rows.empty()) {
+    for (const ExperimentPoint& point : points) rows.push_back(point.name);
+  }
+  TextTable text({"config", "AVERAGE", "INT", "FP"});
+  for (const std::string& row : rows) {
+    text.begin_row();
+    text.add_cell(row);
+    for (const BenchGroup group : kGroups) {
+      text.add_cell(group_mean(slices[row], group, table.metric),
+                    table.decimals);
+    }
+  }
+  return text.render_aligned();
+}
+
+/// Rows are (numerator, denominator) pairs; cells are group speedups.
+std::string render_speedup(const ReportTable& table,
+                           const PointSlices& slices) {
+  TextTable text({"pair", "AVERAGE", "INT", "FP"});
+  for (const auto& [numerator, denominator] : table.pairs) {
+    text.begin_row();
+    text.add_cell(numerator + " vs " + denominator);
+    for (const BenchGroup group : kGroups) {
+      const double speedup =
+          group_speedup(slices[numerator], slices[denominator], group);
+      text.add_cell(str_format("%+.1f%%", speedup * 100.0));
+    }
+  }
+  return text.render_aligned();
+}
+
+/// Rows are benchmarks; cells are the point's per-cluster dispatch shares
+/// and their spread.
+std::string render_shares(const ReportTable& table, const PointSlices& slices) {
+  RINGCLU_EXPECTS(table.points.size() == 1);
+  const std::string& name = table.points.front();
+  const int clusters = slices.point(name).config.num_clusters;
+  std::vector<std::string> headers{"benchmark"};
+  for (int c = 0; c < clusters; ++c) headers.push_back(str_format("c%d", c));
+  headers.emplace_back("max-min");
+  TextTable text(std::move(headers));
+  for (const SimResult& result : slices[name]) {
+    text.begin_row();
+    text.add_cell(result.benchmark);
+    double lo = 1.0;
+    double hi = 0.0;
+    for (int c = 0; c < clusters; ++c) {
+      const double share = result.dispatch_share(c);
+      lo = std::min(lo, share);
+      hi = std::max(hi, share);
+      text.add_cell(str_format("%.1f%%", share * 100.0));
+    }
+    text.add_cell(str_format("%.1f%%", (hi - lo) * 100.0));
+  }
+  return text.render_aligned();
+}
+
+}  // namespace
+
+std::string render_report(const ExperimentSpec& spec,
+                          std::span<const ExperimentPoint> points,
+                          std::span<const SimResult> results) {
+  const PointSlices slices(points, results);
+  static const ReportTable kIpcTable;  // {"metric": "ipc"}
+  const std::span<const ReportTable> tables =
+      spec.report.empty() ? std::span<const ReportTable>(&kIpcTable, 1)
+                          : std::span<const ReportTable>(spec.report);
+  std::string out;
+  for (const ReportTable& table : tables) {
+    if (!table.title.empty()) out += table.title + "\n";
+    switch (table.kind) {
+      case ReportTable::Kind::Metric:
+        out += render_metric(table, points, slices);
+        break;
+      case ReportTable::Kind::Speedup:
+        out += render_speedup(table, slices);
+        break;
+      case ReportTable::Kind::Shares:
+        out += render_shares(table, slices);
+        break;
+    }
+    out += "\n";  // a blank line after every table
+  }
+  return out;
 }
 
 namespace {

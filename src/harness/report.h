@@ -2,7 +2,8 @@
 
 /// \file report.h
 /// Aggregation helpers that turn raw SimResults into the paper's figure
-/// series: AVG / INT / FP group means and Ring-over-Conv speedups.
+/// series: AVG / INT / FP group means and Ring-over-Conv speedups, and
+/// the renderer that prints a sweep spec's report tables with them.
 
 #include <functional>
 #include <span>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/sim_result.h"
+#include "harness/experiment.h"
 
 namespace ringclu {
 
@@ -55,6 +57,17 @@ enum class BenchGroup { All, Int, Fp };
 /// absent — use try_find_result to handle absence gracefully).
 [[nodiscard]] const SimResult& find_result(std::span<const SimResult> results,
                                            std::string_view benchmark);
+
+/// Renders \p spec's report tables (experiment.h) over a finished sweep,
+/// each table preceded by its title and followed by a blank line.
+/// \p results hold one result per (point, benchmark) pair, point-major —
+/// the order make_sweep_jobs builds jobs in.  A spec without
+/// tables renders one untitled {"metric": "ipc"} table.  \pre \p spec
+/// passed from_json (every metric and point name resolves) and \p points
+/// is its expansion.
+[[nodiscard]] std::string render_report(const ExperimentSpec& spec,
+                                        std::span<const ExperimentPoint> points,
+                                        std::span<const SimResult> results);
 
 /// Aggregate simulator throughput over a result set: total simulated
 /// instructions (warmup included) divided by total recorded wall time.

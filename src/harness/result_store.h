@@ -3,9 +3,10 @@
 /// \file result_store.h
 /// Pluggable persistence for simulation results.
 ///
-/// Every harness entry point (SimService, and ExperimentRunner on top of
-/// it) reads and writes results through the ResultStore interface, so the
-/// storage strategy can be swapped without touching the scheduling logic.
+/// Every harness entry point (SimService, and the CLI and daemon on top
+/// of it) reads and writes results through the ResultStore interface, so
+/// the storage strategy can be swapped without touching the scheduling
+/// logic.
 /// Three backends ship today:
 ///
 ///   tsv      one append-only TSV file ("key \t serialized-result" lines),

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "harness/sim_service.h"
 #include "stats/metric_sink.h"
 #include "trace/registry.h"
 #include "trace/synth/suite.h"
@@ -152,65 +151,14 @@ std::optional<std::string> validate_benchmark_names(
   return std::nullopt;
 }
 
-ExperimentRunner::ExperimentRunner(RunnerOptions options)
-    : options_(std::move(options)) {
-  // The sink must outlive the service: workers stream into it until the
-  // service destructor joins them.  Without a sampling interval no sink
-  // is built at all — constructing one would produce an empty output
-  // file (and a CSV sink's flush could clobber a previous series).
-  if (!options_.metrics_sink.empty() && options_.interval > 0) {
-    const auto spec = parse_metric_sink_spec(options_.metrics_sink);
-    RINGCLU_EXPECTS(spec.has_value());  // from_env validated; API callers too
-    metric_sink_ = make_metric_sink(spec->first, spec->second);
-  }
-  service_ = std::make_unique<SimService>(options_);
+std::unique_ptr<MetricSink> RunnerOptions::build_metric_sink() const {
+  if (metrics_sink.empty() || interval == 0) return nullptr;
+  const auto spec = parse_metric_sink_spec(metrics_sink);
+  RINGCLU_EXPECTS(spec.has_value());
+  return make_metric_sink(spec->first, spec->second);
 }
 
-ExperimentRunner::~ExperimentRunner() = default;
-
-SimResult ExperimentRunner::run_one(const ArchConfig& config,
-                                    const std::string& benchmark) {
-  std::vector<SimResult> results = run_matrix(
-      std::vector<ArchConfig>{config}, std::vector<std::string>{benchmark});
-  return results.front();
-}
-
-std::vector<SimResult> ExperimentRunner::run_matrix(
-    const std::vector<std::string>& preset_names,
-    const std::vector<std::string>& benchmarks) {
-  std::vector<ArchConfig> configs;
-  configs.reserve(preset_names.size());
-  for (const std::string& name : preset_names) {
-    configs.push_back(ArchConfig::preset(name));
-  }
-  return run_matrix(configs, benchmarks);
-}
-
-std::vector<SimResult> ExperimentRunner::run_matrix(
-    const std::vector<ArchConfig>& configs,
-    const std::vector<std::string>& benchmarks) {
-  std::vector<SimJob> jobs;
-  jobs.reserve(configs.size() * benchmarks.size());
-  for (const ArchConfig& config : configs) {
-    for (const std::string& benchmark : benchmarks) {
-      jobs.push_back(SimJob{config, benchmark, options_.run_params(),
-                            metric_sink_.get()});
-    }
-  }
-
-  const std::vector<JobHandle> handles =
-      service_->submit_batch(std::move(jobs));
-  std::vector<SimResult> results;
-  results.reserve(handles.size());
-  for (const JobHandle& handle : handles) {
-    const JobStatus status = handle.wait();
-    RINGCLU_EXPECTS(status == JobStatus::Done);
-    results.push_back(handle.result());
-  }
-  return results;
-}
-
-std::vector<std::string> ExperimentRunner::default_benchmarks() {
+std::vector<std::string> default_benchmarks() {
   Config env;
   env.import_env("RINGCLU_");
   const std::string filter = env.get_string("benchmarks", "");

@@ -1,16 +1,14 @@
 #pragma once
 
 /// \file runner.h
-/// Synchronous experiment runner: a thin shim over SimService
-/// (sim_service.h) that keeps the original blocking run_matrix/run_one
-/// interface for the bench figure binaries.
+/// The RINGCLU_* run options every batch entry point shares (the CLI's
+/// --sweep, the bench drivers, the daemon), and the default benchmark
+/// list.  SimService (sim_service.h) consumes RunnerOptions directly.
 ///
-/// Every bench binary shares one result store (bench_cache/results.tsv by
-/// default), so the base (configuration x benchmark) matrix is simulated
-/// once and every figure reads from it.  Results are keyed by
-/// (config name, benchmark, instruction budget, warmup, seed, schema), so
-/// changing any parameter — or bumping kSimSchemaVersion after a simulator
-/// change — re-runs transparently.
+/// Batch runs share one result store (bench_cache/results.tsv by
+/// default).  Results are keyed by (config name, benchmark, instruction
+/// budget, warmup, seed, schema), so changing any parameter — or bumping
+/// kSimSchemaVersion after a simulator change — re-runs transparently.
 ///
 /// Environment knobs (the full RINGCLU_* table lives in README.md):
 ///   RINGCLU_INSTRS          measured instructions per run (default 200000)
@@ -53,14 +51,10 @@
 #include <string>
 #include <vector>
 
-#include "core/arch_config.h"
-#include "core/sim_result.h"
 #include "harness/result_store.h"
 #include "harness/sim_job.h"
 
 namespace ringclu {
-
-class SimService;
 
 /// The RINGCLU_THREADS default: one worker per hardware thread (2 when the
 /// hardware concurrency is unknown).
@@ -116,6 +110,14 @@ struct RunnerOptions {
     return checkpoint;
   }
 
+  /// The interval-metric sink metrics_sink names, or nullptr when
+  /// streaming is off (no sink spec, or interval == 0: a sink built
+  /// without samples would leave an empty output file, and a CSV sink's
+  /// flush could clobber a previous series).  The sink must outlive every
+  /// service that streams into it.  \pre metrics_sink is empty or a valid
+  /// "<kind>:<path>" spec (from_env validates it).
+  [[nodiscard]] std::unique_ptr<MetricSink> build_metric_sink() const;
+
   /// Reads the RINGCLU_* environment overrides.  Exits with a diagnostic
   /// on an unknown RINGCLU_CACHE_BACKEND value.
   [[nodiscard]] static RunnerOptions from_env();
@@ -126,47 +128,9 @@ struct RunnerOptions {
 [[nodiscard]] std::optional<std::string> validate_benchmark_names(
     const std::vector<std::string>& names);
 
-/// Runs simulations synchronously, caching results through a ResultStore.
-class ExperimentRunner {
- public:
-  explicit ExperimentRunner(RunnerOptions options = RunnerOptions::from_env());
-  ~ExperimentRunner();
-
-  /// Simulates every (config, benchmark) pair (cache-aware, parallel).
-  /// Results are ordered config-major, matching the input order.
-  [[nodiscard]] std::vector<SimResult> run_matrix(
-      const std::vector<ArchConfig>& configs,
-      const std::vector<std::string>& benchmarks);
-
-  /// Convenience for preset names.
-  [[nodiscard]] std::vector<SimResult> run_matrix(
-      const std::vector<std::string>& preset_names,
-      const std::vector<std::string>& benchmarks);
-
-  /// Single run (cache-aware).
-  [[nodiscard]] SimResult run_one(const ArchConfig& config,
-                                  const std::string& benchmark);
-
-  /// All 26 benchmark names, or the RINGCLU_BENCHMARKS subset.  Exits with
-  /// a diagnostic (listing the valid names) when the subset contains an
-  /// unknown benchmark.
-  [[nodiscard]] static std::vector<std::string> default_benchmarks();
-
-  [[nodiscard]] const RunnerOptions& options() const { return options_; }
-
-  /// The underlying asynchronous service (advanced use: callbacks,
-  /// cancellation, incremental submission).
-  [[nodiscard]] SimService& service() { return *service_; }
-
-  /// The interval-metric sink built from options (RINGCLU_METRICS), or
-  /// nullptr when streaming is off.  Every job this runner submits
-  /// streams into it when options().interval > 0.
-  [[nodiscard]] MetricSink* metric_sink() { return metric_sink_.get(); }
-
- private:
-  RunnerOptions options_;
-  std::unique_ptr<MetricSink> metric_sink_;  ///< outlives the service
-  std::unique_ptr<SimService> service_;
-};
+/// All 26 benchmark names, or the RINGCLU_BENCHMARKS subset.  Exits with
+/// a diagnostic (listing the valid names) when the subset contains an
+/// unknown benchmark.
+[[nodiscard]] std::vector<std::string> default_benchmarks();
 
 }  // namespace ringclu

@@ -2,7 +2,7 @@
 
 /// \file sim_service.h
 /// Asynchronous simulation service: the scheduling layer between clients
-/// (bench figures, the CLI, sweeps) and the simulator.
+/// (the CLI's sweeps, the daemon, bench drivers) and the simulator.
 ///
 /// Clients submit SimJobs and get future-like JobHandles back; a worker
 /// pool owned by the service runs the simulations.  The service
@@ -26,9 +26,8 @@
 ///     parallel sharded sweep leaves byte-for-byte the same store content
 ///     as a serial run (DESIGN.md §11).
 ///
-/// ExperimentRunner (runner.h) is a thin synchronous shim over this class;
-/// new code that wants overlap, progress reporting or cancellation should
-/// use the service directly.  See DESIGN.md §7.
+/// A synchronous batch is submit_batch() followed by wait() on every
+/// handle, in order.  See DESIGN.md §7.
 ///
 /// Threading: all public methods are thread-safe.  Handles must not
 /// outlive the service that issued them.

@@ -84,7 +84,7 @@ std::string_view SimServer::job_state_name(JobState state) {
 
 SimServer::SimServer(SimServerOptions options)
     : options_(std::move(options)),
-      default_benchmarks_(ExperimentRunner::default_benchmarks()),
+      default_benchmarks_(default_benchmarks()),
       journal_(options_.journal_path) {
   window_ = options_.dispatch_window > 0
                 ? options_.dispatch_window

@@ -218,6 +218,15 @@ MetricsRegistry MetricsRegistry::make_builtin() {
             [](const SimResult& r) {
               return ratio(r.counters.icache_stall_cycles, r.counters.cycles);
             });
+  add_ratio(reg, "copy_evictions_per_kinstr", "evictions/kinstr",
+            "idle register copies evicted per 1000 committed instructions", "",
+            [](const SimResult& r) {
+              return r.counters.committed == 0
+                         ? 0.0
+                         : 1000.0 *
+                               static_cast<double>(r.counters.copy_evictions) /
+                               static_cast<double>(r.counters.committed);
+            });
   add_ratio(reg, "dispatch_share_max", "fraction",
             "largest per-cluster share of dispatched instructions", "fig11",
             [](const SimResult& r) {

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
@@ -76,10 +77,17 @@ void expect_identical(const SimCounters& a, const SimCounters& b) {
   EXPECT_EQ(a.regs_in_use_sum, b.regs_in_use_sum);
 }
 
-/// Fresh per-test scratch directory under gtest's temp root.
+/// Fresh per-test scratch directory under gtest's temp root.  The name
+/// includes the running test's, so tests that ctest runs in parallel
+/// processes never share (and wipe) one directory.
 std::filesystem::path fresh_dir(const std::string& tag) {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = "ringclu_ckpt_" + std::string(test->test_suite_name()) +
+                     "." + test->name() + "_" + tag;
+  std::replace(name.begin(), name.end(), '/', '_');
   const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("ringclu_ckpt_" + tag);
+      std::filesystem::path(::testing::TempDir()) / name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

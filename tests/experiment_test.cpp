@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "steer/registry.h"
 #include "steer/ssa_steering.h"
 #include "trace/synth/suite.h"
+#include "util/format.h"
 #include "util/json.h"
 
 #ifndef RINGCLU_GOLDEN_DIR
@@ -475,12 +478,228 @@ TEST(SweepSpec, PointsToJsonRoundTripsEveryConfig) {
   }
 }
 
+// ---- Sweep reports -------------------------------------------------------
+
+constexpr const char* kPairSpec = R"({
+  "sweep_schema": 2,
+  "axes": [{"field": "preset",
+            "values": ["Ring_4clus_1bus_2IW", "Conv_4clus_1bus_2IW"]}],
+  "report": [
+    {"speedup": [["Ring_4clus_1bus_2IW", "Conv_4clus_1bus_2IW"]]},
+    {"metric": "comms_per_instr", "decimals": 4, "title": "comms"},
+    {"shares": "Ring_4clus_1bus_2IW"}
+  ]
+})";
+
+TEST(SweepSpec, ReportParsesEveryTableShape) {
+  std::vector<std::string> errors;
+  const std::optional<ExperimentSpec> spec =
+      ExperimentSpec::from_json(kPairSpec, &errors);
+  ASSERT_TRUE(spec.has_value()) << errors_joined(errors);
+  ASSERT_EQ(spec->report.size(), 3u);
+  EXPECT_EQ(spec->report[0].kind, ReportTable::Kind::Speedup);
+  ASSERT_EQ(spec->report[0].pairs.size(), 1u);
+  EXPECT_EQ(spec->report[0].pairs[0].second, "Conv_4clus_1bus_2IW");
+  EXPECT_EQ(spec->report[1].kind, ReportTable::Kind::Metric);
+  EXPECT_EQ(spec->report[1].metric, "comms_per_instr");
+  EXPECT_EQ(spec->report[1].decimals, 4);
+  EXPECT_EQ(spec->report[1].title, "comms");
+  EXPECT_EQ(spec->report[2].kind, ReportTable::Kind::Shares);
+  EXPECT_EQ(spec->report[2].points,
+            std::vector<std::string>{"Ring_4clus_1bus_2IW"});
+
+  // Schema 1 specs (no report) parse as before; a newer schema does not.
+  const std::optional<ExperimentSpec> v1 = ExperimentSpec::from_json(
+      R"({"sweep_schema": 1, "base": "Ring_8clus_1bus_2IW"})", &errors);
+  ASSERT_TRUE(v1.has_value()) << errors_joined(errors);
+  EXPECT_TRUE(v1->report.empty());
+  EXPECT_FALSE(ExperimentSpec::from_json(
+      R"({"sweep_schema": 3, "base": "Ring_8clus_1bus_2IW"})", &errors));
+}
+
+TEST(SweepSpec, ReportListsEveryBadPointMetricAndKey) {
+  std::vector<std::string> errors;
+  EXPECT_FALSE(ExperimentSpec::from_json(
+      R"({"axes": [{"field": "preset",
+                    "values": ["Ring_4clus_1bus_2IW", "Conv_4clus_1bus_2IW"]}],
+          "report": [
+            {"metric": "no_such_metric", "rows": ["Ring_9clus"]},
+            {"speedup": [["Ring_4clus_1bus_2IW", "Conv_8clus"]],
+             "decimals": 2},
+            {"shares": "Mesh_4clus", "colour": "red"},
+            {"metric": "ipc", "speedup": []},
+            {"title": "no shape"}
+          ]})",
+      &errors));
+  const std::string all = errors_joined(errors);
+  EXPECT_EQ(errors.size(), 8u) << all;
+  EXPECT_NE(all.find("report[0].metric: unknown metric 'no_such_metric'; "
+                     "valid metrics: cycles"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("report[0]: unknown point 'Ring_9clus'; points: "
+                     "Ring_4clus_1bus_2IW, Conv_4clus_1bus_2IW"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("report[1]: unknown key 'decimals'; valid keys: "
+                     "speedup, title"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("report[1]: unknown point 'Conv_8clus'"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("report[2]: unknown key 'colour'"), std::string::npos)
+      << all;
+  EXPECT_NE(all.find("report[2]: unknown point 'Mesh_4clus'"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("report[3]: expected exactly one of the keys"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("report[4]: expected exactly one of the keys"),
+            std::string::npos)
+      << all;
+  // An unknown top-level key names "report" among the valid ones.
+  errors.clear();
+  EXPECT_FALSE(ExperimentSpec::from_json(R"({"reports": []})", &errors));
+  EXPECT_NE(errors_joined(errors).find("benchmarks, run, report"),
+            std::string::npos);
+}
+
+TEST(SweepSpec, ReportRowsMayNameCollapsedAliases) {
+  std::vector<std::string> errors;
+  const std::optional<ExperimentSpec> spec = ExperimentSpec::from_json(
+      R"({"axes": [{"field": "preset",
+                    "values": ["Ring_8clus_1bus_2IW", "Ring_8clus_2bus_2IW"]},
+                   {"field": "num_buses", "values": [1]}],
+          "report": [{"metric": "ipc",
+                      "rows": ["Ring_8clus_2bus_2IW[num_buses=1]"]}]})",
+      &errors);
+  ASSERT_TRUE(spec.has_value()) << errors_joined(errors);
+  const std::vector<ExperimentPoint> points = spec->expand();
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_EQ(points[0].aliases.back(), "Ring_8clus_2bus_2IW[num_buses=1]");
+}
+
+/// A synthetic result with the given IPC and communications.
+SimResult fixed_result(const std::string& config, const std::string& bench,
+                       std::uint64_t committed, std::uint64_t comms,
+                       std::vector<std::uint64_t> dispatched) {
+  SimResult result;
+  result.config_name = config;
+  result.benchmark = bench;
+  result.counters.cycles = 1000;
+  result.counters.committed = committed;
+  result.counters.comms = comms;
+  result.counters.dispatched_per_cluster = std::move(dispatched);
+  return result;
+}
+
+/// The whitespace-separated cells of the rendered line whose first cells
+/// are \p label (split on spaces too); empty when there is none.
+std::vector<std::string> cells_after(const std::string& text,
+                                     const std::string& label) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream words(line);
+    std::vector<std::string> cells;
+    for (std::string word; words >> word;) cells.push_back(word);
+    std::istringstream label_words(label);
+    std::size_t matched = 0;
+    for (std::string word; label_words >> word; ++matched) {
+      if (matched >= cells.size() || cells[matched] != word) {
+        matched = SIZE_MAX;
+        break;
+      }
+    }
+    if (matched != SIZE_MAX && cells.size() == matched + 3) {
+      return {cells.begin() + static_cast<std::ptrdiff_t>(matched),
+              cells.end()};
+    }
+  }
+  return {};
+}
+
+TEST(ReportRender, CellsEqualGroupMeanAndGroupSpeedup) {
+  std::vector<std::string> errors;
+  const std::optional<ExperimentSpec> spec =
+      ExperimentSpec::from_json(kPairSpec, &errors);
+  ASSERT_TRUE(spec.has_value()) << errors_joined(errors);
+  const std::vector<ExperimentPoint> points = spec->expand();
+  ASSERT_EQ(points.size(), 2u);
+  // Point-major: Ring (gzip, swim, art), then Conv (gzip, swim, art).
+  const std::vector<SimResult> results = {
+      fixed_result("Ring_4clus_1bus_2IW", "gzip", 1500, 300, {5, 3, 1, 1}),
+      fixed_result("Ring_4clus_1bus_2IW", "swim", 2200, 900, {2, 2, 3, 3}),
+      fixed_result("Ring_4clus_1bus_2IW", "art", 1300, 100, {1, 1, 1, 1}),
+      fixed_result("Conv_4clus_1bus_2IW", "gzip", 1400, 500, {9, 1, 0, 0}),
+      fixed_result("Conv_4clus_1bus_2IW", "swim", 1700, 800, {4, 4, 1, 1}),
+      fixed_result("Conv_4clus_1bus_2IW", "art", 1350, 400, {2, 2, 2, 2})};
+  const std::span<const SimResult> ring(results.data(), 3);
+  const std::span<const SimResult> conv(results.data() + 3, 3);
+  const std::string text = render_report(*spec, points, results);
+
+  const std::vector<std::string> speedup =
+      cells_after(text, "Ring_4clus_1bus_2IW vs Conv_4clus_1bus_2IW");
+  const std::vector<std::string> ring_comms =
+      cells_after(text, "Ring_4clus_1bus_2IW");
+  const std::vector<std::string> conv_comms =
+      cells_after(text, "Conv_4clus_1bus_2IW");
+  ASSERT_EQ(speedup.size(), 3u) << text;
+  ASSERT_EQ(ring_comms.size(), 3u) << text;
+  ASSERT_EQ(conv_comms.size(), 3u) << text;
+  const BenchGroup groups[] = {BenchGroup::All, BenchGroup::Int,
+                               BenchGroup::Fp};
+  for (std::size_t g = 0; g < 3; ++g) {
+    EXPECT_EQ(
+        speedup[g],
+        str_format("%+.1f%%", group_speedup(ring, conv, groups[g]) * 100.0));
+    EXPECT_EQ(ring_comms[g], str_format("%.4f", group_mean(ring, groups[g],
+                                                           "comms_per_instr")));
+    EXPECT_EQ(conv_comms[g], str_format("%.4f", group_mean(conv, groups[g],
+                                                           "comms_per_instr")));
+  }
+  EXPECT_NE(text.find("comms\nconfig "), std::string::npos) << text;
+
+  // Shares: one row per benchmark of the point, one column per cluster.
+  const std::vector<std::string> gzip_shares = cells_after(text, "gzip");
+  EXPECT_TRUE(gzip_shares.empty());  // six cells, not three
+  EXPECT_NE(text.find("benchmark  c0     c1     c2     c3     max-min"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("gzip       50.0%  30.0%  10.0%  10.0%  40.0%"),
+            std::string::npos)
+      << text;
+}
+
+TEST(ReportRender, DefaultTableIsTheIpcTable) {
+  std::vector<std::string> errors;
+  const std::optional<ExperimentSpec> spec = ExperimentSpec::from_json(
+      R"({"axes": [{"field": "preset", "values": ["Ring_4clus_1bus_2IW",
+                                                   "Conv_4clus_1bus_2IW"]}]})",
+      &errors);
+  ASSERT_TRUE(spec.has_value()) << errors_joined(errors);
+  const std::vector<ExperimentPoint> points = spec->expand();
+  const std::vector<SimResult> results = {
+      fixed_result("Ring_4clus_1bus_2IW", "gzip", 1500, 0, {}),
+      fixed_result("Ring_4clus_1bus_2IW", "swim", 2200, 0, {}),
+      fixed_result("Conv_4clus_1bus_2IW", "gzip", 1400, 0, {}),
+      fixed_result("Conv_4clus_1bus_2IW", "swim", 1700, 0, {})};
+  EXPECT_EQ(render_report(*spec, points, results),
+            "config               AVERAGE  INT    FP   \n"
+            "-------------------  -------  -----  -----\n"
+            "Ring_4clus_1bus_2IW  1.850    1.500  2.200\n"
+            "Conv_4clus_1bus_2IW  1.550    1.400  1.700\n"
+            "\n");
+}
+
 // ---- Sweep execution through the service ------------------------------
 
 TEST(SweepService, PresetSweepReproducesMatrixNumbersExactly) {
   // A sweep spec declaring (a slice of) the paper matrix must agree with
-  // ExperimentRunner::run_matrix bit for bit — same results, same
-  // aggregate means — because both paths feed the same SimService.
+  // a hand-built preset batch bit for bit — same results, same aggregate
+  // means — because both paths feed the same SimService.
   const std::vector<std::string> presets = {"Ring_4clus_1bus_2IW",
                                             "Conv_4clus_1bus_2IW"};
   const std::vector<std::string> benchmarks = {"gzip", "swim"};
@@ -493,9 +712,20 @@ TEST(SweepService, PresetSweepReproducesMatrixNumbersExactly) {
   options.verbose = false;
   options.cache_backend = StoreBackend::Memory;
   options.cache_path.clear();
-  ExperimentRunner runner(options);
-  const std::vector<SimResult> matrix =
-      runner.run_matrix(presets, benchmarks);
+  SimService matrix_service(options);
+  std::vector<SimJob> matrix_jobs;
+  for (const std::string& preset : presets) {
+    for (const std::string& benchmark : benchmarks) {
+      matrix_jobs.push_back(
+          SimJob{ArchConfig::preset(preset), benchmark, options.run_params()});
+    }
+  }
+  std::vector<SimResult> matrix;
+  for (const JobHandle& handle :
+       matrix_service.submit_batch(std::move(matrix_jobs))) {
+    ASSERT_EQ(handle.wait(), JobStatus::Done);
+    matrix.push_back(handle.result());
+  }
 
   std::vector<std::string> errors;
   const std::optional<ExperimentSpec> spec = ExperimentSpec::from_json(

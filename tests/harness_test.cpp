@@ -1,5 +1,6 @@
-// Tests for src/harness: result serialization, the cached runner and the
-// figure aggregation helpers.
+// Tests for src/harness: result serialization, RunnerOptions and the
+// SimService it configures (caching across instances, store backends), and
+// the figure aggregation helpers.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,32 @@ SimResult make_result(const std::string& config, const std::string& bench,
   return result;
 }
 
+/// Runs every (preset, benchmark) pair through \p service, config-major,
+/// with \p options' run parameters, and waits for all of them.
+std::vector<SimResult> run_all(SimService& service,
+                               const RunnerOptions& options,
+                               const std::vector<std::string>& presets,
+                               const std::vector<std::string>& benchmarks) {
+  std::vector<SimJob> jobs;
+  for (const std::string& preset : presets) {
+    for (const std::string& benchmark : benchmarks) {
+      jobs.push_back(
+          SimJob{ArchConfig::preset(preset), benchmark, options.run_params()});
+    }
+  }
+  std::vector<SimResult> results;
+  for (const JobHandle& handle : service.submit_batch(std::move(jobs))) {
+    EXPECT_EQ(handle.wait(), JobStatus::Done);
+    results.push_back(handle.result());
+  }
+  return results;
+}
+
+SimResult run_one(SimService& service, const RunnerOptions& options,
+                  const std::string& preset, const std::string& benchmark) {
+  return run_all(service, options, {preset}, {benchmark}).front();
+}
+
 TEST(Serialization, RoundTrip) {
   const SimResult original = make_result("Ring_8clus_1bus_2IW", "swim",
                                          123456, 50000);
@@ -54,18 +81,16 @@ TEST(Runner, CachesResultsAcrossInstances) {
   options.cache_path = cache;
   options.verbose = false;
 
-  ExperimentRunner first(options);
-  const std::vector<SimResult> a = first.run_matrix(
-      std::vector<std::string>{"Ring_4clus_1bus_2IW"},
-      std::vector<std::string>{"gzip", "swim"});
+  SimService first(options);
+  const std::vector<SimResult> a =
+      run_all(first, options, {"Ring_4clus_1bus_2IW"}, {"gzip", "swim"});
   ASSERT_EQ(a.size(), 2u);
   EXPECT_TRUE(std::filesystem::exists(cache));
 
-  // A second runner must reproduce identical numbers purely from cache.
-  ExperimentRunner second(options);
-  const std::vector<SimResult> b = second.run_matrix(
-      std::vector<std::string>{"Ring_4clus_1bus_2IW"},
-      std::vector<std::string>{"gzip", "swim"});
+  // A second service must reproduce identical numbers purely from cache.
+  SimService second(options);
+  const std::vector<SimResult> b =
+      run_all(second, options, {"Ring_4clus_1bus_2IW"}, {"gzip", "swim"});
   ASSERT_EQ(b.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(a[i].counters.cycles, b[i].counters.cycles);
@@ -82,18 +107,18 @@ TEST(Runner, DifferentInstrBudgetMissesCache) {
   options.warmup = 200;
   options.cache_path = cache;
   options.verbose = false;
-  ExperimentRunner runner(options);
+  SimService service(options);
   const SimResult small =
-      runner.run_one(ArchConfig::preset("Ring_4clus_1bus_2IW"), "gzip");
+      run_one(service, options, "Ring_4clus_1bus_2IW", "gzip");
   options.instrs = 4000;
-  ExperimentRunner bigger(options);
+  SimService bigger(options);
   const SimResult large =
-      bigger.run_one(ArchConfig::preset("Ring_4clus_1bus_2IW"), "gzip");
+      run_one(bigger, options, "Ring_4clus_1bus_2IW", "gzip");
   EXPECT_GT(large.counters.committed, small.counters.committed);
   std::remove(cache.c_str());
 }
 
-// Mirrors ExperimentRunner::cache_key (pinned format: the on-disk cache is
+// Mirrors sim_cache_key (pinned format: the on-disk cache is
 // an interchange surface, so a format change must be deliberate and shows
 // up here).
 std::string make_cache_key(const std::string& config,
@@ -147,9 +172,9 @@ TEST(Runner, CorruptCacheLinesAreSkippedNotFatal) {
   RunnerOptions options = small_options(cache);
 
   // Seed the cache with one genuine entry...
-  ExperimentRunner first(options);
+  SimService first(options);
   const SimResult fresh =
-      first.run_one(ArchConfig::preset("Ring_4clus_1bus_2IW"), "gzip");
+      run_one(first, options, "Ring_4clus_1bus_2IW", "gzip");
 
   // ...then vandalize the file around it.
   {
@@ -163,9 +188,9 @@ TEST(Runner, CorruptCacheLinesAreSkippedNotFatal) {
   // counters with no re-simulation (poisoning detection not needed here —
   // cycles are deterministic, so equality proves the hit or the re-run
   // agrees; either way, no abort is the property under test).
-  ExperimentRunner second(options);
+  SimService second(options);
   const SimResult again =
-      second.run_one(ArchConfig::preset("Ring_4clus_1bus_2IW"), "gzip");
+      run_one(second, options, "Ring_4clus_1bus_2IW", "gzip");
   EXPECT_EQ(again.counters.cycles, fresh.counters.cycles);
   std::remove(cache.c_str());
 }
@@ -185,9 +210,8 @@ TEST(Runner, SchemaVersionMismatchInvalidatesStaleEntries) {
                           options.seed, kSimSchemaVersion - 1)
         << "\t" << serialize_result(poison) << "\n";
   }
-  ExperimentRunner stale(options);
-  const SimResult resimulated =
-      stale.run_one(ArchConfig::preset(config), bench);
+  SimService stale(options);
+  const SimResult resimulated = run_one(stale, options, config, bench);
   EXPECT_NE(resimulated.counters.cycles, poison.counters.cycles);
 
   // ...while the same entry under the *current* version is served verbatim,
@@ -199,8 +223,8 @@ TEST(Runner, SchemaVersionMismatchInvalidatesStaleEntries) {
                           options.seed, kSimSchemaVersion)
         << "\t" << serialize_result(poison) << "\n";
   }
-  ExperimentRunner current(options);
-  const SimResult served = current.run_one(ArchConfig::preset(config), bench);
+  SimService current(options);
+  const SimResult served = run_one(current, options, config, bench);
   EXPECT_EQ(served.counters.cycles, poison.counters.cycles);
   EXPECT_EQ(served.counters.committed, poison.counters.committed);
   std::remove(cache.c_str());
@@ -223,8 +247,8 @@ TEST(Runner, ForceBypassesCacheHits) {
   // force=true (RINGCLU_FORCE=1) must ignore the poisoned hit and
   // re-simulate.
   options.force = true;
-  ExperimentRunner forced(options);
-  const SimResult fresh = forced.run_one(ArchConfig::preset(config), bench);
+  SimService forced(options);
+  const SimResult fresh = run_one(forced, options, config, bench);
   EXPECT_NE(fresh.counters.cycles, poison.counters.cycles);
   EXPECT_GE(fresh.counters.committed, options.instrs);
   std::remove(cache.c_str());
@@ -236,12 +260,13 @@ TEST(Runner, MatrixOrderingIsConfigMajorUnderThreads) {
   RunnerOptions options = small_options(cache);
   options.threads = 4;  // > 1: completion order is nondeterministic
   options.force = true;
-  ExperimentRunner runner(options);
+  SimService service(options);
 
   const std::vector<std::string> configs = {"Ring_4clus_1bus_2IW",
                                             "Conv_4clus_1bus_2IW"};
   const std::vector<std::string> benchmarks = {"gzip", "swim", "art"};
-  const std::vector<SimResult> results = runner.run_matrix(configs, benchmarks);
+  const std::vector<SimResult> results =
+      run_all(service, options, configs, benchmarks);
   ASSERT_EQ(results.size(), configs.size() * benchmarks.size());
   std::size_t slot = 0;
   for (const std::string& config : configs) {
@@ -265,8 +290,7 @@ TEST(Runner, ThreadsDefaultMatchesDocumentedEnvDefault) {
 
 TEST(Runner, DefaultBenchmarksAreTheSuite) {
   // (Assumes RINGCLU_BENCHMARKS is unset in the test environment.)
-  const std::vector<std::string> names =
-      ExperimentRunner::default_benchmarks();
+  const std::vector<std::string> names = default_benchmarks();
   EXPECT_GE(names.size(), 1u);
   if (names.size() == 26) {
     EXPECT_EQ(names.front(), "ammp");
@@ -287,9 +311,8 @@ TEST(RunnerDeathTest, UnknownBenchmarkInEnvFailsWithValidNames) {
   // RINGCLU_BENCHMARKS must not silently accept unknown names: the
   // process exits with a diagnostic listing the valid ones.
   ::setenv("RINGCLU_BENCHMARKS", "gzip,nosuchbench", 1);
-  EXPECT_EXIT(
-      { (void)ExperimentRunner::default_benchmarks(); },
-      ::testing::ExitedWithCode(2), "nosuchbench.*valid benchmarks.*wupwise");
+  EXPECT_EXIT({ (void)default_benchmarks(); }, ::testing::ExitedWithCode(2),
+              "nosuchbench.*valid benchmarks.*wupwise");
   ::unsetenv("RINGCLU_BENCHMARKS");
 }
 
@@ -385,14 +408,14 @@ TEST(Runner, ShardedBackendCachesAcrossInstances) {
   RunnerOptions options = small_options(dir);
   options.cache_backend = StoreBackend::Sharded;
 
-  ExperimentRunner first(options);
+  SimService first(options);
   const SimResult fresh =
-      first.run_one(ArchConfig::preset("Ring_4clus_1bus_2IW"), "gzip");
+      run_one(first, options, "Ring_4clus_1bus_2IW", "gzip");
   EXPECT_TRUE(std::filesystem::is_directory(dir));
 
-  ExperimentRunner second(options);
+  SimService second(options);
   const SimResult cached =
-      second.run_one(ArchConfig::preset("Ring_4clus_1bus_2IW"), "gzip");
+      run_one(second, options, "Ring_4clus_1bus_2IW", "gzip");
   EXPECT_EQ(cached.counters.cycles, fresh.counters.cycles);
   EXPECT_EQ(serialize_result(cached), serialize_result(fresh));
   std::filesystem::remove_all(dir);
@@ -402,25 +425,23 @@ TEST(Runner, MemoryBackendKeepsResultsWithinOneRunnerOnly) {
   RunnerOptions options = small_options("ignored-path");
   options.cache_backend = StoreBackend::Memory;
 
-  ExperimentRunner runner(options);
-  const SimResult a =
-      runner.run_one(ArchConfig::preset("Ring_4clus_1bus_2IW"), "gzip");
-  const SimResult b =
-      runner.run_one(ArchConfig::preset("Ring_4clus_1bus_2IW"), "gzip");
+  SimService service(options);
+  const SimResult a = run_one(service, options, "Ring_4clus_1bus_2IW", "gzip");
+  const SimResult b = run_one(service, options, "Ring_4clus_1bus_2IW", "gzip");
   // Deterministic either way; the point is nothing was written to disk.
   EXPECT_EQ(serialize_result(a), serialize_result(b));
   EXPECT_FALSE(std::filesystem::exists("ignored-path"));
 }
 
-TEST(Runner, ShimExposesTheUnderlyingService) {
+TEST(Runner, OptionsBuildAServiceOverTheChosenStore) {
   RunnerOptions options = small_options("ignored-path");
   options.cache_backend = StoreBackend::Memory;
-  ExperimentRunner runner(options);
+  SimService service(options);
   const SimResult result =
-      runner.run_one(ArchConfig::preset("Ring_4clus_1bus_2IW"), "swim");
+      run_one(service, options, "Ring_4clus_1bus_2IW", "swim");
   EXPECT_EQ(result.benchmark, "swim");
-  EXPECT_EQ(runner.service().simulations_run(), 1u);
-  EXPECT_EQ(runner.service().store().describe(), "memory");
+  EXPECT_EQ(service.simulations_run(), 1u);
+  EXPECT_EQ(service.store().describe(), "memory");
 }
 
 TEST(Report, GroupMeansSplitIntFp) {

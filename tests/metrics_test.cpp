@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -399,8 +400,7 @@ TEST(MetricSinks, RunnerBuildsNoSinkWithoutInterval) {
   options.cache_backend = StoreBackend::Memory;
   options.interval = 0;  // metrics spec alone must not build a sink
   options.metrics_sink = "csv:/tmp/ringclu_should_not_exist.csv";
-  ExperimentRunner runner(options);
-  EXPECT_EQ(runner.metric_sink(), nullptr);
+  EXPECT_EQ(options.build_metric_sink(), nullptr);
 }
 
 TEST(MetricSinks, FactoryAndSpecParsing) {
@@ -565,12 +565,20 @@ TEST(ServiceStreaming, RunnerThreadsSinkThroughEveryJob) {
   options.interval = 1000;
   options.metrics_sink = "jsonl:" + path;
   {
-    ExperimentRunner runner(options);
-    ASSERT_NE(runner.metric_sink(), nullptr);
-    const std::vector<SimResult> results = runner.run_matrix(
-        std::vector<std::string>{"Ring_4clus_1bus_2IW"},
-        std::vector<std::string>{"gzip", "swim"});
-    ASSERT_EQ(results.size(), 2u);
+    const std::unique_ptr<MetricSink> sink = options.build_metric_sink();
+    ASSERT_NE(sink, nullptr);
+    SimService service(options);
+    std::vector<SimJob> jobs;
+    for (const char* benchmark : {"gzip", "swim"}) {
+      jobs.push_back(SimJob{ArchConfig::preset("Ring_4clus_1bus_2IW"),
+                            benchmark, options.run_params(), sink.get()});
+    }
+    const std::vector<JobHandle> handles =
+        service.submit_batch(std::move(jobs));
+    ASSERT_EQ(handles.size(), 2u);
+    for (const JobHandle& handle : handles) {
+      EXPECT_EQ(handle.wait(), JobStatus::Done);
+    }
   }
   // Every line parses; both benchmarks are present.
   std::ifstream file(path);

@@ -5,6 +5,8 @@
 
 #include "core/arch_config.h"
 #include "core/processor.h"
+#include "steer/registry.h"
+#include "steer/steering.h"
 #include "trace/synth/suite.h"
 
 namespace ringclu {
@@ -236,6 +238,45 @@ TEST(Processor, WarmupIsExcludedFromCounters) {
   const SimResult result = processor.run(*trace, 5000, 10000);
   EXPECT_GE(result.counters.committed, 10000u);
   EXPECT_LE(result.counters.committed, 10008u);
+}
+
+/// Stalls every instruction, purely: nothing ever dispatches, so the ROB
+/// stays empty while the front end fills.
+class AlwaysStallSteering final : public SteeringPolicy {
+ public:
+  SteerDecision steer(const SteerRequest& /*request*/,
+                      const SteerContext& /*context*/) override {
+    return SteerDecision::stalled();
+  }
+  [[nodiscard]] std::string_view name() const override {
+    return "test_always_stall";
+  }
+  [[nodiscard]] bool stalled_steer_is_pure() const override { return true; }
+};
+
+TEST(ProcessorDeathTest, WatchdogFiresWhenDispatchWedgesWithAnEmptyRob) {
+#ifdef RINGCLU_NO_CONTRACT_CHECKS
+  GTEST_SKIP() << "the watchdog is a contract check";
+#else
+  static const bool registered = [] {
+    SteeringRegistry::global().register_policy(
+        "test_always_stall", [](const SteerFactoryArgs& /*args*/) {
+          return std::unique_ptr<SteeringPolicy>(
+              std::make_unique<AlwaysStallSteering>());
+        });
+    return true;
+  }();
+  (void)registered;
+  ArchConfig config = ArchConfig::preset("Ring_8clus_1bus_2IW");
+  ASSERT_FALSE(config.set_steering("test_always_stall").has_value());
+  EXPECT_DEATH(
+      {
+        auto trace = make_benchmark_trace("gzip", 42);
+        Processor processor(config, 42);
+        (void)processor.run(*trace, 0, 1000);
+      },
+      "watchdog: no commit progress");
+#endif
 }
 
 class AllBenchmarksRunTest

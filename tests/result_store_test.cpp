@@ -202,8 +202,8 @@ class TsvStoreTest : public ::testing::Test {
   std::filesystem::path path_;
 };
 
-// The multi-process regression for ExperimentRunner's old append_to_cache:
-// bench binaries sharing bench_cache/results.tsv used buffered ofstream
+// The multi-process regression for the harness's old cache append:
+// processes sharing bench_cache/results.tsv used buffered ofstream
 // appends, which can tear lines when several processes write at once.
 // Each writer here uses its OWN store instance (own file descriptor, like
 // a separate process); appends go through append_line_atomic (single

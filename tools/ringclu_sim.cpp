@@ -1,8 +1,8 @@
 /// \file ringclu_sim.cpp
 /// The command-line driver: simulate one (configuration, workload) pair
-/// with arbitrary parameter overrides, run a whole preset matrix, or
-/// expand and run a declarative sweep spec through the asynchronous
-/// SimService.
+/// with arbitrary parameter overrides, or expand and run a declarative
+/// sweep spec through the asynchronous SimService and print its report
+/// tables (a preset matrix is a one-axis sweep).
 ///
 ///   ringclu_sim [--json] <preset|config.json> <benchmark|pack.rclp>
 ///       [key=value ...]
@@ -22,9 +22,11 @@
 /// A configuration is named either by a Table 3-style preset
 /// (Ring_8clus_1bus_2IW, suffixes +SSA / @2cyc) or by a JSON file written
 /// by --dump-config / ArchConfig::to_json.  Malformed files and invalid
-/// parameter combinations report every problem at once and exit 2.
+/// parameter combinations report every problem at once and exit 2, as do
+/// a key the mode does not accept and a malformed value.
 ///
-/// Overrides (key=value):
+/// Overrides (key=value; --dump-config takes the geometry, size, steering
+/// and copy-policy keys):
 ///   instrs, warmup, seed          run control
 ///   snapshot_interval=N           mid-run snapshot cadence in committed
 ///                                 instrs (needs --checkpoint-dir)
@@ -35,7 +37,7 @@
 ///   eviction, eager_release       copy policies (bool)
 ///   report=summary|detailed|csv|json   output format (--json == report=json)
 ///
-/// --matrix / --sweep overrides:
+/// --matrix / --sweep overrides (--matrix is a sweep over one preset axis):
 ///   configs=<preset,preset,...>   (--matrix only; default: ten presets)
 ///   benchmarks=<name,name,...>    (default: spec / suite / RINGCLU_BENCHMARKS)
 ///   instrs, warmup, seed, threads run control (--sweep: spec's run block
@@ -55,6 +57,10 @@
 ///                                 sampled jobs always simulate)
 ///   expand=<path>                 (--sweep only) write the expanded design
 ///                                 points as a JSON artifact
+///   checkpoint_dir=DIR, resume=1  as --checkpoint-dir / --resume
+///
+/// The paper's figures and ablations are sweep specs under bench/figures/
+/// whose "report" array names the tables to print (DESIGN.md §9).
 ///
 /// Examples:
 ///   ringclu_sim Ring_8clus_1bus_2IW swim instrs=1000000
@@ -64,13 +70,15 @@
 ///   ringclu_sim --matrix configs=Ring_8clus_1bus_2IW,Conv_8clus_1bus_2IW
 ///       benchmarks=gzip,swim backend=memory instrs=50000
 ///   ringclu_sim --sweep sweep.json interval=10000 json=metrics.jsonl
+///   ringclu_sim --sweep bench/figures/fig06_10_paper_matrix.json
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -82,7 +90,6 @@
 #include "harness/sim_service.h"
 #include "stats/metric_sink.h"
 #include "stats/metrics.h"
-#include "stats/table.h"
 #include "steer/registry.h"
 #include "trace/pack/pack_reader.h"
 #include "trace/registry.h"
@@ -133,18 +140,24 @@ struct CheckpointFlags {
 };
 
 /// Strict key=value count: missing -> fallback; malformed/negative/
-/// overflowing -> diagnostic + exit 2 (never an abort).
+/// above \p max -> diagnostic + exit 2 (never an abort).
 std::uint64_t cli_uint(const Config& options, const char* key,
-                       std::uint64_t fallback) {
+                       std::uint64_t fallback, std::uint64_t max = UINT64_MAX) {
   const std::optional<std::string> raw = options.get(key);
   if (!raw) return fallback;
   const std::optional<std::uint64_t> parsed = parse_uint(*raw);
-  if (!parsed) {
-    std::fprintf(stderr, "bad %s=%s (want a non-negative integer)\n", key,
-                 raw->c_str());
+  if (!parsed || *parsed > max) {
+    std::fprintf(stderr, "bad %s=%s (want a non-negative integer up to %llu)\n",
+                 key, raw->c_str(), static_cast<unsigned long long>(max));
     std::exit(2);
   }
   return *parsed;
+}
+
+/// cli_uint for an int-typed field.
+int cli_int(const Config& options, const char* key, int fallback) {
+  return static_cast<int>(
+      cli_uint(options, key, static_cast<std::uint64_t>(fallback), INT_MAX));
 }
 
 /// Strict key=value boolean (same contract as cli_uint).
@@ -158,6 +171,58 @@ bool cli_bool(const Config& options, const char* key, bool fallback) {
     std::exit(2);
   }
   return *parsed;
+}
+
+/// The key=value keys each mode accepts.
+std::vector<std::string_view> config_keys() {
+  return {"buses",         "clusters", "comm_iq", "dcount_threshold",
+          "eager_release", "eviction", "hop",     "iq",
+          "lsq",           "regs",     "rob",     "steer",
+          "width"};
+}
+std::vector<std::string_view> single_run_keys() {
+  std::vector<std::string_view> keys = config_keys();
+  keys.insert(keys.end(),
+              {"instrs", "warmup", "seed", "snapshot_interval", "report"});
+  return keys;
+}
+std::vector<std::string_view> batch_keys(std::string_view mode_key) {
+  return {
+      "benchmarks", "instrs", "warmup",  "seed",           "threads",
+      "shards",     "pin",    "backend", "cache",          "force",
+      "interval",   "json",   "csv",     "checkpoint_dir", "snapshot_interval",
+      "resume",     mode_key};
+}
+
+/// False (diagnostic naming the key and the valid keys printed) when
+/// \p options holds a key outside \p valid.
+bool known_keys(const Config& options, std::vector<std::string_view> valid) {
+  std::sort(valid.begin(), valid.end());
+  for (const std::string& entry : options.entries()) {
+    const std::string key = entry.substr(0, entry.find('='));
+    if (!std::binary_search(valid.begin(), valid.end(), key)) {
+      const std::vector<std::string> names(valid.begin(), valid.end());
+      std::fprintf(stderr, "unknown key '%s'; valid keys: %s\n", key.c_str(),
+                   join(names, ", ").c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Parses argv[first..argc) as key=value overrides; nullopt (diagnostic
+/// printed) on a malformed token or a key outside \p valid.
+std::optional<Config> parse_overrides(int argc, char** argv, int first,
+                                      std::vector<std::string_view> valid) {
+  Config options;
+  for (int i = first; i < argc; ++i) {
+    if (!options.parse_token(argv[i])) {
+      std::fprintf(stderr, "bad override (want key=value): %s\n", argv[i]);
+      return std::nullopt;
+    }
+  }
+  if (!known_keys(options, std::move(valid))) return std::nullopt;
+  return options;
 }
 
 bool ends_with(const std::string& name, std::string_view suffix) {
@@ -217,31 +282,23 @@ std::optional<ArchConfig> load_config_token(const std::string& token) {
 }
 
 /// Applies the single-run key=value overrides onto \p config.  Returns
-/// false (diagnostic printed) on an unknown steering policy.
+/// false (diagnostic printed) on an unknown steering policy; a malformed
+/// number or boolean exits 2 (cli_uint / cli_bool).
 bool apply_config_overrides(ArchConfig& config, const Config& options) {
-  config.num_clusters = static_cast<int>(
-      options.get_int("clusters", config.num_clusters));
-  config.issue_width =
-      static_cast<int>(options.get_int("width", config.issue_width));
-  config.num_buses =
-      static_cast<int>(options.get_int("buses", config.num_buses));
-  config.hop_latency =
-      static_cast<int>(options.get_int("hop", config.hop_latency));
-  config.regs_per_class =
-      static_cast<int>(options.get_int("regs", config.regs_per_class));
-  config.iq_int = config.iq_fp =
-      static_cast<int>(options.get_int("iq", config.iq_int));
-  config.iq_comm =
-      static_cast<int>(options.get_int("comm_iq", config.iq_comm));
-  config.rob_size =
-      static_cast<int>(options.get_int("rob", config.rob_size));
-  config.lsq_size =
-      static_cast<int>(options.get_int("lsq", config.lsq_size));
-  config.dcount_threshold = static_cast<int>(
-      options.get_int("dcount_threshold", config.dcount_threshold));
-  config.copy_eviction = options.get_bool("eviction", config.copy_eviction);
+  config.num_clusters = cli_int(options, "clusters", config.num_clusters);
+  config.issue_width = cli_int(options, "width", config.issue_width);
+  config.num_buses = cli_int(options, "buses", config.num_buses);
+  config.hop_latency = cli_int(options, "hop", config.hop_latency);
+  config.regs_per_class = cli_int(options, "regs", config.regs_per_class);
+  config.iq_int = config.iq_fp = cli_int(options, "iq", config.iq_int);
+  config.iq_comm = cli_int(options, "comm_iq", config.iq_comm);
+  config.rob_size = cli_int(options, "rob", config.rob_size);
+  config.lsq_size = cli_int(options, "lsq", config.lsq_size);
+  config.dcount_threshold =
+      cli_int(options, "dcount_threshold", config.dcount_threshold);
+  config.copy_eviction = cli_bool(options, "eviction", config.copy_eviction);
   config.eager_copy_release =
-      options.get_bool("eager_release", config.eager_copy_release);
+      cli_bool(options, "eager_release", config.eager_copy_release);
   const std::string steer = options.get_string("steer", "");
   if (!steer.empty()) {
     // Same resolution rule as JSON "steer" and sweep axes.
@@ -251,18 +308,6 @@ bool apply_config_overrides(ArchConfig& config, const Config& options) {
     }
   }
   return true;
-}
-
-/// The ten paper presets, Conv/Ring interleaved (Figure 7-10 legend order).
-std::vector<std::string> default_matrix_configs() {
-  std::vector<std::string> out;
-  for (const char* pair :
-       {"4clus_1bus_2IW", "8clus_2bus_1IW", "8clus_1bus_1IW",
-        "8clus_2bus_2IW", "8clus_1bus_2IW"}) {
-    out.push_back(std::string("Conv_") + pair);
-    out.push_back(std::string("Ring_") + pair);
-  }
-  return out;
 }
 
 /// RunnerOptions with the batch-mode key=value overrides applied
@@ -317,22 +362,17 @@ std::optional<RunnerOptions> resolve_batch_options(
   return runner_options;
 }
 
-/// Interval-metric streaming setup shared by --matrix and --sweep: CLI
-/// interval=/json=/csv= overrides win; RINGCLU_INTERVAL / RINGCLU_METRICS
-/// (already validated by from_env) are the defaults.  Returns false
-/// (diagnostic printed) on an inconsistent combination.
-struct StreamingSetup {
-  std::uint64_t interval = 0;
-  std::unique_ptr<MetricSink> sink;
-};
-
-bool resolve_streaming(const Config& options,
-                       const RunnerOptions& runner_options,
-                       StreamingSetup& setup) {
-  setup.interval = cli_uint(options, "interval", runner_options.interval);
+/// Interval-metric streaming for a batch: CLI interval=/json=/csv=
+/// overrides win over RINGCLU_INTERVAL / RINGCLU_METRICS (already
+/// validated by from_env), and the result lands in \p runner_options'
+/// interval and metrics_sink.  Returns false (diagnostic printed) on an
+/// inconsistent combination.
+bool resolve_streaming(const Config& options, RunnerOptions& runner_options) {
+  const std::uint64_t interval =
+      cli_uint(options, "interval", runner_options.interval);
   std::string json_path = options.get_string("json", "");
   std::string csv_path = options.get_string("csv", "");
-  if (setup.interval > 0 && json_path.empty() && csv_path.empty() &&
+  if (interval > 0 && json_path.empty() && csv_path.empty() &&
       !runner_options.metrics_sink.empty()) {
     const auto spec = parse_metric_sink_spec(runner_options.metrics_sink);
     if (spec.has_value()) {
@@ -345,18 +385,15 @@ bool resolve_streaming(const Config& options,
     return false;
   }
   const std::string sink_path = !json_path.empty() ? json_path : csv_path;
-  if ((setup.interval > 0) != !sink_path.empty()) {
+  if ((interval > 0) != !sink_path.empty()) {
     std::fprintf(stderr,
                  "interval metrics need both interval=N and json=<path> "
                  "(or csv=<path>)\n");
     return false;
   }
-  if (setup.interval > 0) {
-    setup.sink = make_metric_sink(!json_path.empty()
-                                      ? MetricSinkKind::JsonLines
-                                      : MetricSinkKind::Csv,
-                                  sink_path);
-  }
+  runner_options.interval = interval;
+  runner_options.metrics_sink =
+      interval == 0 ? "" : (json_path.empty() ? "csv:" : "jsonl:") + sink_path;
   return true;
 }
 
@@ -394,140 +431,23 @@ int run_batch(SimService& service, const char* tag, std::vector<SimJob> jobs,
   return 0;
 }
 
-/// The per-config IPC table both batch modes print: one row per name in
-/// \p rows, group means over \p benchmarks.  \p results are row-major
-/// (jobs were built row-major and submit_batch preserves order).
-void print_ipc_table(const std::vector<std::string>& rows,
-                     const std::vector<std::string>& benchmarks,
-                     std::span<const SimResult> results) {
-  TextTable table({"config", "AVERAGE", "INT", "FP"});
-  for (std::size_t row = 0; row < rows.size(); ++row) {
-    const std::span<const SimResult> slice =
-        results.subspan(row * benchmarks.size(), benchmarks.size());
-    table.begin_row();
-    table.add_cell(rows[row]);
-    for (const BenchGroup group :
-         {BenchGroup::All, BenchGroup::Int, BenchGroup::Fp}) {
-      // Aggregation is registry-generic: any metric name from
-      // stats/metrics.h works here.
-      table.add_cell(group_mean(slice, group, "ipc"), 3);
-    }
-  }
-  std::printf("%s\n", table.render_aligned().c_str());
-  if (aggregate_sim_ips(results) > 0.0) {
-    std::printf("%s\n", throughput_summary(results).c_str());
-  }
-}
-
-/// --matrix: run a (configs x benchmarks) sweep through SimService with
-/// live progress on stderr, then print the per-config IPC figure.
-int run_matrix_mode(const Config& options,
-                    const CheckpointFlags& checkpoint_flags) {
-  std::optional<RunnerOptions> runner_options =
-      resolve_batch_options(options, checkpoint_flags);
-  if (!runner_options) return 2;
-
-  std::vector<std::string> configs;
-  for (const std::string& name :
-       split(options.get_string("configs", ""), ',')) {
-    if (!ArchConfig::try_preset(name)) {
-      std::fprintf(stderr,
-                   "unknown preset '%s' (want Arch_Nclus_Bbus_WIW, e.g. %s; "
-                   "suffixes +SSA, @2cyc; see --list)\n",
-                   name.c_str(),
-                   ArchConfig::paper_preset_names().front().c_str());
-      return 2;
-    }
-    configs.push_back(name);
-  }
-  if (configs.empty()) configs = default_matrix_configs();
-
-  std::vector<std::string> benchmarks;
-  for (const std::string& name :
-       split(options.get_string("benchmarks", ""), ',')) {
-    benchmarks.push_back(name);
-  }
-  if (benchmarks.empty()) {
-    benchmarks = ExperimentRunner::default_benchmarks();
-  } else if (const std::optional<std::string> error =
-                 validate_benchmark_names(benchmarks)) {
-    std::fprintf(stderr, "%s\n", error->c_str());
-    return 2;
-  }
-
-  // Declared before the service: progress callbacks capture these by
-  // reference, the jobs stream into the sink, and ~SimService joins
-  // workers (which may still be running a callback or a sink write)
-  // before anything declared earlier is destroyed.
-  StreamingSetup streaming;
-  if (!resolve_streaming(options, *runner_options, streaming)) return 2;
-
-  SimService service(*runner_options);
-  RunParams params = runner_options->run_params();
-  params.interval = streaming.interval;
-  const std::size_t total = configs.size() * benchmarks.size();
-  std::vector<SimJob> jobs;
-  jobs.reserve(total);
-  for (const std::string& config : configs) {
-    for (const std::string& benchmark : benchmarks) {
-      jobs.push_back(SimJob{ArchConfig::preset(config), benchmark, params,
-                            streaming.sink.get()});
-    }
-  }
-
-  std::fprintf(stderr,
-               "[matrix] %zu jobs (%zu configs x %zu benchmarks, "
-               "%d thread(s), %s store)\n",
-               total, configs.size(), benchmarks.size(),
-               service.options().threads, service.store().describe().c_str());
-  if (streaming.sink != nullptr) {
-    std::fprintf(stderr,
-                 "[matrix] streaming interval metrics (every %llu committed "
-                 "instrs) to %s\n",
-                 static_cast<unsigned long long>(streaming.interval),
-                 streaming.sink->describe().c_str());
-  }
-
-  std::vector<SimResult> results;
-  if (const int status = run_batch(service, "matrix", std::move(jobs), results);
-      status != 0) {
-    return status;
-  }
-
-  std::printf("IPC by config (%zu benchmarks; %zu simulated, %zu from "
-              "store, %zu coalesced)\n",
-              benchmarks.size(), service.simulations_run(),
-              service.store_hits(), service.coalesced_submissions());
-  print_ipc_table(configs, benchmarks, results);
-  return 0;
-}
-
-/// --sweep: load a declarative ExperimentSpec, expand its axes, run every
-/// (point, benchmark) pair and print the per-point IPC figure.
-int run_sweep_mode(const std::string& spec_path, const Config& options,
-                   const CheckpointFlags& checkpoint_flags) {
-  const std::optional<std::string> text = read_file(spec_path);
-  if (!text) return 2;
-  std::vector<std::string> errors;
-  const std::optional<ExperimentSpec> spec =
-      ExperimentSpec::from_json(*text, &errors);
-  if (!spec) {
-    print_errors(("invalid sweep spec " + spec_path).c_str(), errors);
-    return 2;
-  }
-
+/// Runs every (point, benchmark) pair of \p spec through SimService with
+/// live progress on stderr, then prints the spec's report tables.  The
+/// batch path of both --sweep and --matrix; \p tag prefixes the stderr
+/// lines and must be a string literal.
+int run_spec(const ExperimentSpec& spec, const char* tag, const Config& options,
+             const CheckpointFlags& checkpoint_flags) {
   std::optional<RunnerOptions> runner_options =
       resolve_batch_options(options, checkpoint_flags);
   if (!runner_options) return 2;
 
   // Run control: environment defaults, then the spec's run block, then
-  // explicit command-line overrides.
-  RunParams params = spec->resolve_params(
-      RunnerOptions::from_env().run_params());
-  if (options.contains("instrs")) params.instrs = runner_options->instrs;
-  if (options.contains("warmup")) params.warmup = runner_options->warmup;
-  if (options.contains("seed")) params.seed = runner_options->seed;
-  params.snapshot_interval = runner_options->snapshot_interval;
+  // explicit command-line overrides (runner_options holds the first and
+  // the last).
+  RunParams params = runner_options->run_params();
+  if (!options.contains("instrs") && spec.instrs) params.instrs = *spec.instrs;
+  if (!options.contains("warmup") && spec.warmup) params.warmup = *spec.warmup;
+  if (!options.contains("seed") && spec.seed) params.seed = *spec.seed;
 
   std::vector<std::string> benchmarks;
   for (const std::string& name :
@@ -540,14 +460,14 @@ int run_sweep_mode(const std::string& spec_path, const Config& options,
       std::fprintf(stderr, "%s\n", error->c_str());
       return 2;
     }
-  } else if (!spec->benchmarks.empty()) {
-    benchmarks = spec->benchmarks;
+  } else if (!spec.benchmarks.empty()) {
+    benchmarks = spec.benchmarks;
   } else {
-    benchmarks = ExperimentRunner::default_benchmarks();
+    benchmarks = default_benchmarks();
   }
 
-  const std::vector<ExperimentPoint> points = spec->expand();
-  RINGCLU_ASSERT(!points.empty());  // from_json validated the expansion.
+  const std::vector<ExperimentPoint> points = spec.expand();
+  RINGCLU_ASSERT(!points.empty());  // The caller validated the expansion.
 
   if (const std::string expand_path = options.get_string("expand", "");
       !expand_path.empty()) {
@@ -557,50 +477,93 @@ int run_sweep_mode(const std::string& spec_path, const Config& options,
       return 2;
     }
     outfile << ExperimentSpec::points_to_json(points) << "\n";
-    std::fprintf(stderr, "[sweep] wrote %zu expanded configs to %s\n",
+    std::fprintf(stderr, "[%s] wrote %zu expanded configs to %s\n", tag,
                  points.size(), expand_path.c_str());
   }
 
-  StreamingSetup streaming;
-  if (!resolve_streaming(options, *runner_options, streaming)) return 2;
-
+  if (!resolve_streaming(options, *runner_options)) return 2;
+  // Declared before the service: workers stream into the sink until
+  // ~SimService joins them.
+  const std::unique_ptr<MetricSink> sink = runner_options->build_metric_sink();
   SimService service(*runner_options);
-  params.interval = streaming.interval;
+  params.interval = runner_options->interval;
 
-  const std::size_t raw = spec->cross_product_size();
+  const std::size_t raw = spec.cross_product_size();
   std::fprintf(stderr,
-               "[sweep] %s: %zu design points (%zu raw, %zu collapsed as "
+               "[%s] %s: %zu design points (%zu raw, %zu collapsed as "
                "duplicates) x %zu benchmarks, %d thread(s), %s store\n",
-               spec->name.c_str(), points.size(), raw, raw - points.size(),
+               tag, spec.name.c_str(), points.size(), raw, raw - points.size(),
                benchmarks.size(), service.options().threads,
                service.store().describe().c_str());
-  if (streaming.sink != nullptr) {
+  if (sink != nullptr) {
     std::fprintf(stderr,
-                 "[sweep] streaming interval metrics (every %llu committed "
+                 "[%s] streaming interval metrics (every %llu committed "
                  "instrs) to %s\n",
-                 static_cast<unsigned long long>(streaming.interval),
-                 streaming.sink->describe().c_str());
+                 tag, static_cast<unsigned long long>(params.interval),
+                 sink->describe().c_str());
   }
 
   std::vector<SimResult> results;
-  if (const int status =
-          run_batch(service, "sweep",
-                    make_sweep_jobs(points, benchmarks, params,
-                                    streaming.sink.get()),
-                    results);
+  if (const int status = run_batch(
+          service, tag, make_sweep_jobs(points, benchmarks, params, sink.get()),
+          results);
       status != 0) {
     return status;
   }
 
-  std::vector<std::string> rows;
-  rows.reserve(points.size());
-  for (const ExperimentPoint& point : points) rows.push_back(point.name);
-  std::printf("IPC by design point (%zu benchmarks; %zu simulated, %zu from "
-              "store, %zu coalesced)\n",
-              benchmarks.size(), service.simulations_run(),
-              service.store_hits(), service.coalesced_submissions());
-  print_ipc_table(rows, benchmarks, results);
+  const std::string counts =
+      str_format("%zu benchmarks; %zu simulated, %zu from store, %zu coalesced",
+                 benchmarks.size(), service.simulations_run(),
+                 service.store_hits(), service.coalesced_submissions());
+  if (spec.report.empty()) {
+    std::printf("IPC by design point (%s)\n", counts.c_str());
+  } else {
+    std::printf("%s (%s)\n", spec.name.c_str(), counts.c_str());
+  }
+  std::fputs(render_report(spec, points, results).c_str(), stdout);
+  if (aggregate_sim_ips(results) > 0.0) {
+    std::printf("%s\n", throughput_summary(results).c_str());
+  }
   return 0;
+}
+
+/// --sweep: load a declarative ExperimentSpec and run it.
+int run_sweep_mode(const std::string& spec_path, const Config& options,
+                   const CheckpointFlags& checkpoint_flags) {
+  const std::optional<std::string> text = read_file(spec_path);
+  if (!text) return 2;
+  std::vector<std::string> errors;
+  const std::optional<ExperimentSpec> spec =
+      ExperimentSpec::from_json(*text, &errors);
+  if (!spec) {
+    print_errors(("invalid sweep spec " + spec_path).c_str(), errors);
+    return 2;
+  }
+  return run_spec(*spec, "sweep", options, checkpoint_flags);
+}
+
+/// --matrix: a sweep over one preset axis (configs=, default the ten
+/// paper presets).
+int run_matrix(const Config& options, const CheckpointFlags& checkpoint_flags) {
+  SweepAxis presets{"preset", {}};
+  std::vector<std::string> names =
+      split(options.get_string("configs", ""), ',');
+  if (names.empty()) names = ArchConfig::paper_preset_names();
+  for (std::string& name : names) {
+    JsonValue value;
+    value.kind = JsonValue::Kind::String;
+    value.string = std::move(name);
+    presets.values.push_back(std::move(value));
+  }
+  ExperimentSpec spec;
+  spec.name = "matrix";
+  spec.axes.push_back(std::move(presets));
+  std::vector<std::string> errors;
+  if (spec.expand(&errors).empty()) {
+    print_errors("invalid configs=", errors);
+    return 2;
+  }
+  return run_spec(spec, "matrix", options, checkpoint_flags);
 }
 
 /// --dump-config: print the resolved configuration as pretty JSON.
@@ -690,38 +653,26 @@ int main(int argc, char** argv) {
   }
 
   if (argc >= 2 && std::strcmp(argv[1], "--matrix") == 0) {
-    Config options;
-    for (int i = 2; i < argc; ++i) {
-      if (!options.parse_token(argv[i])) {
-        std::fprintf(stderr, "bad override (want key=value): %s\n", argv[i]);
-        return 2;
-      }
-    }
-    return run_matrix_mode(options, checkpoint_flags);
+    const std::optional<Config> options =
+        parse_overrides(argc, argv, 2, batch_keys("configs"));
+    if (!options) return 2;
+    return run_matrix(*options, checkpoint_flags);
   }
 
   if (argc >= 2 && std::strcmp(argv[1], "--sweep") == 0) {
     if (argc < 3) return usage();
-    Config options;
-    for (int i = 3; i < argc; ++i) {
-      if (!options.parse_token(argv[i])) {
-        std::fprintf(stderr, "bad override (want key=value): %s\n", argv[i]);
-        return 2;
-      }
-    }
-    return run_sweep_mode(argv[2], options, checkpoint_flags);
+    const std::optional<Config> options =
+        parse_overrides(argc, argv, 3, batch_keys("expand"));
+    if (!options) return 2;
+    return run_sweep_mode(argv[2], *options, checkpoint_flags);
   }
 
   if (argc >= 2 && std::strcmp(argv[1], "--dump-config") == 0) {
     if (argc < 3) return usage();
-    Config options;
-    for (int i = 3; i < argc; ++i) {
-      if (!options.parse_token(argv[i])) {
-        std::fprintf(stderr, "bad override (want key=value): %s\n", argv[i]);
-        return 2;
-      }
-    }
-    return run_dump_config(argv[2], options);
+    const std::optional<Config> options =
+        parse_overrides(argc, argv, 3, config_keys());
+    if (!options) return 2;
+    return run_dump_config(argv[2], *options);
   }
 
   // --json: machine-readable single-run report (same as report=json).
@@ -744,12 +695,18 @@ int main(int argc, char** argv) {
 
   if (argc < 3) return usage();
 
-  Config options;
-  for (int i = 3; i < argc; ++i) {
-    if (!options.parse_token(argv[i])) {
-      std::fprintf(stderr, "bad override (want key=value): %s\n", argv[i]);
-      return 2;
-    }
+  const std::optional<Config> parsed =
+      parse_overrides(argc, argv, 3, single_run_keys());
+  if (!parsed) return 2;
+  const Config& options = *parsed;
+  const std::string report =
+      options.get_string("report", json_report ? "json" : "detailed");
+  if (report != "json" && report != "summary" && report != "csv" &&
+      report != "detailed") {
+    std::fprintf(stderr,
+                 "bad report=%s (want summary, detailed, csv or json)\n",
+                 report.c_str());
+    return 2;
   }
 
   std::optional<ArchConfig> loaded = load_config_token(argv[1]);
@@ -816,8 +773,6 @@ int main(int argc, char** argv) {
     result = processor.run(*trace, warmup, instrs);
   }
 
-  const std::string report =
-      options.get_string("report", json_report ? "json" : "detailed");
   if (report == "json") {
     // The full metrics registry for one run, as one JSON document
     // (round-trip pinned by tests/metrics_test.cpp).
