@@ -8,33 +8,14 @@ namespace ringclu {
 
 SimCounters SimCounters::minus(const SimCounters& baseline) const {
   SimCounters out = *this;
-  out.cycles -= baseline.cycles;
-  out.committed -= baseline.committed;
-  out.comms -= baseline.comms;
-  out.comm_distance_sum -= baseline.comm_distance_sum;
-  out.comm_contention_sum -= baseline.comm_contention_sum;
-  out.nready_sum -= baseline.nready_sum;
+  for (const CounterField& field : kCounterFields) {
+    out.*field.member -= baseline.*field.member;
+  }
   RINGCLU_EXPECTS(dispatched_per_cluster.size() ==
                   baseline.dispatched_per_cluster.size());
   for (std::size_t c = 0; c < out.dispatched_per_cluster.size(); ++c) {
     out.dispatched_per_cluster[c] -= baseline.dispatched_per_cluster[c];
   }
-  out.branches -= baseline.branches;
-  out.mispredicts -= baseline.mispredicts;
-  out.icache_stall_cycles -= baseline.icache_stall_cycles;
-  out.loads -= baseline.loads;
-  out.stores -= baseline.stores;
-  out.load_forwards -= baseline.load_forwards;
-  out.l1d_accesses -= baseline.l1d_accesses;
-  out.l1d_misses -= baseline.l1d_misses;
-  out.l2_accesses -= baseline.l2_accesses;
-  out.l2_misses -= baseline.l2_misses;
-  out.steer_stall_cycles -= baseline.steer_stall_cycles;
-  out.rob_stall_cycles -= baseline.rob_stall_cycles;
-  out.lsq_stall_cycles -= baseline.lsq_stall_cycles;
-  out.copy_evictions -= baseline.copy_evictions;
-  out.rob_occupancy_sum -= baseline.rob_occupancy_sum;
-  out.regs_in_use_sum -= baseline.regs_in_use_sum;
   return out;
 }
 

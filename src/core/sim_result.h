@@ -5,7 +5,9 @@
 /// figure in the paper's evaluation section.
 
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ringclu {
@@ -14,9 +16,11 @@ class CheckpointReader;
 class CheckpointWriter;
 
 /// Version of the result schema: bump when simulator semantics or the
-/// serialized counter set change so stale cache entries re-run.  Lives
-/// with SimCounters (the schema it versions); cache keys (sim_job.h),
-/// stores and machine-readable outputs all embed it.
+/// counter set change so stale cache entries re-run.  The counter set is
+/// kCounterFields below (plus dispatched_per_cluster): adding, removing or
+/// reordering an entry changes the store, checkpoint and JSON layouts, so
+/// it bumps this too.  Cache keys (sim_job.h), stores and
+/// machine-readable outputs all embed it.
 inline constexpr int kSimSchemaVersion = 3;
 
 /// Raw measurement counters (collected after warmup).
@@ -68,6 +72,66 @@ struct SimCounters {
   [[nodiscard]] friend bool operator==(const SimCounters&,
                                        const SimCounters&) = default;
 };
+
+/// One scalar SimCounters field: its name in every output, the member it
+/// reads, and the registry description and paper-figure tag ("" if none).
+struct CounterField {
+  std::string_view name;
+  std::uint64_t SimCounters::*member;
+  std::string_view description;
+  std::string_view figure;
+};
+
+/// The counter schema: every scalar SimCounters field, in output order.
+/// Warmup subtraction (SimCounters::minus), the TSV store line
+/// (serialize_result / try_deserialize_result), the JSON "counters" block
+/// and the registry's counter metrics all walk this table;
+/// dispatched_per_cluster, the one vector field, each consumer handles
+/// beside it.  Checkpoints (save_state/restore_state) stay hand-listed:
+/// ringclu-lint's ckpt-coverage rule checks them by member name, and they
+/// put the vector after nready_sum.
+inline constexpr CounterField kCounterFields[] = {
+    {"cycles", &SimCounters::cycles, "measured cycles", ""},
+    {"committed", &SimCounters::committed, "committed instructions", ""},
+    {"comms", &SimCounters::comms, "inter-cluster communications", "fig07"},
+    {"comm_distance_sum", &SimCounters::comm_distance_sum,
+     "summed hop distance over all communications", "fig08"},
+    {"comm_contention_sum", &SimCounters::comm_contention_sum,
+     "summed bus-contention delay over all communications", "fig09"},
+    {"nready_sum", &SimCounters::nready_sum,
+     "summed NREADY matching per cycle", "fig10"},
+    {"branches", &SimCounters::branches, "conditional branches", ""},
+    {"mispredicts", &SimCounters::mispredicts, "branch mispredictions", ""},
+    {"icache_stall_cycles", &SimCounters::icache_stall_cycles,
+     "cycles fetch stalled on the instruction cache", ""},
+    {"loads", &SimCounters::loads, "committed loads", ""},
+    {"stores", &SimCounters::stores, "committed stores", ""},
+    {"load_forwards", &SimCounters::load_forwards,
+     "loads satisfied by store-to-load forwarding", ""},
+    {"l1d_accesses", &SimCounters::l1d_accesses, "L1 data-cache accesses",
+     ""},
+    {"l1d_misses", &SimCounters::l1d_misses, "L1 data-cache misses", ""},
+    {"l2_accesses", &SimCounters::l2_accesses, "L2 accesses", ""},
+    {"l2_misses", &SimCounters::l2_misses, "L2 misses", ""},
+    {"steer_stall_cycles", &SimCounters::steer_stall_cycles,
+     "cycles dispatch stalled on steering", ""},
+    {"rob_stall_cycles", &SimCounters::rob_stall_cycles,
+     "cycles dispatch stalled on a full ROB", ""},
+    {"lsq_stall_cycles", &SimCounters::lsq_stall_cycles,
+     "cycles dispatch stalled on a full LSQ", ""},
+    {"copy_evictions", &SimCounters::copy_evictions,
+     "register copies evicted to free physical registers", ""},
+    {"rob_occupancy_sum", &SimCounters::rob_occupancy_sum,
+     "summed ROB occupancy per cycle", ""},
+    {"regs_in_use_sum", &SimCounters::regs_in_use_sum,
+     "summed physical registers in use per cycle", ""},
+};
+
+// A uint64_t member added to SimCounters without a table line fails here.
+static_assert(sizeof(SimCounters) ==
+                  std::size(kCounterFields) * sizeof(std::uint64_t) +
+                      sizeof(std::vector<std::uint64_t>),
+              "every scalar SimCounters field needs a kCounterFields entry");
 
 /// A finished run.
 struct SimResult {

@@ -101,7 +101,7 @@ ReportTable read_table(const JsonValue& entry, std::size_t i,
       } else if (MetricsRegistry::builtin().try_find(metric->string) ==
                  nullptr) {
         std::vector<std::string> names;
-        for (const MetricDesc& desc : MetricsRegistry::builtin().metrics()) {
+        for (const MetricDesc& desc : MetricsRegistry::builtin().entries()) {
           names.push_back(desc.name);
         }
         errors.push_back(str_format(

@@ -23,32 +23,10 @@ namespace ringclu {
 std::string serialize_result(const SimResult& result) {
   const SimCounters& c = result.counters;
   std::string line = result.config_name + "\t" + result.benchmark;
-  auto add = [&line](std::uint64_t value) {
+  for (const CounterField& field : kCounterFields) {
     line += '\t';
-    line += std::to_string(value);
-  };
-  add(c.cycles);
-  add(c.committed);
-  add(c.comms);
-  add(c.comm_distance_sum);
-  add(c.comm_contention_sum);
-  add(c.nready_sum);
-  add(c.branches);
-  add(c.mispredicts);
-  add(c.icache_stall_cycles);
-  add(c.loads);
-  add(c.stores);
-  add(c.load_forwards);
-  add(c.l1d_accesses);
-  add(c.l1d_misses);
-  add(c.l2_accesses);
-  add(c.l2_misses);
-  add(c.steer_stall_cycles);
-  add(c.rob_stall_cycles);
-  add(c.lsq_stall_cycles);
-  add(c.copy_evictions);
-  add(c.rob_occupancy_sum);
-  add(c.regs_in_use_sum);
+    line += std::to_string(c.*field.member);
+  }
   std::string clusters;
   for (std::size_t i = 0; i < c.dispatched_per_cluster.size(); ++i) {
     if (i != 0) clusters += ",";
@@ -94,33 +72,16 @@ bool parse_u64(const std::string& token, std::uint64_t& out) {
 
 std::optional<SimResult> try_deserialize_result(const std::string& line) {
   const std::vector<std::string> tokens = split_tabs(line);
-  // config, benchmark, 22 counters, dispatched-per-cluster list.
-  constexpr std::size_t kNumericFields = 22;
-  if (tokens.size() != 2 + kNumericFields + 1) return std::nullopt;
+  // config, benchmark, the counters, dispatched-per-cluster list.
+  if (tokens.size() != 2 + std::size(kCounterFields) + 1) return std::nullopt;
 
   SimResult result;
   result.config_name = tokens[0];
   result.benchmark = tokens[1];
-  std::size_t cursor = 2;
-  auto next_u64 = [&tokens, &cursor](std::uint64_t& out) {
-    return parse_u64(tokens[cursor++], out);
-  };
   SimCounters& c = result.counters;
-  std::uint64_t* const fields[kNumericFields] = {
-      &c.cycles,           &c.committed,
-      &c.comms,            &c.comm_distance_sum,
-      &c.comm_contention_sum, &c.nready_sum,
-      &c.branches,         &c.mispredicts,
-      &c.icache_stall_cycles, &c.loads,
-      &c.stores,           &c.load_forwards,
-      &c.l1d_accesses,     &c.l1d_misses,
-      &c.l2_accesses,      &c.l2_misses,
-      &c.steer_stall_cycles, &c.rob_stall_cycles,
-      &c.lsq_stall_cycles, &c.copy_evictions,
-      &c.rob_occupancy_sum, &c.regs_in_use_sum,
-  };
-  for (std::uint64_t* field : fields) {
-    if (!next_u64(*field)) return std::nullopt;
+  std::size_t cursor = 2;
+  for (const CounterField& field : kCounterFields) {
+    if (!parse_u64(tokens[cursor++], c.*field.member)) return std::nullopt;
   }
   if (!tokens.back().empty()) {
     for (const std::string& part : split(tokens.back(), ',')) {

@@ -246,6 +246,9 @@ struct JobHandle::JobState {
   /// Attached handles that have not cancelled.
   std::size_t waiters = 0;
   std::vector<std::function<void(const SimResult&)>> callbacks;
+  /// The result is in the store (or came from it).  Completion callbacks
+  /// run only from then on, so a callback always finds its result there.
+  bool stored = false;
   /// Shard queue this job was enqueued on (always 0 when unsharded).
   std::size_t shard = 0;
   /// Submission index, for the ordered store flush (sharded mode).
@@ -484,6 +487,7 @@ JobHandle SimService::submit_one(SimJob&& job) {
       if (std::optional<SimResult> cached = store_->get(state->key)) {
         state->status = JobStatus::Done;
         state->result = *std::move(cached);
+        state->stored = true;
         const std::lock_guard<std::mutex> lock(mutex_);
         ++store_hits_;
         return make_handle(std::move(state));
@@ -564,14 +568,6 @@ void SimService::worker_loop(std::size_t shard) {
     lock.lock();
     state->status = JobStatus::Done;
     state->result = std::move(result);
-    // Ordered mode keeps the job in the coalescing index until its flush
-    // lands: a duplicate submitted while the result is Done-but-unflushed
-    // would otherwise miss both the index and the store and re-simulate,
-    // appending a second line serial execution never writes.
-    if (!ordered_puts()) unindex_locked(state);
-    std::vector<std::function<void(const SimResult&)>> callbacks =
-        std::move(state->callbacks);
-    state->callbacks.clear();
     --running_;
     ++simulations_;
     if (options_.verbose) {
@@ -580,17 +576,32 @@ void SimService::worker_loop(std::size_t shard) {
     }
     done_cv_.notify_all();
     if (ordered_puts()) {
+      // Ordered mode keeps the job in the coalescing index until its flush
+      // lands: a duplicate submitted while the result is Done-but-unflushed
+      // would otherwise miss both the index and the store and re-simulate,
+      // appending a second line serial execution never writes.  The flush
+      // also runs the job's callbacks, once its result is in the store.
       pending_flush_.emplace(state->order, state);
       flush_store(lock);
+      continue;
     }
-    lock.unlock();
-
-    // state->result is immutable from here on; callbacks run unlocked on
-    // this worker thread, in registration order.
-    for (const auto& callback : callbacks) callback(state->result);
-
-    lock.lock();
+    unindex_locked(state);
+    run_callbacks(state, lock);
   }
+}
+
+void SimService::run_callbacks(const std::shared_ptr<JobState>& state,
+                               std::unique_lock<std::mutex>& lock) {
+  state->stored = true;
+  std::vector<std::function<void(const SimResult&)>> callbacks =
+      std::move(state->callbacks);
+  state->callbacks.clear();
+  if (callbacks.empty()) return;
+  lock.unlock();
+  // state->result is immutable from here on; callbacks run unlocked, in
+  // registration order.
+  for (const auto& callback : callbacks) callback(state->result);
+  lock.lock();
 }
 
 void SimService::flush_store(std::unique_lock<std::mutex>& lock) {
@@ -611,8 +622,9 @@ void SimService::flush_store(std::unique_lock<std::mutex>& lock) {
     }
     lock.lock();
     // The entry is in the store now: duplicates can leave the coalescing
-    // index and resolve as store hits.
+    // index and resolve as store hits, and callbacks may run.
     unindex_locked(state);
+    run_callbacks(state, lock);
   }
   flushing_ = false;
   done_cv_.notify_all();  // wait_idle() also waits for the flush to drain.
@@ -672,12 +684,12 @@ void JobHandle::on_complete(std::function<void(const SimResult&)> callback) {
         state.status == JobStatus::Failed) {
       return;  // Never completes: callback is dropped.
     }
-    if (state.status != JobStatus::Done) {
+    if (!state.stored) {
       state.callbacks.push_back(std::move(callback));
       return;
     }
   }
-  // Already done: run inline, unlocked (result is immutable).
+  // Already done and stored: run inline, unlocked (result is immutable).
   callback(state.result);
 }
 

@@ -112,11 +112,13 @@ class JobHandle {
   /// a dispatched simulation always runs to completion (and is cached).
   bool cancel();
 
-  /// Registers \p callback to run with the finished result.  Callbacks
-  /// registered before completion run on the completing worker thread in
-  /// registration order (across all handles of a coalesced job);
-  /// registered after completion, \p callback runs inline.  Callbacks are
-  /// not invoked for Cancelled or Failed jobs.  \pre valid()
+  /// Registers \p callback to run with the finished result, once that
+  /// result is in the store.  Callbacks registered before then run in
+  /// registration order (across all handles of a coalesced job) on the
+  /// thread that stores the result: the completing worker, or in sharded
+  /// mode whichever thread runs the ordered flush.  Registered after,
+  /// \p callback runs inline.  Callbacks are not invoked for Cancelled or
+  /// Failed jobs.  \pre valid()
   void on_complete(std::function<void(const SimResult&)> callback);
 
  private:
@@ -282,6 +284,10 @@ class SimService {
   /// depositors return immediately and the active flusher drains them.
   /// \pre \p lock holds mutex_.
   void flush_store(std::unique_lock<std::mutex>& lock);
+  /// Marks \p state's result stored and runs its queued callbacks,
+  /// releasing \p lock around them.  \pre \p lock holds mutex_.
+  void run_callbacks(const std::shared_ptr<JobState>& state,
+                     std::unique_lock<std::mutex>& lock);
 
   SimServiceOptions options_;
   std::unique_ptr<ResultStore> store_;

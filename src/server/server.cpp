@@ -641,7 +641,7 @@ HttpResponse SimServer::handle_metrics(const std::string& id) {
 HttpResponse SimServer::handle_server_metrics() {
   return json_response(
       200, str_format("{\"server_schema\":1,\"gauges\":%s}",
-                      gauges_.sample_to_json().c_str()));
+                      sample_to_json(gauges_).c_str()));
 }
 
 HttpResponse SimServer::handle_shutdown() {

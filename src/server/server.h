@@ -104,7 +104,6 @@ class SimServer {
   [[nodiscard]] std::size_t replayed_jobs() const;
   [[nodiscard]] std::size_t journal_corrupt_lines() const;
   [[nodiscard]] std::size_t jobs_total() const;
-  [[nodiscard]] const GaugeRegistry& gauges() const { return gauges_; }
 
  private:
   struct Task {
@@ -160,7 +159,7 @@ class SimServer {
   SimServerOptions options_;
   std::vector<std::string> default_benchmarks_;
   JobJournal journal_;
-  GaugeRegistry gauges_;
+  Registry<GaugeDesc> gauges_;
   int window_ = 1;
 
   mutable std::mutex mutex_;

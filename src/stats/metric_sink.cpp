@@ -94,7 +94,7 @@ std::vector<std::string> csv_headers(const MetricsRegistry& registry) {
       "config", "benchmark",            "seed",
       "index",  "final",                "interval_instrs",
       "cumulative_committed",           "cumulative_cycles"};
-  for (const MetricDesc& metric : registry.metrics()) {
+  for (const MetricDesc& metric : registry.entries()) {
     if (metric.time_resolved) headers.push_back(metric.name);
   }
   return headers;
@@ -127,7 +127,7 @@ void CsvMetricSink::on_interval(const MetricRunContext& context,
   table_.add_cell(static_cast<long long>(sample.interval_instrs));
   table_.add_cell(static_cast<long long>(sample.cumulative.committed));
   table_.add_cell(static_cast<long long>(sample.cumulative.cycles));
-  for (const MetricDesc& metric : registry_.metrics()) {
+  for (const MetricDesc& metric : registry_.entries()) {
     if (!metric.time_resolved) continue;
     if (metric.kind == MetricKind::Counter) {
       table_.add_cell(static_cast<long long>(metric.value(delta)));

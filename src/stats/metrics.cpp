@@ -15,43 +15,10 @@ std::string_view metric_kind_name(MetricKind kind) {
   RINGCLU_UNREACHABLE("bad MetricKind");
 }
 
-void MetricsRegistry::add(MetricDesc metric) {
-  RINGCLU_EXPECTS(!metric.name.empty());
-  RINGCLU_EXPECTS(metric.value != nullptr);
-  const bool unique =
-      index_.emplace(metric.name, metrics_.size()).second;
-  RINGCLU_EXPECTS(unique && "duplicate metric name");
-  metrics_.push_back(std::move(metric));
-}
-
-const MetricDesc* MetricsRegistry::try_find(std::string_view name) const {
-  const auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &metrics_[it->second];
-}
-
-const MetricDesc& MetricsRegistry::at(std::string_view name) const {
-  const MetricDesc* metric = try_find(name);
-  RINGCLU_EXPECTS(metric != nullptr && "unknown metric name");
-  return *metric;
-}
-
-void GaugeRegistry::add(GaugeDesc gauge) {
-  RINGCLU_EXPECTS(!gauge.name.empty());
-  RINGCLU_EXPECTS(gauge.value != nullptr);
-  const bool unique = index_.emplace(gauge.name, gauges_.size()).second;
-  RINGCLU_EXPECTS(unique && "duplicate gauge name");
-  gauges_.push_back(std::move(gauge));
-}
-
-const GaugeDesc* GaugeRegistry::try_find(std::string_view name) const {
-  const auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &gauges_[it->second];
-}
-
-std::string GaugeRegistry::sample_to_json() const {
+std::string sample_to_json(const Registry<GaugeDesc>& gauges) {
   JsonWriter json;
   json.begin_object();
-  for (const GaugeDesc& gauge : gauges_) {
+  for (const GaugeDesc& gauge : gauges.entries()) {
     json.key(gauge.name).value(gauge.value());
   }
   json.end_object();
@@ -81,22 +48,6 @@ double dispatch_share_extreme(const SimCounters& counters, bool want_max) {
   return ratio(extreme, total);
 }
 
-/// Registers one raw SimCounters field as a counter metric.
-void add_counter(MetricsRegistry& registry, std::string name,
-                 std::uint64_t SimCounters::*field, std::string description,
-                 std::string figure = "") {
-  MetricDesc metric;
-  metric.name = std::move(name);
-  metric.unit = "count";
-  metric.description = std::move(description);
-  metric.figure = std::move(figure);
-  metric.kind = MetricKind::Counter;
-  metric.value = [field](const SimResult& result) {
-    return static_cast<double>(result.counters.*field);
-  };
-  registry.add(std::move(metric));
-}
-
 /// Registers a derived ratio metric.
 void add_ratio(MetricsRegistry& registry, std::string name, std::string unit,
                std::string description, std::string figure,
@@ -119,44 +70,18 @@ MetricsRegistry MetricsRegistry::make_builtin() {
   MetricsRegistry reg;
 
   // Raw counters: every SimCounters field, one view each.
-  add_counter(reg, "cycles", &SimCounters::cycles, "measured cycles");
-  add_counter(reg, "committed", &SimCounters::committed,
-              "committed instructions");
-  add_counter(reg, "comms", &SimCounters::comms,
-              "inter-cluster communications", "fig07");
-  add_counter(reg, "comm_distance_sum", &SimCounters::comm_distance_sum,
-              "summed hop distance over all communications", "fig08");
-  add_counter(reg, "comm_contention_sum", &SimCounters::comm_contention_sum,
-              "summed bus-contention delay over all communications", "fig09");
-  add_counter(reg, "nready_sum", &SimCounters::nready_sum,
-              "summed NREADY matching per cycle", "fig10");
-  add_counter(reg, "branches", &SimCounters::branches, "conditional branches");
-  add_counter(reg, "mispredicts", &SimCounters::mispredicts,
-              "branch mispredictions");
-  add_counter(reg, "icache_stall_cycles", &SimCounters::icache_stall_cycles,
-              "cycles fetch stalled on the instruction cache");
-  add_counter(reg, "loads", &SimCounters::loads, "committed loads");
-  add_counter(reg, "stores", &SimCounters::stores, "committed stores");
-  add_counter(reg, "load_forwards", &SimCounters::load_forwards,
-              "loads satisfied by store-to-load forwarding");
-  add_counter(reg, "l1d_accesses", &SimCounters::l1d_accesses,
-              "L1 data-cache accesses");
-  add_counter(reg, "l1d_misses", &SimCounters::l1d_misses,
-              "L1 data-cache misses");
-  add_counter(reg, "l2_accesses", &SimCounters::l2_accesses, "L2 accesses");
-  add_counter(reg, "l2_misses", &SimCounters::l2_misses, "L2 misses");
-  add_counter(reg, "steer_stall_cycles", &SimCounters::steer_stall_cycles,
-              "cycles dispatch stalled on steering");
-  add_counter(reg, "rob_stall_cycles", &SimCounters::rob_stall_cycles,
-              "cycles dispatch stalled on a full ROB");
-  add_counter(reg, "lsq_stall_cycles", &SimCounters::lsq_stall_cycles,
-              "cycles dispatch stalled on a full LSQ");
-  add_counter(reg, "copy_evictions", &SimCounters::copy_evictions,
-              "register copies evicted to free physical registers");
-  add_counter(reg, "rob_occupancy_sum", &SimCounters::rob_occupancy_sum,
-              "summed ROB occupancy per cycle");
-  add_counter(reg, "regs_in_use_sum", &SimCounters::regs_in_use_sum,
-              "summed physical registers in use per cycle");
+  for (const CounterField& field : kCounterFields) {
+    MetricDesc metric;
+    metric.name = field.name;
+    metric.unit = "count";
+    metric.description = field.description;
+    metric.figure = field.figure;
+    metric.kind = MetricKind::Counter;
+    metric.value = [member = field.member](const SimResult& result) {
+      return static_cast<double>(result.counters.*member);
+    };
+    reg.add(std::move(metric));
+  }
 
   // Derived ratios: the figure series.
   add_ratio(reg, "ipc", "instr/cycle", "committed instructions per cycle",
@@ -258,28 +183,9 @@ namespace {
 /// Emits the raw-counter block common to result and interval records.
 void write_counters(JsonWriter& json, const SimCounters& counters) {
   json.key("counters").begin_object();
-  json.key("cycles").value(counters.cycles);
-  json.key("committed").value(counters.committed);
-  json.key("comms").value(counters.comms);
-  json.key("comm_distance_sum").value(counters.comm_distance_sum);
-  json.key("comm_contention_sum").value(counters.comm_contention_sum);
-  json.key("nready_sum").value(counters.nready_sum);
-  json.key("branches").value(counters.branches);
-  json.key("mispredicts").value(counters.mispredicts);
-  json.key("icache_stall_cycles").value(counters.icache_stall_cycles);
-  json.key("loads").value(counters.loads);
-  json.key("stores").value(counters.stores);
-  json.key("load_forwards").value(counters.load_forwards);
-  json.key("l1d_accesses").value(counters.l1d_accesses);
-  json.key("l1d_misses").value(counters.l1d_misses);
-  json.key("l2_accesses").value(counters.l2_accesses);
-  json.key("l2_misses").value(counters.l2_misses);
-  json.key("steer_stall_cycles").value(counters.steer_stall_cycles);
-  json.key("rob_stall_cycles").value(counters.rob_stall_cycles);
-  json.key("lsq_stall_cycles").value(counters.lsq_stall_cycles);
-  json.key("copy_evictions").value(counters.copy_evictions);
-  json.key("rob_occupancy_sum").value(counters.rob_occupancy_sum);
-  json.key("regs_in_use_sum").value(counters.regs_in_use_sum);
+  for (const CounterField& field : kCounterFields) {
+    json.key(field.name).value(counters.*field.member);
+  }
   json.key("dispatched_per_cluster").begin_array();
   for (const std::uint64_t count : counters.dispatched_per_cluster) {
     json.value(count);
@@ -300,7 +206,7 @@ std::string result_to_json(const SimResult& result,
   json.key("benchmark").value(result.benchmark);
   write_counters(json, result.counters);
   json.key("metrics").begin_object();
-  for (const MetricDesc& metric : registry.metrics()) {
+  for (const MetricDesc& metric : registry.entries()) {
     json.key(metric.name).value(metric.value(result));
   }
   json.end_object();
@@ -341,7 +247,7 @@ std::string interval_to_json(const MetricRunContext& context,
   json.key("cumulative_cycles").value(sample.cumulative.cycles);
   write_counters(json, sample.delta);
   json.key("metrics").begin_object();
-  for (const MetricDesc& metric : registry.metrics()) {
+  for (const MetricDesc& metric : registry.entries()) {
     if (!metric.time_resolved) continue;
     json.key(metric.name).value(metric.value(delta));
   }

@@ -31,6 +31,7 @@
 
 #include "core/sim_observer.h"
 #include "core/sim_result.h"
+#include "util/assert.h"
 
 namespace ringclu {
 
@@ -56,46 +57,13 @@ struct MetricDesc {
   std::function<double(const SimResult&)> value;
 };
 
-/// An ordered collection of uniquely named metrics.  The built-in
-/// registry covers every SimCounters field and every derived ratio the
-/// figures use; extensions copy it and add their own views.
-class MetricsRegistry {
- public:
-  /// Registers \p metric.  \pre the name is non-empty and not yet taken,
-  /// and the value function is set.
-  void add(MetricDesc metric);
-
-  /// Lookup by name; nullptr when unknown.
-  [[nodiscard]] const MetricDesc* try_find(std::string_view name) const;
-
-  /// Lookup by name.  \pre the metric exists.
-  [[nodiscard]] const MetricDesc& at(std::string_view name) const;
-
-  /// All metrics in registration order.
-  [[nodiscard]] std::span<const MetricDesc> metrics() const {
-    return metrics_;
-  }
-
-  [[nodiscard]] std::size_t size() const { return metrics_.size(); }
-
-  /// The process-wide registry of built-in metrics (immutable).
-  [[nodiscard]] static const MetricsRegistry& builtin();
-
-  /// A fresh registry pre-populated with the built-in metrics, for
-  /// callers that want to register additional views.
-  [[nodiscard]] static MetricsRegistry make_builtin();
-
- private:
-  std::vector<MetricDesc> metrics_;
-  std::map<std::string, std::size_t, std::less<>> index_;
-};
-
 /// A live server-side gauge: a named, documented value sampled at read
 /// time (queue depth, in-flight jobs, aggregate throughput).  The
 /// operational sibling of MetricDesc — a MetricDesc is a view over one
 /// finished SimResult, a GaugeDesc is a view over a running process.
-/// ringclu_simd registers its service/scheduler/journal gauges here and
-/// serves the sampled registry as GET /v1/server/metrics.
+/// ringclu_simd registers its service/scheduler/journal gauges in a
+/// Registry<GaugeDesc> and serves sample_to_json of it as
+/// GET /v1/server/metrics.
 struct GaugeDesc {
   std::string name;         ///< registry key, e.g. "queue_depth_high"
   std::string unit;         ///< e.g. "jobs", "count", "instr/s"
@@ -103,30 +71,61 @@ struct GaugeDesc {
   std::function<double()> value;
 };
 
-/// An ordered collection of uniquely named gauges.
-class GaugeRegistry {
+/// An ordered collection of uniquely named descriptors (MetricDesc or
+/// GaugeDesc: anything with a \c name and a \c value function).
+template <typename Desc>
+class Registry {
  public:
-  /// Registers \p gauge.  \pre the name is non-empty and not yet taken,
+  /// Registers \p desc.  \pre the name is non-empty and not yet taken,
   /// and the value function is set.
-  void add(GaugeDesc gauge);
+  void add(Desc desc) {
+    RINGCLU_EXPECTS(!desc.name.empty());
+    RINGCLU_EXPECTS(desc.value != nullptr);
+    const bool unique = index_.emplace(desc.name, entries_.size()).second;
+    RINGCLU_EXPECTS(unique && "duplicate metric name");
+    entries_.push_back(std::move(desc));
+  }
 
   /// Lookup by name; nullptr when unknown.
-  [[nodiscard]] const GaugeDesc* try_find(std::string_view name) const;
+  [[nodiscard]] const Desc* try_find(std::string_view name) const {
+    const auto it = index_.find(name);
+    return it == index_.end() ? nullptr : &entries_[it->second];
+  }
 
-  /// All gauges in registration order.
-  [[nodiscard]] std::span<const GaugeDesc> gauges() const { return gauges_; }
+  /// Lookup by name.  \pre the entry exists.
+  [[nodiscard]] const Desc& at(std::string_view name) const {
+    const Desc* desc = try_find(name);
+    RINGCLU_EXPECTS(desc != nullptr && "unknown metric name");
+    return *desc;
+  }
 
-  [[nodiscard]] std::size_t size() const { return gauges_.size(); }
+  /// All entries in registration order.
+  [[nodiscard]] std::span<const Desc> entries() const { return entries_; }
 
-  /// Samples every gauge now and renders one JSON object,
-  /// {"<name>": <value>, ...} in registration order.  Values pass through
-  /// json_number (NaN/Inf map to 0).
-  [[nodiscard]] std::string sample_to_json() const;
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
-  std::vector<GaugeDesc> gauges_;
+  std::vector<Desc> entries_;
   std::map<std::string, std::size_t, std::less<>> index_;
 };
+
+/// The metrics registry.  The built-in one covers every SimCounters field
+/// (kCounterFields) and every derived ratio the figures use; extensions
+/// copy it and add their own views.
+class MetricsRegistry : public Registry<MetricDesc> {
+ public:
+  /// The process-wide registry of built-in metrics (immutable).
+  [[nodiscard]] static const MetricsRegistry& builtin();
+
+  /// A fresh registry pre-populated with the built-in metrics, for
+  /// callers that want to register additional views.
+  [[nodiscard]] static MetricsRegistry make_builtin();
+};
+
+/// Samples every gauge of \p gauges now and renders one JSON object,
+/// {"<name>": <value>, ...} in registration order.  Values pass through
+/// json_number (NaN/Inf map to 0).
+[[nodiscard]] std::string sample_to_json(const Registry<GaugeDesc>& gauges);
 
 /// Identifies the run a metric record belongs to (threaded to sinks).
 struct MetricRunContext {

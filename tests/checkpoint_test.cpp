@@ -48,33 +48,14 @@ constexpr std::uint64_t kMeasure = 15000;
 constexpr std::uint64_t kSeed = 42;
 
 void expect_identical(const SimCounters& a, const SimCounters& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.comms, b.comms);
-  EXPECT_EQ(a.comm_distance_sum, b.comm_distance_sum);
-  EXPECT_EQ(a.comm_contention_sum, b.comm_contention_sum);
-  EXPECT_EQ(a.nready_sum, b.nready_sum);
+  for (const CounterField& field : kCounterFields) {
+    EXPECT_EQ(a.*field.member, b.*field.member) << field.name;
+  }
   ASSERT_EQ(a.dispatched_per_cluster.size(), b.dispatched_per_cluster.size());
   for (std::size_t c = 0; c < a.dispatched_per_cluster.size(); ++c) {
     EXPECT_EQ(a.dispatched_per_cluster[c], b.dispatched_per_cluster[c])
         << "cluster " << c;
   }
-  EXPECT_EQ(a.branches, b.branches);
-  EXPECT_EQ(a.mispredicts, b.mispredicts);
-  EXPECT_EQ(a.icache_stall_cycles, b.icache_stall_cycles);
-  EXPECT_EQ(a.loads, b.loads);
-  EXPECT_EQ(a.stores, b.stores);
-  EXPECT_EQ(a.load_forwards, b.load_forwards);
-  EXPECT_EQ(a.l1d_accesses, b.l1d_accesses);
-  EXPECT_EQ(a.l1d_misses, b.l1d_misses);
-  EXPECT_EQ(a.l2_accesses, b.l2_accesses);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.steer_stall_cycles, b.steer_stall_cycles);
-  EXPECT_EQ(a.rob_stall_cycles, b.rob_stall_cycles);
-  EXPECT_EQ(a.lsq_stall_cycles, b.lsq_stall_cycles);
-  EXPECT_EQ(a.copy_evictions, b.copy_evictions);
-  EXPECT_EQ(a.rob_occupancy_sum, b.rob_occupancy_sum);
-  EXPECT_EQ(a.regs_in_use_sum, b.regs_in_use_sum);
 }
 
 /// Fresh per-test scratch directory under gtest's temp root.  The name

@@ -143,7 +143,7 @@ TEST(MetricsRegistry, LookupAndKindNames) {
 TEST(MetricsRegistry, ZeroDenominatorsYieldZeroNotNan) {
   const MetricsRegistry& registry = MetricsRegistry::builtin();
   const SimResult empty;  // all counters zero, no clusters
-  for (const MetricDesc& metric : registry.metrics()) {
+  for (const MetricDesc& metric : registry.entries()) {
     const double value = metric.value(empty);
     EXPECT_EQ(value, 0.0) << metric.name;
   }
@@ -196,12 +196,9 @@ SimResult simulate(const std::string& preset, const std::string& benchmark,
 
 /// Field-wise sum, the inverse of SimCounters::minus.
 SimCounters add_counters(SimCounters accum, const SimCounters& delta) {
-  accum.cycles += delta.cycles;
-  accum.committed += delta.committed;
-  accum.comms += delta.comms;
-  accum.comm_distance_sum += delta.comm_distance_sum;
-  accum.comm_contention_sum += delta.comm_contention_sum;
-  accum.nready_sum += delta.nready_sum;
+  for (const CounterField& field : kCounterFields) {
+    accum.*field.member += delta.*field.member;
+  }
   if (accum.dispatched_per_cluster.empty()) {
     accum.dispatched_per_cluster.assign(delta.dispatched_per_cluster.size(),
                                         0);
@@ -209,22 +206,6 @@ SimCounters add_counters(SimCounters accum, const SimCounters& delta) {
   for (std::size_t c = 0; c < delta.dispatched_per_cluster.size(); ++c) {
     accum.dispatched_per_cluster[c] += delta.dispatched_per_cluster[c];
   }
-  accum.branches += delta.branches;
-  accum.mispredicts += delta.mispredicts;
-  accum.icache_stall_cycles += delta.icache_stall_cycles;
-  accum.loads += delta.loads;
-  accum.stores += delta.stores;
-  accum.load_forwards += delta.load_forwards;
-  accum.l1d_accesses += delta.l1d_accesses;
-  accum.l1d_misses += delta.l1d_misses;
-  accum.l2_accesses += delta.l2_accesses;
-  accum.l2_misses += delta.l2_misses;
-  accum.steer_stall_cycles += delta.steer_stall_cycles;
-  accum.rob_stall_cycles += delta.rob_stall_cycles;
-  accum.lsq_stall_cycles += delta.lsq_stall_cycles;
-  accum.copy_evictions += delta.copy_evictions;
-  accum.rob_occupancy_sum += delta.rob_occupancy_sum;
-  accum.regs_in_use_sum += delta.regs_in_use_sum;
   return accum;
 }
 
@@ -441,7 +422,7 @@ TEST(ResultJson, RoundTripsThroughParser) {
                    static_cast<double>(result.counters.cycles));
   EXPECT_DOUBLE_EQ(doc->find("metrics")->find("ipc")->number, result.ipc());
   // Every registry metric appears in the metrics object.
-  for (const MetricDesc& metric : MetricsRegistry::builtin().metrics()) {
+  for (const MetricDesc& metric : MetricsRegistry::builtin().entries()) {
     ASSERT_NE(doc->find("metrics")->find(metric.name), nullptr)
         << metric.name;
     EXPECT_DOUBLE_EQ(doc->find("metrics")->find(metric.name)->number,

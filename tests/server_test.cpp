@@ -370,10 +370,10 @@ TEST(MetricLineBuffer, BuffersLinesAndUnblocksOnClose) {
   EXPECT_FALSE(buffer.wait_line(2).has_value());
 }
 
-// ---- GaugeRegistry -----------------------------------------------------
+// ---- Gauge registry ----------------------------------------------------
 
-TEST(GaugeRegistry, SamplesInRegistrationOrder) {
-  GaugeRegistry gauges;
+TEST(Registry, SamplesGaugesInRegistrationOrder) {
+  Registry<GaugeDesc> gauges;
   double depth = 3;
   GaugeDesc first;
   first.name = "queue_depth";
@@ -391,10 +391,10 @@ TEST(GaugeRegistry, SamplesInRegistrationOrder) {
   EXPECT_EQ(gauges.size(), 2u);
   EXPECT_NE(gauges.try_find("queue_depth"), nullptr);
   EXPECT_EQ(gauges.try_find("missing"), nullptr);
-  EXPECT_EQ(gauges.sample_to_json(),
+  EXPECT_EQ(sample_to_json(gauges),
             "{\"queue_depth\":3,\"in_flight\":1.5}");
   depth = 4;
-  EXPECT_NE(gauges.sample_to_json().find("\"queue_depth\":4"),
+  EXPECT_NE(sample_to_json(gauges).find("\"queue_depth\":4"),
             std::string::npos);
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <mutex>
 #include <random>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "harness/sim_service.h"
+#include "stats/metric_sink.h"
 
 namespace ringclu {
 namespace {
@@ -267,6 +269,81 @@ TEST(SimServiceTest, CallbacksFromEveryCoalescedHandleFire) {
   EXPECT_EQ(second.wait(), JobStatus::Done);
   while (fired.load() < 2) std::this_thread::yield();
   EXPECT_EQ(service.simulations_run(), 1u);
+}
+
+/// A sink that holds its run open in on_run_complete until release():
+/// the job it is attached to keeps running for as long as a test needs.
+class GateSink final : public MetricSink {
+ public:
+  void on_interval(const MetricRunContext&, const IntervalSample&) override {}
+  void on_run_complete(const MetricRunContext&, const SimResult&) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    released_cv_.wait(lock, [this] { return released_; });
+  }
+  [[nodiscard]] std::string describe() const override { return "gate"; }
+
+  void release() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    released_cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable released_cv_;
+  bool released_ = false;
+};
+
+// Sharded mode writes results in submission order, so a later job can be
+// Done while its store write waits for an earlier, still-running one.
+// Its callbacks must wait too: a callback that journals completion must
+// find the result in the store.
+TEST(SimServiceTest, ShardedCallbacksRunAfterTheStoreWrite) {
+  SimServiceOptions options;
+  options.threads = 2;
+  options.shards = 2;
+  SimService service(memory_store(), options);
+
+  GateSink gate;
+  SimJob held_job = make_job("swim");
+  held_job.params.interval = 1000;
+  held_job.sink = &gate;
+  const std::size_t held_shard =
+      SimService::shard_for_key(sim_cache_key(held_job), 2);
+  SimJob quick_job = make_job("gzip");
+  while (SimService::shard_for_key(sim_cache_key(quick_job), 2) ==
+         held_shard) {
+    ++quick_job.params.seed;
+  }
+
+  JobHandle held = service.submit(held_job);
+  JobHandle quick = service.submit(quick_job);
+  const std::string quick_key = quick.key();
+  std::atomic<int> stored_at_callback{-1};
+  quick.on_complete([&service, &quick_key,
+                     &stored_at_callback](const SimResult&) {
+    stored_at_callback.store(
+        service.store().get(quick_key).has_value() ? 1 : 0);
+  });
+  // The quick job finishes while the held one, submitted first, is still
+  // running: its result is not in the store yet, so its callback waits.
+  // Give a callback that fires too early time to do so.
+  EXPECT_EQ(quick.wait(), JobStatus::Done);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (stored_at_callback.load() == -1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(stored_at_callback.load(), -1);
+  EXPECT_FALSE(service.store().get(quick_key).has_value());
+
+  gate.release();
+  EXPECT_EQ(held.wait(), JobStatus::Done);
+  service.wait_idle();
+  EXPECT_EQ(stored_at_callback.load(), 1);
 }
 
 TEST(SimServiceTest, UnknownBenchmarkFailsAtSubmission) {
