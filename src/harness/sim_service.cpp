@@ -635,8 +635,12 @@ JobStatus JobHandle::wait() const {
   JobState& state = *core_->state;
   SimService& service = *state.service;
   std::unique_lock<std::mutex> lock(service.mutex_);
+  // A Done job counts once its result is in the store: in sharded mode
+  // that is after the ordered flush, which notifies done_cv_ when it drains.
   service.done_cv_.wait(lock, [this, &state] {
-    return core_->cancelled || job_status_terminal(state.status);
+    return core_->cancelled ||
+           (job_status_terminal(state.status) &&
+            (state.status != JobStatus::Done || state.stored));
   });
   return core_->cancelled ? JobStatus::Cancelled : state.status;
 }

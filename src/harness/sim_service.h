@@ -91,8 +91,11 @@ class JobHandle {
   /// Cache key identifying the job.  \pre valid()
   [[nodiscard]] const std::string& key() const;
 
-  /// Blocks until the job reaches a terminal status and returns it.
-  /// \pre valid()
+  /// Blocks until the job reaches a terminal status and returns it.  A
+  /// Done job's result is in the store by then (in sharded mode wait()
+  /// also waits for the ordered flush).  Not for completion callbacks: a
+  /// callback runs inside that flush, so waiting there on a later job
+  /// would wait on itself.  \pre valid()
   JobStatus wait() const;
 
   /// The finished result.  \pre wait() or status() returned Done.

@@ -1,8 +1,11 @@
 #include "trace/pack/block_codec.h"
 
 #include <cstddef>
+#include <cstring>
+#include <limits>
 
 #include "isa/reg.h"
+#include "util/assert.h"
 
 namespace ringclu {
 namespace {
@@ -23,6 +26,20 @@ constexpr std::uint8_t kHasSrc0 = 1u << 1;
 constexpr std::uint8_t kHasSrc1 = 1u << 2;
 constexpr std::uint8_t kTaken = 1u << 3;
 constexpr std::uint8_t kKnownFlags = kHasDst | kHasSrc0 | kHasSrc1 | kTaken;
+
+// Longest record: flags, class and kind bytes, a 10-byte pc varint, three
+// register bytes, a 10-byte address varint and its size byte, and a
+// 10-byte target varint.
+constexpr std::size_t kMaxRecordBytes = 3 + 10 + 3 + 10 + 1 + 10;
+
+std::uint8_t* put_varint(std::uint8_t* out, std::uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(value);
+  return out;
+}
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
   while (value >= 0x80) {
@@ -48,6 +65,18 @@ class ByteCursor {
       ok_ = false;
       error_ = message;
     }
+  }
+
+  /// The next \p count bytes, or nullptr (and a failure) if fewer remain.
+  [[nodiscard]] const std::uint8_t* bytes(std::size_t count) {
+    if (!ok_) return nullptr;
+    if (count > data_.size() - pos_) {
+      fail("truncated record");
+      return nullptr;
+    }
+    const std::uint8_t* start = data_.data() + pos_;
+    pos_ += count;
+    return start;
   }
 
   [[nodiscard]] std::uint8_t u8() {
@@ -99,10 +128,9 @@ bool set_error(std::string* error, const std::string& message) {
   return true;
 }
 
-}  // namespace
-
-void encode_ops_block(std::span<const MicroOp> ops,
-                      std::vector<std::uint8_t>& out) {
+/// Writes the records of \p ops from \p out on, which has room for
+/// kMaxRecordBytes per op; returns the end of the last record.
+std::uint8_t* encode_records(std::span<const MicroOp> ops, std::uint8_t* out) {
   std::uint64_t last_pc = 0;
   std::uint64_t last_addr = 0;
   for (const MicroOp& op : ops) {
@@ -111,30 +139,48 @@ void encode_ops_block(std::span<const MicroOp> ops,
     if (op.src[0].valid()) flags |= kHasSrc0;
     if (op.src[1].valid()) flags |= kHasSrc1;
     if (op.taken) flags |= kTaken;
-    out.push_back(flags);
-    out.push_back(static_cast<std::uint8_t>(op.cls));
-    out.push_back(static_cast<std::uint8_t>(op.branch_kind));
-    put_varint(out, zigzag(static_cast<std::int64_t>(op.pc - last_pc)));
+    *out++ = flags;
+    *out++ = static_cast<std::uint8_t>(op.cls);
+    *out++ = static_cast<std::uint8_t>(op.branch_kind);
+    out = put_varint(out, zigzag(static_cast<std::int64_t>(op.pc - last_pc)));
     last_pc = op.pc;
-    if (op.dst.valid()) {
-      out.push_back(static_cast<std::uint8_t>(op.dst.flat()));
-    }
+    if (op.dst.valid()) *out++ = static_cast<std::uint8_t>(op.dst.flat());
     if (op.src[0].valid()) {
-      out.push_back(static_cast<std::uint8_t>(op.src[0].flat()));
+      *out++ = static_cast<std::uint8_t>(op.src[0].flat());
     }
     if (op.src[1].valid()) {
-      out.push_back(static_cast<std::uint8_t>(op.src[1].flat()));
+      *out++ = static_cast<std::uint8_t>(op.src[1].flat());
     }
     if (op.is_mem()) {
-      put_varint(out,
-                 zigzag(static_cast<std::int64_t>(op.mem_addr - last_addr)));
-      out.push_back(op.mem_size);
+      out = put_varint(
+          out, zigzag(static_cast<std::int64_t>(op.mem_addr - last_addr)));
+      *out++ = op.mem_size;
       last_addr = op.mem_addr;
     }
-    if (op.is_branch()) {
-      put_varint(out, op.target);
-    }
+    if (op.is_branch()) out = put_varint(out, op.target);
   }
+  return out;
+}
+
+}  // namespace
+
+void encode_ops_block(std::span<const MicroOp> ops,
+                      std::vector<std::uint8_t>& out) {
+  const std::size_t start = out.size();
+  out.resize(start + ops.size() * kMaxRecordBytes);
+  const std::uint8_t* end = encode_records(ops, out.data() + start);
+  out.resize(static_cast<std::size_t>(end - out.data()));
+}
+
+std::size_t PackBlockCoder::code(std::span<const MicroOp> ops,
+                                 std::vector<std::uint8_t>& out) {
+  const std::size_t capacity = ops.size() * kMaxRecordBytes;
+  if (raw_.size() < capacity) raw_.resize(capacity);
+  const std::uint8_t* end = encode_records(ops, raw_.data());
+  const std::span<const std::uint8_t> raw(
+      raw_.data(), static_cast<std::size_t>(end - raw_.data()));
+  compress(raw, out);
+  return raw.size();
 }
 
 bool decode_ops_block(std::span<const std::uint8_t> raw,
@@ -199,7 +245,6 @@ namespace {
 
 constexpr std::size_t kHashBits = 15;
 constexpr std::size_t kWindow = 1u << 16;
-constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
 std::uint32_t hash4(const std::uint8_t* data) {
   const std::uint32_t word = static_cast<std::uint32_t>(data[0]) |
@@ -207,6 +252,17 @@ std::uint32_t hash4(const std::uint8_t* data) {
                              (static_cast<std::uint32_t>(data[2]) << 16) |
                              (static_cast<std::uint32_t>(data[3]) << 24);
   return (word * 2654435761u) >> (32 - kHashBits);
+}
+
+/// Length of the common prefix of \p a and \p b, at most \p limit bytes.
+std::size_t common_prefix(const std::uint8_t* a, const std::uint8_t* b,
+                          std::size_t limit) {
+  std::size_t length = 0;
+  while (length + 8 <= limit && std::memcmp(a + length, b + length, 8) == 0) {
+    length += 8;
+  }
+  while (length < limit && a[length] == b[length]) ++length;
+  return length;
 }
 
 void emit_literals(std::span<const std::uint8_t> raw, std::size_t begin,
@@ -220,35 +276,43 @@ void emit_literals(std::span<const std::uint8_t> raw, std::size_t begin,
 
 }  // namespace
 
-void pack_compress(std::span<const std::uint8_t> raw,
-                   std::vector<std::uint8_t>& out) {
+void PackBlockCoder::compress(std::span<const std::uint8_t> raw,
+                              std::vector<std::uint8_t>& out) {
   const std::size_t size = raw.size();
-  std::vector<std::size_t> head(1u << kHashBits, kNoPos);
+  RINGCLU_EXPECTS(size < std::numeric_limits<std::uint32_t>::max());
+  // A head entry is a stamp, base_ + position + 1; stamps at or below
+  // base_ belong to earlier blocks and read as empty, so no block pays
+  // for clearing the table.
+  if (head_.empty() ||
+      size >= std::numeric_limits<std::uint32_t>::max() - base_) {
+    head_.assign(std::size_t{1} << kHashBits, 0);
+    base_ = 0;
+  }
+  const std::uint8_t* data = raw.data();
+  std::uint32_t* head = head_.data();
+  const std::uint32_t base = base_;
   std::size_t literal_start = 0;
   std::size_t pos = 0;
   while (pos + kPackMinMatch <= size) {
-    const std::uint32_t slot = hash4(raw.data() + pos);
-    const std::size_t candidate = head[slot];
-    head[slot] = pos;
-    if (candidate != kNoPos && pos - candidate <= kWindow &&
-        raw[candidate] == raw[pos] && raw[candidate + 1] == raw[pos + 1] &&
-        raw[candidate + 2] == raw[pos + 2] &&
-        raw[candidate + 3] == raw[pos + 3]) {
-      std::size_t length = kPackMinMatch;
-      while (pos + length < size &&
-             raw[candidate + length] == raw[pos + length]) {
-        ++length;
-      }
+    const std::uint32_t slot = hash4(data + pos);
+    const std::uint32_t stamp = head[slot];
+    head[slot] = base + static_cast<std::uint32_t>(pos) + 1;
+    const std::size_t candidate = stamp - base - 1;
+    if (stamp > base && pos - candidate <= kWindow &&
+        std::memcmp(data + candidate, data + pos, kPackMinMatch) == 0) {
+      const std::size_t length =
+          kPackMinMatch + common_prefix(data + candidate + kPackMinMatch,
+                                        data + pos + kPackMinMatch,
+                                        size - pos - kPackMinMatch);
       emit_literals(raw, literal_start, pos, out);
       put_varint(out, ((static_cast<std::uint64_t>(length) - kPackMinMatch)
                        << 1) |
                           1);
       put_varint(out, pos - candidate);
       // Index the skipped positions so later matches can reference them.
-      const std::size_t stop =
-          size >= kPackMinMatch ? size - kPackMinMatch : 0;
+      const std::size_t stop = size - kPackMinMatch;
       for (std::size_t i = pos + 1; i < pos + length && i <= stop; ++i) {
-        head[hash4(raw.data() + i)] = i;
+        head[hash4(data + i)] = base + static_cast<std::uint32_t>(i) + 1;
       }
       pos += length;
       literal_start = pos;
@@ -257,41 +321,55 @@ void pack_compress(std::span<const std::uint8_t> raw,
     }
   }
   emit_literals(raw, literal_start, size, out);
+  base_ += static_cast<std::uint32_t>(size);
+}
+
+void pack_compress(std::span<const std::uint8_t> raw,
+                   std::vector<std::uint8_t>& out) {
+  PackBlockCoder().compress(raw, out);
 }
 
 bool pack_decompress(std::span<const std::uint8_t> comp, std::size_t raw_size,
                      std::vector<std::uint8_t>& out, std::string* error) {
   ByteCursor in(comp);
   const std::size_t base = out.size();
+  out.resize(base + raw_size);
+  std::uint8_t* dst = out.data() + base;
   std::size_t produced = 0;
+  auto fail = [&](const std::string& message) {
+    out.resize(base + produced);
+    return set_error(error, message);
+  };
   while (produced < raw_size) {
     const std::uint64_t command = in.varint();
-    if (!in.ok()) return set_error(error, in.error());
+    if (!in.ok()) return fail(in.error());
     if ((command & 1) == 0) {
       const std::uint64_t run = (command >> 1) + 1;
       if (run > raw_size - produced) {
-        return set_error(error, "literal run overflows block");
+        return fail("literal run overflows block");
       }
-      for (std::uint64_t i = 0; i < run; ++i) {
-        out.push_back(in.u8());
-      }
-      if (!in.ok()) return set_error(error, in.error());
+      const std::uint8_t* literals = in.bytes(run);
+      if (literals == nullptr) return fail(in.error());
+      std::memcpy(dst + produced, literals, run);
       produced += run;
     } else {
       const std::uint64_t length = (command >> 1) + kPackMinMatch;
       const std::uint64_t distance = in.varint();
-      if (!in.ok()) return set_error(error, in.error());
+      if (!in.ok()) return fail(in.error());
       if (distance == 0 || distance > produced) {
-        return set_error(error, "match distance out of range");
+        return fail("match distance out of range");
       }
       if (length > raw_size - produced) {
-        return set_error(error, "match length overflows block");
+        return fail("match length overflows block");
       }
-      // Byte-wise copy: overlapping matches (distance < length) are the
-      // run-length idiom and must replicate already-copied bytes.
-      std::size_t src = base + produced - distance;
-      for (std::uint64_t i = 0; i < length; ++i) {
-        out.push_back(out[src + i]);
+      std::uint8_t* to = dst + produced;
+      const std::uint8_t* from = to - distance;
+      if (distance >= length) {
+        std::memcpy(to, from, length);
+      } else {
+        // Overlapping match (the run-length idiom): each byte copies one
+        // the match itself produced, so the copy must go byte by byte.
+        for (std::uint64_t i = 0; i < length; ++i) to[i] = from[i];
       }
       produced += length;
     }

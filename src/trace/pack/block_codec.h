@@ -50,6 +50,27 @@ void encode_ops_block(std::span<const MicroOp> ops,
 void pack_compress(std::span<const std::uint8_t> raw,
                    std::vector<std::uint8_t>& out);
 
+/// encode_ops_block and pack_compress with state kept across blocks: one
+/// scratch buffer and one compressor hash table, allocated once and never
+/// cleared, so coding a block allocates nothing.  The bytes are those of
+/// the two functions.
+class PackBlockCoder {
+ public:
+  /// Appends the compressed block of \p ops to \p out; returns the size
+  /// of its encoded (uncompressed) form.
+  std::size_t code(std::span<const MicroOp> ops,
+                   std::vector<std::uint8_t>& out);
+
+  /// pack_compress on the kept hash table.
+  void compress(std::span<const std::uint8_t> raw,
+                std::vector<std::uint8_t>& out);
+
+ private:
+  std::vector<std::uint8_t> raw_;
+  std::vector<std::uint32_t> head_;  ///< 4-byte hash -> position stamp
+  std::uint32_t base_ = 0;           ///< stamps at or below are stale
+};
+
 /// Decompresses \p comp to exactly \p raw_size bytes (appended to \p out).
 /// False with \p error set on any malformed command, bad distance, or
 /// output-size mismatch.

@@ -186,10 +186,9 @@ bool TracePackReader::load_block(std::size_t index) {
                     index));
     return false;
   }
-  std::vector<std::uint8_t> raw;
-  raw.reserve(info.raw_size);
+  raw_buf_.clear();
   std::string message;
-  if (!pack_decompress({comp, info.comp_size}, info.raw_size, raw,
+  if (!pack_decompress({comp, info.comp_size}, info.raw_size, raw_buf_,
                        &message)) {
     fail(str_format("'%s': block %zu: %s", path_.c_str(), index,
                     message.c_str()));
@@ -197,7 +196,7 @@ bool TracePackReader::load_block(std::size_t index) {
   }
   ops_buf_.clear();
   ops_buf_.reserve(info.op_count);
-  if (!decode_ops_block(raw, info.op_count, ops_buf_, &message)) {
+  if (!decode_ops_block(raw_buf_, info.op_count, ops_buf_, &message)) {
     ops_buf_.clear();
     fail(str_format("'%s': block %zu: %s", path_.c_str(), index,
                     message.c_str()));

@@ -90,6 +90,7 @@ class TracePackReader final : public TraceSource {
 
   static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
   std::size_t cur_block_ = kNoBlock;  ///< block decoded into ops_buf_
+  std::vector<std::uint8_t> raw_buf_;  ///< decompressed block, reused
   std::vector<MicroOp> ops_buf_;
   std::size_t buf_pos_ = 0;      ///< next op within ops_buf_
   std::uint64_t consumed_ = 0;   ///< stream index of the next op

@@ -1,15 +1,38 @@
 #include "trace/pack/pack_writer.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 #include "trace/pack/block_codec.h"
+#include "util/assert.h"
 #include "util/format.h"
 
 namespace ringclu {
+namespace {
+
+/// Ops per batch to aim for: four default blocks, so a million-op pack is
+/// about sixty handoffs.
+constexpr std::size_t kBatchTargetOps = 4 * kPackDefaultBlockOps;
+
+/// Batch buffers in the ring: one filling, one per worker coding, one
+/// being committed.  This bounds the memory in flight.
+constexpr std::size_t kBatchSlots = 4;
+
+/// Coding workers: the cores left beside the appending and committing
+/// threads, at least one and at most two (two already code faster than
+/// the committer digests, so a third would not help).
+std::size_t worker_count() {
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  return static_cast<std::size_t>(std::clamp(cores - 2, 1, 2));
+}
+
+}  // namespace
 
 TracePackWriter::TracePackWriter(std::string path, std::uint32_t block_ops)
     : path_(std::move(path)), block_ops_(block_ops == 0 ? 1 : block_ops) {
+  batch_ops_ = std::max<std::size_t>(1, kBatchTargetOps / block_ops_) *
+               block_ops_;
   // Unique temp name per writer instance so concurrent recorders in the
   // same directory never clobber each other's partial file (same idiom as
   // CheckpointWriter::write_file).
@@ -24,17 +47,38 @@ TracePackWriter::TracePackWriter(std::string path, std::uint32_t block_ops)
   if (file_ == nullptr) {
     io_fail(str_format("cannot open '%s': %s", tmp_path_.c_str(),
                        std::strerror(errno)));
-    return;
+  } else {
+    // Header placeholder; patched with real counts/offsets in close().
+    const std::uint8_t zeros[kPackHeaderSize] = {};
+    if (std::fwrite(zeros, 1, kPackHeaderSize, file_) != kPackHeaderSize) {
+      io_fail(str_format("short write to '%s'", tmp_path_.c_str()));
+    }
   }
-  // Header placeholder; patched with real counts/offsets in close().
-  const std::uint8_t zeros[kPackHeaderSize] = {};
-  if (std::fwrite(zeros, 1, kPackHeaderSize, file_) != kPackHeaderSize) {
-    io_fail(str_format("short write to '%s'", tmp_path_.c_str()));
+
+  slots_.resize(kBatchSlots);
+  filling_ = &slots_[0];
+  filling_->ops.resize(batch_ops_);
+  const std::size_t workers = worker_count();
+  threads_.reserve(workers + 1);
+  for (std::size_t i = 0; i < workers; ++i) {
+    threads_.emplace_back(&TracePackWriter::work, this);
   }
+  threads_.emplace_back(&TracePackWriter::commit_loop, this);
 }
 
 TracePackWriter::~TracePackWriter() {
-  if (!closed_) (void)close(nullptr);
+  if (closed_) return;
+  stop_threads(/*abandon=*/true);
+  if (file_ != nullptr) {
+    std::fclose(file_);
+    file_ = nullptr;
+    std::remove(tmp_path_.c_str());
+  }
+}
+
+std::uint64_t TracePackWriter::content_digest() const {
+  RINGCLU_EXPECTS(closed_);
+  return digest_.value();
 }
 
 void TracePackWriter::io_fail(const std::string& message) {
@@ -49,35 +93,103 @@ void TracePackWriter::io_fail(const std::string& message) {
   }
 }
 
-void TracePackWriter::append(const MicroOp& op) {
-  digest_.add(op);
-  if (failed_) return;
-  pending_.push_back(op);
-  if (pending_.size() >= block_ops_) flush_block();
+void TracePackWriter::submit_locked() {
+  filling_->count = filled_;
+  ++submitted_;
+  handed_off_ops_ += filled_;
+  filled_ = 0;
+  work_cv_.notify_one();
 }
 
-void TracePackWriter::flush_block() {
-  if (failed_ || pending_.empty()) return;
-  std::vector<std::uint8_t> raw;
-  encode_ops_block(pending_, raw);
-  std::vector<std::uint8_t> comp;
-  pack_compress(raw, comp);
+void TracePackWriter::hand_off() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  submit_locked();
+  space_cv_.wait(lock,
+                 [this] { return submitted_ - committed_ < slots_.size(); });
+  filling_ = &slot(submitted_);
+  // Slots are sized on first use, so a short pack touches one.
+  if (filling_->ops.empty()) filling_->ops.resize(batch_ops_);
+}
 
-  PackBlockInfo info;
-  info.offset = offset_;
-  info.first_op = digest_.ops() - pending_.size();
-  info.comp_size = static_cast<std::uint32_t>(comp.size());
-  info.raw_size = static_cast<std::uint32_t>(raw.size());
-  info.op_count = static_cast<std::uint32_t>(pending_.size());
-  info.checksum = fnv1a64(comp.data(), comp.size());
-
-  if (std::fwrite(comp.data(), 1, comp.size(), file_) != comp.size()) {
-    io_fail(str_format("short write to '%s'", tmp_path_.c_str()));
-    return;
+void TracePackWriter::stop_threads(bool abandon) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    closing_ = true;
+    abandon_ = abandon;
   }
-  offset_ += comp.size();
-  index_.push_back(info);
-  pending_.clear();
+  work_cv_.notify_all();
+  commit_cv_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
+}
+
+void TracePackWriter::work() {
+  PackBlockCoder coder;
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    work_cv_.wait(lock, [this] {
+      return abandon_ || closing_ || claimed_ < submitted_;
+    });
+    if (abandon_ || claimed_ == submitted_) return;
+    Batch& batch = slot(claimed_++);
+    lock.unlock();
+
+    batch.comp.clear();
+    batch.blocks.clear();
+    if (!failed_) {
+      for (std::size_t first = 0; first < batch.count; first += block_ops_) {
+        const std::size_t ops = std::min<std::size_t>(block_ops_,
+                                                      batch.count - first);
+        const std::size_t start = batch.comp.size();
+        PackBlockInfo info;
+        info.raw_size = static_cast<std::uint32_t>(
+            coder.code({batch.ops.data() + first, ops}, batch.comp));
+        info.comp_size = static_cast<std::uint32_t>(batch.comp.size() - start);
+        info.op_count = static_cast<std::uint32_t>(ops);
+        info.checksum = fnv1a64(batch.comp.data() + start, info.comp_size);
+        batch.blocks.push_back(info);
+      }
+    }
+
+    lock.lock();
+    batch.coded = true;
+    commit_cv_.notify_one();
+  }
+}
+
+void TracePackWriter::commit_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    commit_cv_.wait(lock, [this] {
+      return abandon_ || slot(committed_).coded ||
+             (closing_ && committed_ == submitted_);
+    });
+    if (abandon_ || !slot(committed_).coded) return;
+    Batch& batch = slot(committed_);
+    lock.unlock();
+    commit(batch);
+    lock.lock();
+    batch.coded = false;
+    ++committed_;
+    space_cv_.notify_one();
+  }
+}
+
+void TracePackWriter::commit(Batch& batch) {
+  std::uint64_t first_op = digest_.ops();
+  for (std::size_t i = 0; i < batch.count; ++i) digest_.add(batch.ops[i]);
+  if (failed_) return;
+  for (PackBlockInfo& info : batch.blocks) {
+    info.offset = offset_;
+    info.first_op = first_op;
+    offset_ += info.comp_size;
+    first_op += info.op_count;
+    index_.push_back(info);
+  }
+  if (std::fwrite(batch.comp.data(), 1, batch.comp.size(), file_) !=
+      batch.comp.size()) {
+    io_fail(str_format("short write to '%s'", tmp_path_.c_str()));
+  }
 }
 
 bool TracePackWriter::close(std::string* error) {
@@ -85,8 +197,13 @@ bool TracePackWriter::close(std::string* error) {
     if (failed_ && error != nullptr) *error = error_;
     return !failed_;
   }
+  if (filled_ > 0) {
+    // The filling slot is already free, so no wait for space.
+    std::lock_guard<std::mutex> lock(mutex_);
+    submit_locked();
+  }
+  stop_threads(/*abandon=*/false);
   closed_ = true;
-  flush_block();
   if (!failed_) {
     // Index footer: one fixed-width entry per block + trailing checksum.
     std::vector<std::uint8_t> footer;

@@ -56,13 +56,39 @@ KernelInstance::KernelInstance(const Kernel& kernel, std::uint64_t code_base,
   }
 
   // One address-stream state per body op (memory ops use theirs).
-  mem_state_.resize(kernel.body.size());
+  op_state_.resize(kernel.body.size());
   std::uint64_t stream_base = data_base;
   for (std::size_t i = 0; i < kernel.body.size(); ++i) {
-    if (!op_is_mem(kernel.body[i].cls)) continue;
-    mem_state_[i].base = stream_base;
-    mem_state_[i].chase_cursor = stream_base;
+    const KernelOp& op = kernel.body[i];
+    if (!op_is_mem(op.cls)) continue;
+    OpState& state = op_state_[i];
+    const std::uint64_t align = op.mem.access_size;
+    state.base = stream_base;
+    state.chase_cursor = stream_base;
+    state.slots = std::max<std::uint64_t>(1, op.mem.working_set / align);
+    state.page_slots = kPageBytes / align;
     stream_base += kDataRegion;
+  }
+}
+
+void KernelInstance::begin_visit() {
+  iteration_ = 0;
+  for (ValueRegs& regs : value_regs_) regs.slot = 0;
+  for (OpState& state : op_state_) state.phase = 0;
+}
+
+void KernelInstance::end_iteration() {
+  ++iteration_;
+  for (ValueRegs& regs : value_regs_) {
+    regs.slot = regs.slot + 1 == regs.window
+                    ? 0
+                    : static_cast<std::uint8_t>(regs.slot + 1);
+  }
+  for (std::size_t i = 0; i < op_state_.size(); ++i) {
+    const int period = kernel_.body[i].branch.pattern_period;
+    if (kernel_.body[i].cls != OpClass::Branch || period == 0) continue;
+    int& phase = op_state_[i].phase;
+    phase = phase + 1 == period ? 0 : phase + 1;
   }
 }
 
@@ -76,13 +102,15 @@ RegId KernelInstance::resolve(const SymOperand& operand) const {
       const ValueRegs& regs =
           value_regs_[static_cast<std::size_t>(operand.index)];
       // Register that held (or will hold) the value defined `lag`
-      // iterations back.  Early iterations read pre-loop register contents,
-      // which is correct dataflow for a loop-carried dependence.
-      const std::uint64_t producer_iter =
-          iteration_ >= static_cast<std::uint64_t>(operand.lag)
-              ? iteration_ - static_cast<std::uint64_t>(operand.lag)
-              : 0;
-      const int offset = static_cast<int>(producer_iter % regs.window);
+      // iterations back: slot (iteration_ - lag) % window.  Early iterations
+      // read pre-loop register contents (slot 0), which is correct dataflow
+      // for a loop-carried dependence.  lag < window by construction.
+      const int lag = operand.lag;
+      if (iteration_ < static_cast<std::uint64_t>(lag)) {
+        return RegId::make(regs.cls, regs.base);
+      }
+      const int offset =
+          regs.slot >= lag ? regs.slot - lag : regs.slot + regs.window - lag;
       return RegId::make(regs.cls, regs.base + offset);
     }
   }
@@ -92,41 +120,32 @@ RegId KernelInstance::resolve(const SymOperand& operand) const {
 std::uint64_t KernelInstance::next_address(std::size_t op_index,
                                            const MemStreamSpec& mem,
                                            Rng& rng) {
-  MemState& state = mem_state_[op_index];
+  OpState& state = op_state_[op_index];
   const std::uint64_t align = mem.access_size;
   switch (mem.pattern) {
     case MemPattern::SeqStride: {
-      const std::uint64_t addr = state.base + state.seq_index * mem.stride;
-      ++state.seq_index;
+      const std::uint64_t addr = state.base + state.seq_offset;
+      state.seq_offset += mem.stride;
       // Wrap within the working set to keep streams bounded.
-      if (state.seq_index * mem.stride >= mem.working_set) {
-        state.seq_index = 0;
-      }
+      if (state.seq_offset >= mem.working_set) state.seq_offset = 0;
       return addr;
     }
-    case MemPattern::Random: {
-      const std::uint64_t slots = std::max<std::uint64_t>(
-          1, mem.working_set / align);
-      return state.base + rng.uniform(slots) * align;
-    }
+    case MemPattern::Random:
+      return state.base + rng.uniform(state.slots) * align;
     case MemPattern::Chase: {
       // Deterministic chain: each address is a scramble of the previous,
       // confined to the working set.  The *data* dependence comes from the
       // kernel's lag-1 self-reference; this supplies matching addresses.
-      const std::uint64_t slots = std::max<std::uint64_t>(
-          1, mem.working_set / align);
       state.chase_cursor =
-          state.base + (scramble(state.chase_cursor) % slots) * align;
+          state.base + (scramble(state.chase_cursor) % state.slots) * align;
       return state.chase_cursor;
     }
     case MemPattern::Gather: {
-      const std::uint64_t slots = std::max<std::uint64_t>(
-          1, mem.working_set / align);
       std::uint64_t addr;
       if (state.last_page != 0 && rng.bernoulli(0.8)) {
-        addr = state.last_page + rng.uniform(kPageBytes / align) * align;
+        addr = state.last_page + rng.uniform(state.page_slots) * align;
       } else {
-        addr = state.base + rng.uniform(slots) * align;
+        addr = state.base + rng.uniform(state.slots) * align;
         state.last_page = addr & ~(kPageBytes - 1);
       }
       return addr;
@@ -145,7 +164,7 @@ void KernelInstance::emit_iteration(std::vector<MicroOp>& out, Rng& rng,
       continue;
     }
     const KernelOp& templ = body[i];
-    MicroOp op;
+    MicroOp& op = out.emplace_back();
     op.pc = code_base_ + i * 4;
     op.cls = templ.cls;
     op.src[0] = resolve(templ.src0);
@@ -154,9 +173,7 @@ void KernelInstance::emit_iteration(std::vector<MicroOp>& out, Rng& rng,
       // The destination register is this iteration's window slot.
       const ValueRegs& regs =
           value_regs_[static_cast<std::size_t>(templ.dst_vid)];
-      op.dst = RegId::make(regs.cls,
-                           regs.base +
-                               static_cast<int>(iteration_ % regs.window));
+      op.dst = RegId::make(regs.cls, regs.base + regs.slot);
     }
 
     if (op_is_mem(templ.cls)) {
@@ -167,10 +184,7 @@ void KernelInstance::emit_iteration(std::vector<MicroOp>& out, Rng& rng,
       op.branch_kind = BranchKind::Conditional;
       bool taken;
       if (spec.pattern_period > 0) {
-        taken = static_cast<int>(iteration_ %
-                                 static_cast<std::uint64_t>(
-                                     spec.pattern_period)) <
-                spec.pattern_taken;
+        taken = op_state_[i].phase < spec.pattern_taken;
       } else {
         taken = rng.bernoulli(spec.taken_prob);
       }
@@ -181,19 +195,17 @@ void KernelInstance::emit_iteration(std::vector<MicroOp>& out, Rng& rng,
                         : fallthrough;
       if (taken) skip = spec.skip_ops;
     }
-    out.push_back(op);
   }
 
   // Backedge: taken on every iteration except the exit.
-  MicroOp backedge;
+  MicroOp& backedge = out.emplace_back();
   backedge.pc = code_base_ + body.size() * 4;
   backedge.cls = OpClass::Branch;
   backedge.branch_kind = BranchKind::Conditional;
   backedge.taken = !exit_iteration;
   backedge.target = backedge.taken ? code_base_ : backedge.pc + 4;
-  out.push_back(backedge);
 
-  ++iteration_;
+  end_iteration();
 }
 
 SyntheticProgram::SyntheticProgram(ProgramSpec spec, std::uint64_t seed)

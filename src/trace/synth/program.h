@@ -48,7 +48,7 @@ class KernelInstance {
 
   /// Resets loop-iteration state (address streams persist across visits so
   /// data locality spans visits, as it does in real programs).
-  void begin_visit() { iteration_ = 0; }
+  void begin_visit();
 
   [[nodiscard]] std::uint64_t code_base() const { return code_base_; }
   [[nodiscard]] std::uint64_t code_end() const {
@@ -60,26 +60,33 @@ class KernelInstance {
   struct ValueRegs {
     std::uint8_t base = 0;   ///< first register of the rotation window
     std::uint8_t window = 1; ///< window size (max lag + 1)
+    std::uint8_t slot = 0;   ///< iteration_ % window, kept as a cursor
     RegClass cls = RegClass::Int;
   };
 
-  struct MemState {
+  /// Per body op: the address stream of a memory op, the pattern phase of
+  /// a branch.  The divisions the streams need are done once here.
+  struct OpState {
     std::uint64_t base = 0;
-    std::uint64_t seq_index = 0;
+    std::uint64_t seq_offset = 0;  ///< SeqStride: index * stride
     std::uint64_t chase_cursor = 0;
     std::uint64_t last_page = 0;
+    std::uint64_t slots = 1;       ///< working_set / access_size, >= 1
+    std::uint64_t page_slots = 1;  ///< kPageBytes / access_size
+    int phase = 0;                 ///< iteration_ % pattern_period
   };
 
   [[nodiscard]] RegId resolve(const SymOperand& operand) const;
   [[nodiscard]] std::uint64_t next_address(std::size_t op_index,
                                            const MemStreamSpec& mem, Rng& rng);
+  void end_iteration();
 
   // Owned by value: instances outlive the (often temporary) Kernel they
   // are built from.
   Kernel kernel_;
   std::uint64_t code_base_;
   std::vector<ValueRegs> value_regs_;   // by vid
-  std::vector<MemState> mem_state_;     // by body op index
+  std::vector<OpState> op_state_;       // by body op index
   std::uint64_t iteration_ = 0;
 };
 

@@ -328,19 +328,31 @@ TEST(SimServiceTest, ShardedCallbacksRunAfterTheStoreWrite) {
         service.store().get(quick_key).has_value() ? 1 : 0);
   });
   // The quick job finishes while the held one, submitted first, is still
-  // running: its result is not in the store yet, so its callback waits.
-  // Give a callback that fires too early time to do so.
-  EXPECT_EQ(quick.wait(), JobStatus::Done);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-  while (stored_at_callback.load() == -1 &&
-         std::chrono::steady_clock::now() < deadline) {
+  // running: its result is not in the store yet, so neither its callback
+  // nor a wait() on it may return.  Give either that returns too early
+  // time to do so.
+  std::atomic<bool> waited{false};
+  std::atomic<bool> stored_at_wait{false};
+  std::thread waiter([&] {
+    EXPECT_EQ(quick.wait(), JobStatus::Done);
+    stored_at_wait.store(service.store().get(quick_key).has_value());
+    waited.store(true);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (quick.status() != JobStatus::Done &&
+         std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  EXPECT_EQ(quick.status(), JobStatus::Done);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(waited.load());
   EXPECT_EQ(stored_at_callback.load(), -1);
   EXPECT_FALSE(service.store().get(quick_key).has_value());
 
   gate.release();
+  waiter.join();
+  EXPECT_TRUE(stored_at_wait.load());
   EXPECT_EQ(held.wait(), JobStatus::Done);
   service.wait_idle();
   EXPECT_EQ(stored_at_callback.load(), 1);

@@ -7,10 +7,13 @@
 // mutations under the CI ASan/UBSan jobs, which is what "hardened" means
 // in practice.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -24,6 +27,11 @@
 #include "trace/pack/pack_writer.h"
 #include "trace/synth/suite.h"
 #include "trace/trace_source.h"
+#include "util/format.h"
+
+#ifndef RINGCLU_GOLDEN_DIR
+#error "RINGCLU_GOLDEN_DIR must point at the golden data directory"
+#endif
 
 namespace ringclu {
 namespace {
@@ -243,6 +251,8 @@ TEST(TracePack, EmptyPackRoundTrips) {
   TracePackWriter writer(path);
   std::string error;
   ASSERT_TRUE(writer.close(&error)) << error;
+  EXPECT_EQ(writer.ops_written(), 0u);
+  EXPECT_EQ(writer.content_digest(), TraceDigest().value());
 
   auto reader = TracePackReader::open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
@@ -252,27 +262,112 @@ TEST(TracePack, EmptyPackRoundTrips) {
   EXPECT_TRUE(reader->ok());
 }
 
-TEST(TracePack, WriterIsAtomicNoPartialFileOnUnclosedWriter) {
-  const std::string path = temp_path("atomic.rclp").string();
-  std::filesystem::remove(path);
-  {
-    TracePackWriter writer(path, 64);
-    const std::vector<MicroOp> ops = synth_ops("gzip", 2, 200);
-    for (const MicroOp& op : ops) writer.append(op);
-    // Destructor close(nullptr) still finalizes; but before close, the
-    // destination must not exist.
-    EXPECT_FALSE(std::filesystem::exists(path));
-  }
-  EXPECT_TRUE(std::filesystem::exists(path));
-  // No stray temp files next to the destination.
+/// Files in \p path's directory whose names start with its name plus
+/// ".tmp": the writer's temp files.
+int temp_files_beside(const std::string& path) {
+  const std::string prefix =
+      std::filesystem::path(path).filename().string() + ".tmp";
   int temps = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::filesystem::path(path).parent_path())) {
-    if (entry.path().string().find("atomic.rclp.tmp") != std::string::npos) {
-      ++temps;
+    if (entry.path().filename().string().starts_with(prefix)) ++temps;
+  }
+  return temps;
+}
+
+TEST(TracePack, WriterIsAtomicNoPartialFileOnUnclosedWriter) {
+  // A writer destroyed without close() abandons the pack: with batches
+  // still in flight it stops and joins its threads, removes the temp file
+  // and never creates the destination.
+  const std::string path = temp_path("atomic.rclp").string();
+  std::filesystem::remove(path);
+  // A killed earlier run may have left its temp file here.
+  const int stale = temp_files_beside(path);
+  {
+    TracePackWriter writer(path, 64);
+    const std::vector<MicroOp> ops = synth_ops("gzip", 2, 100000);
+    for (const MicroOp& op : ops) writer.append(op);
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_EQ(temp_files_beside(path), stale + 1);
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(temp_files_beside(path), stale);
+}
+
+TEST(TracePack, FullDeviceFailsCloseAndRemovesTemp) {
+  if (!std::filesystem::exists("/dev/full") ||
+      !std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "needs /dev/full and /proc/self/fd";
+  }
+  const std::string path = temp_path("full.rclp").string();
+  std::filesystem::remove(path);
+  TracePackWriter writer(path);
+  // Point the writer's open temp file at /dev/full, so every write to it
+  // fails with ENOSPC.
+  int temp_fd = -1;
+  std::string temp_name;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::filesystem::path target =
+        std::filesystem::read_symlink(entry.path(), ec);
+    if (!ec && target.filename().string().starts_with("full.rclp.tmp")) {
+      temp_fd = std::stoi(entry.path().filename().string());
+      temp_name = target.string();
     }
   }
-  EXPECT_EQ(temps, 0);
+  ASSERT_GE(temp_fd, 0) << "writer's temp file is not open";
+  const int full_fd = ::open("/dev/full", O_WRONLY);
+  ASSERT_GE(full_fd, 0);
+  ASSERT_EQ(::dup2(full_fd, temp_fd), temp_fd);
+  ::close(full_fd);
+
+  for (const MicroOp& op : synth_ops("gcc", 4, 50000)) writer.append(op);
+  std::string error;
+  EXPECT_FALSE(writer.close(&error));
+  EXPECT_NE(error.find("short write to"), std::string::npos) << error;
+  EXPECT_FALSE(std::filesystem::exists(temp_name));
+  EXPECT_FALSE(std::filesystem::exists(path));
+  // The failure sticks.
+  std::string again;
+  EXPECT_FALSE(writer.close(&again));
+  EXPECT_EQ(again, error);
+}
+
+TEST(TracePack, OneOpBlocksRoundTrip) {
+  const std::vector<MicroOp> ops = synth_ops("art", 6, 20000);
+  const std::string path = temp_path("one_op_blocks.rclp").string();
+  write_pack(path, ops, /*block_ops=*/1);
+
+  std::string error;
+  auto reader = TracePackReader::open(path, &error);
+  ASSERT_NE(reader, nullptr) << error;
+  EXPECT_EQ(reader->block_count(), ops.size());
+  EXPECT_EQ(reader->content_digest(), digest_of(ops));
+  MicroOp op;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    ASSERT_TRUE(reader->next(op)) << "op " << i;
+    expect_same_op(ops[i], op, i);
+  }
+  EXPECT_FALSE(reader->next(op));
+  EXPECT_TRUE(reader->ok()) << reader->error();
+}
+
+TEST(TracePack, CountersAfterCloseMatchSerialDigest) {
+  // Several batches and a partial last block at each block size.
+  const std::vector<MicroOp> ops = synth_ops("equake", 8, 70001);
+  TraceDigest serial;
+  for (const MicroOp& op : ops) serial.add(op);
+  for (const std::uint32_t block_ops : {1000u, 4096u, 50000u}) {
+    TracePackWriter writer(
+        temp_path(str_format("counters_%u.rclp", block_ops)).string(),
+        block_ops);
+    for (const MicroOp& op : ops) writer.append(op);
+    EXPECT_EQ(writer.ops_written(), ops.size());
+    std::string error;
+    ASSERT_TRUE(writer.close(&error)) << error;
+    EXPECT_EQ(writer.ops_written(), serial.ops()) << block_ops;
+    EXPECT_EQ(writer.content_digest(), serial.value()) << block_ops;
+  }
 }
 
 TEST(TracePack, DigestMatchesAcrossSynthV1AndPack) {
@@ -301,6 +396,64 @@ TEST(TracePack, ReaderNameIsContentKeyed) {
   ASSERT_NE(reader, nullptr) << error;
   EXPECT_EQ(reader->name(), "trace:keyed_name@" +
                                 format_digest(reader->content_digest()));
+}
+
+// ---------------------------------------------------------------------------
+// Golden streams and pack bytes: tests/golden/trace_digests.tsv holds, per
+// synthetic benchmark at seed 42, the TraceDigest of its first
+// kGoldenOps ops and the fnv1a64 of the whole pack TracePackWriter writes
+// of them at block_ops 4096 and 1000.  A generator or writer change that
+// moves one op or one pack byte fails here.  To regenerate after an
+// intentional change:
+//   RINGCLU_REGEN_GOLDEN=1 build/tests/trace_pack_test
+//   (add --gtest_filter=TracePackGolden.* to run only this test)
+
+constexpr std::uint64_t kGoldenSeed = 42;
+constexpr std::size_t kGoldenOps = 200000;
+
+std::uint64_t pack_file_hash(std::span<const MicroOp> ops,
+                             std::uint32_t block_ops) {
+  const std::string path =
+      temp_path(str_format("golden_%u.rclp", block_ops)).string();
+  write_pack(path, ops, block_ops);
+  const std::vector<std::uint8_t> bytes = read_bytes(path);
+  return fnv1a64(bytes.data(), bytes.size());
+}
+
+TEST(TracePackGolden, StreamsAndPackBytesMatchGoldenFile) {
+  std::vector<std::string> actual;
+  for (const BenchmarkDesc& desc : spec2000_benchmarks()) {
+    const std::string name(desc.name);
+    const std::vector<MicroOp> ops = synth_ops(name, kGoldenSeed, kGoldenOps);
+    ASSERT_EQ(ops.size(), kGoldenOps) << name;
+    actual.push_back(str_format(
+        "%s\t%s\t%s\t%s", name.c_str(), format_digest(digest_of(ops)).c_str(),
+        format_digest(pack_file_hash(ops, 4096)).c_str(),
+        format_digest(pack_file_hash(ops, 1000)).c_str()));
+  }
+
+  const std::string path =
+      std::string(RINGCLU_GOLDEN_DIR) + "/trace_digests.tsv";
+  const char* regen = std::getenv("RINGCLU_REGEN_GOLDEN");
+  if (regen != nullptr && regen[0] == '1') {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    for (const std::string& line : actual) out << line << "\n";
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing golden file " << path
+                  << " — run with RINGCLU_REGEN_GOLDEN=1 to create it";
+  std::vector<std::string> expected;
+  std::string line;
+  while (std::getline(in, line)) expected.push_back(line);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i])
+        << "benchmark stream or pack bytes changed (columns: benchmark, "
+           "stream digest, pack hash at block_ops 4096, at 1000)";
+  }
 }
 
 // ---------------------------------------------------------------------------
