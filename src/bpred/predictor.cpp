@@ -1,6 +1,5 @@
 #include "bpred/predictor.h"
 
-#include "core/checkpoint.h"
 #include "util/assert.h"
 
 namespace ringclu {
@@ -181,94 +180,6 @@ BranchPrediction FrontEnd::predict_and_train(const MicroOp& op) {
 
   if (result.mispredicted) ++mispredicts_;
   return result;
-}
-
-void CounterTable::save_state(CheckpointWriter& out) const {
-  out.vec_u8(counters_);
-}
-
-void CounterTable::restore_state(CheckpointReader& in) {
-  const std::size_t size = counters_.size();
-  in.vec_u8(counters_);
-  if (in.ok() && counters_.size() != size) {
-    in.fail("counter table size mismatch");
-  }
-}
-
-void HybridPredictor::save_state(CheckpointWriter& out) const {
-  gshare_.save_state(out);
-  bimodal_.save_state(out);
-  selector_.save_state(out);
-  out.u64(history_);
-}
-
-void HybridPredictor::restore_state(CheckpointReader& in) {
-  gshare_.restore_state(in);
-  bimodal_.restore_state(in);
-  selector_.restore_state(in);
-  history_ = in.u64();
-}
-
-void Btb::save_state(CheckpointWriter& out) const {
-  out.u64(entries_.size());
-  for (const Entry& entry : entries_) {
-    out.u64(entry.tag);
-    out.u64(entry.target);
-    out.u64(entry.lru);
-    out.boolean(entry.valid);
-  }
-  out.u64(tick_);
-  out.u64(lookups_);
-  out.u64(misses_);
-}
-
-void Btb::restore_state(CheckpointReader& in) {
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count != entries_.size()) {
-    in.fail("btb geometry mismatch");
-    return;
-  }
-  for (Entry& entry : entries_) {
-    entry.tag = in.u64();
-    entry.target = in.u64();
-    entry.lru = in.u64();
-    entry.valid = in.boolean();
-  }
-  tick_ = in.u64();
-  lookups_ = in.u64();
-  misses_ = in.u64();
-}
-
-void ReturnAddressStack::save_state(CheckpointWriter& out) const {
-  out.vec_u64(stack_);
-  out.u64(top_);
-  out.u64(count_);
-}
-
-void ReturnAddressStack::restore_state(CheckpointReader& in) {
-  const std::size_t depth = stack_.size();
-  in.vec_u64(stack_);
-  top_ = in.u64();
-  count_ = in.u64();
-  if (in.ok() && (stack_.size() != depth || top_ >= depth || count_ > depth)) {
-    in.fail("return-address stack mismatch");
-  }
-}
-
-void FrontEnd::save_state(CheckpointWriter& out) const {
-  direction_.save_state(out);
-  btb_.save_state(out);
-  ras_.save_state(out);
-  out.u64(branches_);
-  out.u64(mispredicts_);
-}
-
-void FrontEnd::restore_state(CheckpointReader& in) {
-  direction_.restore_state(in);
-  btb_.restore_state(in);
-  ras_.restore_state(in);
-  branches_ = in.u64();
-  mispredicts_ = in.u64();
 }
 
 }  // namespace ringclu

@@ -17,9 +17,6 @@
 
 namespace ringclu {
 
-class CheckpointReader;
-class CheckpointWriter;
-
 /// Saturating 2-bit counter table indexed by a hash of the PC (and,
 /// optionally, global history).
 class CounterTable {
@@ -33,8 +30,12 @@ class CounterTable {
   [[nodiscard]] std::size_t mask() const { return counters_.size() - 1; }
   [[nodiscard]] std::uint8_t raw(std::size_t index) const;
 
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  template <class Io>
+  void transfer(Io& io) {
+    const std::size_t size = counters_.size();
+    io.vec_u8(counters_);
+    io.check(counters_.size() == size, "counter table size mismatch");
+  }
 
  private:
   std::vector<std::uint8_t> counters_;
@@ -64,8 +65,13 @@ class HybridPredictor {
 
   [[nodiscard]] std::uint64_t history() const { return history_; }
 
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  template <class Io>
+  void transfer(Io& io) {
+    gshare_.transfer(io);
+    bimodal_.transfer(io);
+    selector_.transfer(io);
+    io.u64(history_);
+  }
 
  private:
   [[nodiscard]] std::size_t gshare_index(std::uint64_t pc) const;
@@ -93,8 +99,14 @@ class Btb {
   [[nodiscard]] std::uint64_t lookups() const { return lookups_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  template <class Io>
+  void transfer(Io& io) {
+    if (!io.expect(entries_.size(), "btb geometry mismatch")) return;
+    for (Entry& entry : entries_) entry.transfer(io);
+    io.u64(tick_);
+    io.u64(lookups_);
+    io.u64(misses_);
+  }
 
  private:
   struct Entry {
@@ -102,6 +114,14 @@ class Btb {
     std::uint64_t target = 0;
     std::uint64_t lru = 0;
     bool valid = false;
+
+    template <class Io>
+    void transfer(Io& io) {
+      io.u64(tag);
+      io.u64(target);
+      io.u64(lru);
+      io.boolean(valid);
+    }
   };
 
   [[nodiscard]] std::size_t set_index(std::uint64_t pc) const;
@@ -124,8 +144,15 @@ class ReturnAddressStack {
   [[nodiscard]] std::uint64_t pop();
   [[nodiscard]] std::size_t size() const { return count_; }
 
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  template <class Io>
+  void transfer(Io& io) {
+    const std::size_t depth = stack_.size();
+    io.vec_u64(stack_);
+    io.u64(top_);
+    io.u64(count_);
+    io.check(stack_.size() == depth && top_ < depth && count_ <= depth,
+             "return-address stack mismatch");
+  }
 
  private:
   std::vector<std::uint64_t> stack_;
@@ -159,8 +186,14 @@ class FrontEnd {
                      static_cast<double>(branches_);
   }
 
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  template <class Io>
+  void transfer(Io& io) {
+    direction_.transfer(io);
+    btb_.transfer(io);
+    ras_.transfer(io);
+    io.u64(branches_);
+    io.u64(mispredicts_);
+  }
 
  private:
   HybridPredictor direction_;

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "isa/op_class.h"
 #include "util/assert.h"
 
@@ -72,15 +71,12 @@ class FuPool {
     return static_cast<int>(busy_until_[0].size());
   }
 
-  void save_state(CheckpointWriter& out) const {
-    for (const auto& group : busy_until_) out.vec_i64(group);
-  }
-
-  void restore_state(CheckpointReader& in) {
+  template <class Io>
+  void transfer(Io& io) {
     const std::size_t width = busy_until_[0].size();
     for (auto& group : busy_until_) {
-      in.vec_i64(group);
-      if (in.ok() && group.size() != width) in.fail("fu width mismatch");
+      io.vec_i64(group);
+      io.check(group.size() == width, "fu width mismatch");
     }
   }
 

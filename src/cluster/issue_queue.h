@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cluster/value_map.h"
-#include "core/checkpoint.h"
 #include "util/assert.h"
 
 namespace ringclu {
@@ -19,6 +18,13 @@ namespace ringclu {
 struct IqEntry {
   std::uint32_t rob_index = 0;
   std::uint64_t seq = 0;  ///< age for oldest-first selection
+
+  static constexpr std::size_t kCheckpointBytes = 12;
+  template <class Io>
+  void transfer(Io& io) {
+    io.u32(rob_index);
+    io.u64(seq);
+  }
 };
 
 /// Fixed-capacity issue queue; insertion keeps age order because dispatch is
@@ -68,27 +74,9 @@ class IssueQueue {
     return entries_;
   }
 
-  void save_state(CheckpointWriter& out) const {
-    out.u64(entries_.size());
-    for (const IqEntry& entry : entries_) {
-      out.u32(entry.rob_index);
-      out.u64(entry.seq);
-    }
-  }
-
-  void restore_state(CheckpointReader& in) {
-    const std::uint64_t count = in.u64();
-    if (count > capacity_) {
-      in.fail("issue queue overflow in checkpoint");
-      return;
-    }
-    entries_.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      IqEntry entry;
-      entry.rob_index = in.u32();
-      entry.seq = in.u64();
-      entries_.push_back(entry);
-    }
+  template <class Io>
+  void transfer(Io& io) {
+    io.items(entries_, capacity_, IqEntry::kCheckpointBytes);
   }
 
  private:
@@ -110,6 +98,17 @@ struct CommOp {
   /// First cycle this comm was ready (value readable) and tried the bus;
   /// -1 until then.  inject_cycle - first_ready_cycle = contention delay.
   std::int64_t first_ready_cycle = -1;
+
+  static constexpr std::size_t kCheckpointBytes = 30;
+  template <class Io>
+  void transfer(Io& io) {
+    io.u32(value);
+    io.u64(id);
+    io.u8(src_cluster);
+    io.u8(dst_cluster);
+    io.i64(created_cycle);
+    io.i64(first_ready_cycle);
+  }
 };
 
 /// Fixed-capacity communication queue (age-ordered like IssueQueue).
@@ -152,35 +151,9 @@ class CommQueue {
 
   [[nodiscard]] std::vector<CommOp>& entries() { return entries_; }
 
-  void save_state(CheckpointWriter& out) const {
-    out.u64(entries_.size());
-    for (const CommOp& op : entries_) {
-      out.u32(op.value);
-      out.u64(op.id);
-      out.u8(op.src_cluster);
-      out.u8(op.dst_cluster);
-      out.i64(op.created_cycle);
-      out.i64(op.first_ready_cycle);
-    }
-  }
-
-  void restore_state(CheckpointReader& in) {
-    const std::uint64_t count = in.u64();
-    if (count > capacity_) {
-      in.fail("comm queue overflow in checkpoint");
-      return;
-    }
-    entries_.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      CommOp op;
-      op.value = in.u32();
-      op.id = in.u64();
-      op.src_cluster = in.u8();
-      op.dst_cluster = in.u8();
-      op.created_cycle = in.i64();
-      op.first_ready_cycle = in.i64();
-      entries_.push_back(op);
-    }
+  template <class Io>
+  void transfer(Io& io) {
+    io.items(entries_, capacity_, CommOp::kCheckpointBytes);
   }
 
  private:

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "isa/reg.h"
 #include "util/assert.h"
 
@@ -51,18 +50,13 @@ class RegFileSet {
   /// incrementally: this is read every cycle for the occupancy integral.
   [[nodiscard]] int total_in_use() const { return in_use_; }
 
-  void save_state(CheckpointWriter& out) const {
-    out.vec_int(free_);
-    out.i64(in_use_);
-  }
-
-  void restore_state(CheckpointReader& in) {
-    in.vec_int(free_);
-    in_use_ = static_cast<int>(in.i64());
-    if (in.ok() && free_.size() != static_cast<std::size_t>(num_clusters_) *
-                                       kNumRegClasses) {
-      in.fail("regfile geometry mismatch");
-    }
+  template <class Io>
+  void transfer(Io& io) {
+    io.vec_int(free_);
+    io.i64(in_use_);
+    io.check(free_.size() ==
+                 static_cast<std::size_t>(num_clusters_) * kNumRegClasses,
+             "regfile geometry mismatch");
   }
 
  private:

@@ -181,89 +181,54 @@ int ValueMap::total_mapped_count() const {
   return total;
 }
 
-void ValueMap::save_state(CheckpointWriter& out) const {
+template <class Io>
+void ValueMap::transfer(Io& io) {
   // Dead slots are serialized too: free_slots_ and the core's ValueIds are
   // raw indices into values_, so slot layout must survive the round trip.
-  out.u64(values_.size());
-  for (const ValueInfo& value : values_) {
-    out.u8(static_cast<std::uint8_t>(value.cls));
-    out.u8(value.home);
-    out.u16(value.mapped_mask);
-    out.boolean(value.produced);
-    out.boolean(value.live);
-    for (std::int64_t cycle : value.readable_cycle) out.i64(cycle);
-    for (std::uint16_t readers : value.pending_readers) out.u16(readers);
+  io.items(values_, 1u << 24, ValueInfo::kCheckpointBytes);
+  io.vec_int(idle_copies_);
+  io.check(idle_copies_.size() ==
+               static_cast<std::size_t>(num_clusters_) * kNumRegClasses,
+           "value map idle-copy geometry mismatch");
+  // Waiters as per-slot lists in subscription order (each at least its
+  // 8-byte count), the same bytes as the historical vector-of-vectors
+  // layout.
+  std::vector<std::vector<ValueWaiter>> waiters;
+  if constexpr (!Io::kLoading) waiters = waiter_lists();
+  io.items(waiters, values_.size(), 8, [&](std::vector<ValueWaiter>& list) {
+    io.items(list, 1u << 20, ValueWaiter::kCheckpointBytes);
+  });
+  io.check(waiters.size() == values_.size(),
+           "value map waiter table mismatch");
+  io.vec_u64(fired_);
+  io.items(free_slots_, values_.size(), 4, [&](ValueId& id) { io.u32(id); });
+  io.u64(live_count_);
+  if constexpr (Io::kLoading) {
+    if (io.ok()) rebuild_derived(waiters);
   }
-  out.vec_int(idle_copies_);
-  // Waiter lists serialize as per-slot (count, entries in subscription
-  // order) — the same byte stream as the historical vector-of-vectors
-  // layout, so pooled and pre-pool checkpoints are interchangeable.
-  out.u64(waiter_head_.size());
-  for (std::size_t slot = 0; slot < waiter_head_.size(); ++slot) {
-    std::uint64_t count = 0;
+}
+template void ValueMap::transfer(CheckpointWriter&);
+template void ValueMap::transfer(CheckpointReader&);
+
+std::vector<std::vector<ValueWaiter>> ValueMap::waiter_lists() const {
+  std::vector<std::vector<ValueWaiter>> lists(waiter_head_.size());
+  for (std::size_t slot = 0; slot < lists.size(); ++slot) {
     for (std::int32_t node = waiter_head_[slot]; node >= 0;
          node = waiter_pool_[static_cast<std::size_t>(node)].next) {
-      ++count;
-    }
-    out.u64(count);
-    for (std::int32_t node = waiter_head_[slot]; node >= 0;
-         node = waiter_pool_[static_cast<std::size_t>(node)].next) {
-      const ValueWaiter& waiter =
-          waiter_pool_[static_cast<std::size_t>(node)].waiter;
-      out.u8(waiter.cluster);
-      out.u64(waiter.token);
+      lists[slot].push_back(waiter_pool_[static_cast<std::size_t>(node)].waiter);
     }
   }
-  out.vec_u64(fired_);
-  out.u64(free_slots_.size());
-  for (ValueId id : free_slots_) out.u32(id);
-  out.u64(live_count_);
+  return lists;
 }
 
-void ValueMap::restore_state(CheckpointReader& in) {
-  const std::uint64_t num_values = in.u64();
-  if (!in.ok() || num_values > (1u << 24)) {
-    in.fail("value map size out of range");
-    return;
-  }
-  values_.clear();
-  values_.reserve(num_values);
-  for (std::uint64_t i = 0; i < num_values; ++i) {
-    ValueInfo value;
-    value.cls = static_cast<RegClass>(in.u8());
-    value.home = in.u8();
-    value.mapped_mask = in.u16();
-    value.produced = in.boolean();
-    value.live = in.boolean();
-    for (std::int64_t& cycle : value.readable_cycle) cycle = in.i64();
-    for (std::uint16_t& readers : value.pending_readers) readers = in.u16();
-    values_.push_back(value);
-  }
-  in.vec_int(idle_copies_);
-  if (in.ok() && idle_copies_.size() !=
-                     static_cast<std::size_t>(num_clusters_) * kNumRegClasses) {
-    in.fail("value map idle-copy geometry mismatch");
-    return;
-  }
-  const std::uint64_t num_waiter_slots = in.u64();
-  if (!in.ok() || num_waiter_slots != num_values) {
-    in.fail("value map waiter table mismatch");
-    return;
-  }
+void ValueMap::rebuild_derived(
+    const std::vector<std::vector<ValueWaiter>>& lists) {
   waiter_pool_.clear();
   waiter_free_ = -1;
-  waiter_head_.assign(num_waiter_slots, -1);
-  waiter_tail_.assign(num_waiter_slots, -1);
-  for (std::size_t slot = 0; slot < num_waiter_slots; ++slot) {
-    const std::uint64_t count = in.u64();
-    if (!in.ok() || count > (1u << 20)) {
-      in.fail("waiter list out of range");
-      return;
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ValueWaiter waiter;
-      waiter.cluster = in.u8();
-      waiter.token = in.u64();
+  waiter_head_.assign(lists.size(), -1);
+  waiter_tail_.assign(lists.size(), -1);
+  for (std::size_t slot = 0; slot < lists.size(); ++slot) {
+    for (const ValueWaiter& waiter : lists[slot]) {
       const std::int32_t node = alloc_waiter_node(waiter);
       if (waiter_tail_[slot] >= 0) {
         waiter_pool_[static_cast<std::size_t>(waiter_tail_[slot])].next = node;
@@ -273,16 +238,6 @@ void ValueMap::restore_state(CheckpointReader& in) {
       waiter_tail_[slot] = node;
     }
   }
-  in.vec_u64(fired_);
-  const std::uint64_t num_free = in.u64();
-  if (!in.ok() || num_free > num_values) {
-    in.fail("free-slot list out of range");
-    return;
-  }
-  free_slots_.clear();
-  free_slots_.reserve(num_free);
-  for (std::uint64_t i = 0; i < num_free; ++i) free_slots_.push_back(in.u32());
-  live_count_ = in.u64();
 }
 
 void ValueMap::evict_copy(ValueId id, int cluster) {

@@ -23,9 +23,6 @@
 
 namespace ringclu {
 
-class CheckpointReader;
-class CheckpointWriter;
-
 using ValueId = std::uint32_t;
 inline constexpr ValueId kInvalidValue = 0xffffffffu;
 inline constexpr int kMaxClusters = 16;
@@ -51,6 +48,18 @@ struct ValueInfo {
   [[nodiscard]] bool readable_in(int cluster, std::int64_t cycle) const {
     return readable_cycle[static_cast<std::size_t>(cluster)] <= cycle;
   }
+
+  static constexpr std::size_t kCheckpointBytes = 6 + kMaxClusters * 10;
+  template <class Io>
+  void transfer(Io& io) {
+    io.u8(cls);
+    io.u8(home);
+    io.u16(mapped_mask);
+    io.boolean(produced);
+    io.boolean(live);
+    for (std::int64_t& cycle : readable_cycle) io.i64(cycle);
+    for (std::uint16_t& readers : pending_readers) io.u16(readers);
+  }
 };
 
 /// A consumer blocked until a value becomes readable in a cluster.  The
@@ -59,6 +68,13 @@ struct ValueInfo {
 struct ValueWaiter {
   std::uint8_t cluster = 0;
   std::uint64_t token = 0;
+
+  static constexpr std::size_t kCheckpointBytes = 9;
+  template <class Io>
+  void transfer(Io& io) {
+    io.u8(cluster);
+    io.u64(token);
+  }
 };
 
 /// Dense table of live values with slot reuse.
@@ -165,8 +181,9 @@ class ValueMap {
   /// physical registers in use when core/value bookkeeping is consistent.
   [[nodiscard]] int total_mapped_count() const;
 
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  /// Checkpoint fields (core/checkpoint.h).
+  template <class Io>
+  void transfer(Io& io);
 
  private:
   [[nodiscard]] std::size_t idle_index(int cluster, RegClass cls) const {
@@ -188,6 +205,11 @@ class ValueMap {
   /// Allocates a pool node holding \p waiter (next = -1).
   [[nodiscard]] std::int32_t alloc_waiter_node(ValueWaiter waiter);
 
+  /// Per-slot waiter lists in subscription order: the checkpoint form of
+  /// the pool, which rebuild_derived() threads back into it.
+  [[nodiscard]] std::vector<std::vector<ValueWaiter>> waiter_lists() const;
+  void rebuild_derived(const std::vector<std::vector<ValueWaiter>>& lists);
+
   int num_clusters_;  // ckpt: derived (config)
   std::vector<ValueInfo> values_;
   /// Idle copies per (cluster, class); see idle_copy_count().
@@ -201,7 +223,9 @@ class ValueMap {
   /// Waiter arena: per-value singly linked lists (head/tail parallel to
   /// values_, appended at the tail so subscription order is preserved)
   /// threaded through one shared node pool.
+  // ckpt: derived (rebuilt from the serialized lists)
   std::vector<WaiterNode> waiter_pool_;
+  // ckpt: derived (rebuilt from the serialized lists)
   std::vector<std::int32_t> waiter_head_;
   // ckpt: derived (tail cache; rebuilt from the serialized lists)
   std::vector<std::int32_t> waiter_tail_;

@@ -15,23 +15,7 @@ namespace {
 constexpr std::size_t kMaxStringBytes = 1u << 20;   // 1 MiB
 constexpr std::size_t kMaxVectorItems = 1u << 26;   // 64 Mi entries
 
-void append_le(std::string& buffer, std::uint64_t value, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    buffer.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
-
 }  // namespace
-
-void CheckpointWriter::u16(std::uint16_t value) {
-  append_le(buffer_, value, 2);
-}
-void CheckpointWriter::u32(std::uint32_t value) {
-  append_le(buffer_, value, 4);
-}
-void CheckpointWriter::u64(std::uint64_t value) {
-  append_le(buffer_, value, 8);
-}
 
 void CheckpointWriter::f64(double value) {
   std::uint64_t bits = 0;
@@ -47,23 +31,16 @@ void CheckpointWriter::str(std::string_view text) {
 }
 
 void CheckpointWriter::vec_u8(const std::vector<std::uint8_t>& values) {
-  u64(values.size());
-  for (std::uint8_t v : values) u8(v);
+  items(values, kMaxVectorItems, 1, [this](std::uint8_t v) { u8(v); });
 }
-
 void CheckpointWriter::vec_u64(const std::vector<std::uint64_t>& values) {
-  u64(values.size());
-  for (std::uint64_t v : values) u64(v);
+  items(values, kMaxVectorItems, 8, [this](std::uint64_t v) { u64(v); });
 }
-
 void CheckpointWriter::vec_i64(const std::vector<std::int64_t>& values) {
-  u64(values.size());
-  for (std::int64_t v : values) i64(v);
+  items(values, kMaxVectorItems, 8, [this](std::int64_t v) { i64(v); });
 }
-
 void CheckpointWriter::vec_int(const std::vector<int>& values) {
-  u64(values.size());
-  for (int v : values) i64(v);
+  items(values, kMaxVectorItems, 8, [this](int v) { i64(v); });
 }
 
 void CheckpointWriter::begin_section(std::uint32_t tag) {
@@ -206,49 +183,36 @@ std::string CheckpointReader::str() {
 }
 
 void CheckpointReader::vec_u8(std::vector<std::uint8_t>& out) {
-  const std::uint64_t count = u64();
-  if (count > kMaxVectorItems || !need(count)) {
-    fail("vector length out of range");
-    return;
-  }
-  out.clear();
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(u8());
+  items(out, kMaxVectorItems, 1, [this](std::uint8_t& v) { u8(v); });
 }
-
 void CheckpointReader::vec_u64(std::vector<std::uint64_t>& out) {
-  const std::uint64_t count = u64();
-  if (count > kMaxVectorItems || !need(count * 8)) {
-    fail("vector length out of range");
-    return;
-  }
-  out.clear();
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(u64());
+  items(out, kMaxVectorItems, 8, [this](std::uint64_t& v) { u64(v); });
 }
-
 void CheckpointReader::vec_i64(std::vector<std::int64_t>& out) {
-  const std::uint64_t count = u64();
-  if (count > kMaxVectorItems || !need(count * 8)) {
-    fail("vector length out of range");
-    return;
-  }
-  out.clear();
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(i64());
+  items(out, kMaxVectorItems, 8, [this](std::int64_t& v) { i64(v); });
+}
+void CheckpointReader::vec_int(std::vector<int>& out) {
+  items(out, kMaxVectorItems, 8, [this](int& v) { i64(v); });
 }
 
-void CheckpointReader::vec_int(std::vector<int>& out) {
-  const std::uint64_t count = u64();
-  if (count > kMaxVectorItems || !need(count * 8)) {
-    fail("vector length out of range");
-    return;
+bool CheckpointReader::count_fits(std::uint64_t n, std::uint64_t max,
+                                  std::size_t min_bytes_per_item) {
+  if (!ok_) return false;
+  if (n > max) {
+    fail(str_format("record count %llu exceeds its limit %llu",
+                    static_cast<unsigned long long>(n),
+                    static_cast<unsigned long long>(max)));
+    return false;
   }
-  out.clear();
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    out.push_back(static_cast<int>(i64()));
+  const std::size_t end =
+      sections_.empty() ? bytes_.size() : sections_.back().second;
+  if (min_bytes_per_item != 0 && n > (end - pos_) / min_bytes_per_item) {
+    fail(str_format("record count %llu cannot fit in the %zu bytes left "
+                    "in its section",
+                    static_cast<unsigned long long>(n), end - pos_));
+    return false;
   }
+  return true;
 }
 
 bool CheckpointReader::begin_section(std::uint32_t tag) {
@@ -288,38 +252,6 @@ void CheckpointReader::fail(std::string message) {
   if (!ok_) return;  // keep the first error
   ok_ = false;
   error_ = std::move(message);
-}
-
-void save_micro_op(CheckpointWriter& out, const MicroOp& op) {
-  out.u64(op.pc);
-  out.u8(static_cast<std::uint8_t>(op.cls));
-  out.u8(static_cast<std::uint8_t>(op.dst.cls));
-  out.i64(op.dst.index);
-  for (const RegId& src : op.src) {
-    out.u8(static_cast<std::uint8_t>(src.cls));
-    out.i64(src.index);
-  }
-  out.u64(op.mem_addr);
-  out.u32(op.mem_size);
-  out.u8(static_cast<std::uint8_t>(op.branch_kind));
-  out.boolean(op.taken);
-  out.u64(op.target);
-}
-
-void restore_micro_op(CheckpointReader& in, MicroOp& op) {
-  op.pc = in.u64();
-  op.cls = static_cast<OpClass>(in.u8());
-  op.dst.cls = static_cast<RegClass>(in.u8());
-  op.dst.index = static_cast<std::int8_t>(in.i64());
-  for (RegId& src : op.src) {
-    src.cls = static_cast<RegClass>(in.u8());
-    src.index = static_cast<std::int8_t>(in.i64());
-  }
-  op.mem_addr = in.u64();
-  op.mem_size = static_cast<std::uint32_t>(in.u32());
-  op.branch_kind = static_cast<BranchKind>(in.u8());
-  op.taken = in.boolean();
-  op.target = in.u64();
 }
 
 std::string warmup_checkpoint_name(std::string_view config_fingerprint,

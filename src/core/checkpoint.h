@@ -6,33 +6,43 @@
 /// A checkpoint is a flat byte stream: a fixed header (magic, format
 /// version, simulator schema version, configuration fingerprint, workload
 /// identity, trace position) followed by tagged, length-prefixed
-/// per-component sections.  Every stateful component implements
-///   void save_state(CheckpointWriter&) const;
-///   void restore_state(CheckpointReader&);
-/// and restoring a checkpoint into a freshly constructed Processor (same
-/// configuration, same workload) is bit-identical to having simulated the
-/// saved prefix cold — the contract the checkpoint round-trip tests pin.
+/// per-component sections.  Every stateful component lists its fields
+/// once, in
+///   template <class Io> void transfer(Io& io);
+/// which a CheckpointWriter runs to save and a CheckpointReader runs to
+/// load: the same calls (io.u64(field), io.count(n, max, bytes),
+/// io.section(tag, fn), ...) write a field or read it back in place.
+/// Steps that apply to one direction only sit under
+/// `if constexpr (Io::kLoading)`; state derived from the loaded fields is
+/// rebuilt by the component's rebuild_derived().  Restoring a checkpoint
+/// into a freshly constructed Processor (same configuration, same
+/// workload) is bit-identical to having simulated the saved prefix cold —
+/// the contract the checkpoint round-trip tests pin.
 ///
 /// Invalidation rules: a checkpoint is rejected (restore_checkpoint
 /// returns false; the caller falls back to a cold run) when any of magic,
 /// kCheckpointFormatVersion, kSimSchemaVersion, the configuration
 /// fingerprint, the workload name or the seed disagrees, or when the byte
 /// stream is truncated or structurally malformed.  Readers never abort on
-/// malformed input: every primitive is bounds-checked and failure is
-/// sticky (ok() turns false, subsequent reads return zeros).
+/// malformed input: every primitive is bounds-checked, a record count is
+/// checked against its limit and the bytes left in its section before
+/// anything is allocated for it, and failure is sticky (ok() turns false,
+/// subsequent reads return zeros).
 ///
 /// Integers are fixed-width little-endian; file writes are atomic
 /// (temp file + rename) so concurrent sweep workers racing to publish the
 /// same warmup checkpoint are safe — the simulator is deterministic, so
 /// both writers produce identical bytes and either rename wins.
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
-#include "isa/micro_op.h"
+#include "util/assert.h"
 
 namespace ringclu {
 
@@ -48,14 +58,21 @@ inline constexpr std::uint64_t kCheckpointMagic = 0x54504B43554C4352ULL;
 /// semantics change, even when the layout did not.
 inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
 
+/// A field type the integer primitives convert to and from their width.
+template <class T>
+concept CheckpointScalar = std::integral<T> || std::is_enum_v<T>;
+
 /// Builds a checkpoint byte stream.
 class CheckpointWriter {
  public:
-  void u8(std::uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
-  void u16(std::uint16_t value);
-  void u32(std::uint32_t value);
-  void u64(std::uint64_t value);
-  void i64(std::int64_t value) { u64(static_cast<std::uint64_t>(value)); }
+  static constexpr bool kLoading = false;
+
+  // Each primitive writes the low bytes of its integer or enum argument.
+  template <CheckpointScalar T> void u8(T value) { put(value, 1); }
+  template <CheckpointScalar T> void u16(T value) { put(value, 2); }
+  template <CheckpointScalar T> void u32(T value) { put(value, 4); }
+  template <CheckpointScalar T> void u64(T value) { put(value, 8); }
+  template <CheckpointScalar T> void i64(T value) { put(value, 8); }
   void f64(double value);
   void boolean(bool value) { u8(value ? 1 : 0); }
   void str(std::string_view text);
@@ -65,9 +82,52 @@ class CheckpointWriter {
   void vec_i64(const std::vector<std::int64_t>& values);
   void vec_int(const std::vector<int>& values);
 
+  // Reader-side checks: the writer only writes what they read.
+  template <CheckpointScalar T>
+  bool count(T n, std::uint64_t /*max*/, std::size_t /*min_bytes*/) {
+    u64(n);
+    return true;
+  }
+  bool expect(std::uint64_t n, const char* /*what*/) {
+    u64(n);
+    return true;
+  }
+  bool check(bool /*holds*/, const char* /*what*/) { return true; }
+
+  /// Writes the size of \p list, then \p fn of each item; every item must
+  /// take at least \p min_bytes (the reader's count check relies on it).
+  template <class Container, class Fn>
+  void items(Container& list, std::uint64_t /*max*/, std::size_t min_bytes,
+             Fn&& fn) {
+    u64(list.size());
+    for (auto& item : list) {
+      const std::size_t before = buffer_.size();
+      fn(item);
+      RINGCLU_ASSERT(buffer_.size() - before >= min_bytes);
+    }
+  }
+  /// items() over records that have their own transfer().
+  template <class Container>
+  void items(Container& list, std::uint64_t max, std::size_t min_bytes) {
+    items(list, max, min_bytes, [this](auto& item) { item.transfer(*this); });
+  }
+
   /// Opens a tagged, length-prefixed section.  Sections nest.
   void begin_section(std::uint32_t tag);
   void end_section();
+  /// \p fn's fields as one section.
+  template <class Fn>
+  void section(std::uint32_t tag, Fn&& fn) {
+    begin_section(tag);
+    fn();
+    end_section();
+  }
+
+  /// Saves \p component through its transfer(), which a writer only reads.
+  template <class T>
+  void save(const T& component) {
+    const_cast<T&>(component).transfer(*this);
+  }
 
   [[nodiscard]] const std::string& bytes() const { return buffer_; }
 
@@ -78,6 +138,20 @@ class CheckpointWriter {
                                 std::string* error) const;
 
  private:
+  template <CheckpointScalar T>
+  void put(T value, int bytes) {
+    std::uint64_t bits = 0;
+    if constexpr (std::is_enum_v<T>) {
+      bits = static_cast<std::uint64_t>(
+          static_cast<std::underlying_type_t<T>>(value));
+    } else {
+      bits = static_cast<std::uint64_t>(value);
+    }
+    for (int i = 0; i < bytes; ++i) {
+      buffer_.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
+    }
+  }
+
   std::string buffer_;
   std::vector<std::size_t> open_sections_;  ///< offsets of length fields
 };
@@ -87,6 +161,8 @@ class CheckpointWriter {
 /// explains, and every subsequent read returns a zero value.
 class CheckpointReader {
  public:
+  static constexpr bool kLoading = true;
+
   explicit CheckpointReader(std::string bytes) : bytes_(std::move(bytes)) {}
 
   /// Reads a whole file.  nullopt with \p error set when unreadable.
@@ -102,10 +178,57 @@ class CheckpointReader {
   [[nodiscard]] bool boolean() { return u8() != 0; }
   [[nodiscard]] std::string str();
 
+  // Field forms: read into \p field, converting to its type.
+  template <CheckpointScalar T> void u8(T& field) { field = T(u8()); }
+  template <CheckpointScalar T> void u16(T& field) { field = T(u16()); }
+  template <CheckpointScalar T> void u32(T& field) { field = T(u32()); }
+  template <CheckpointScalar T> void u64(T& field) { field = T(u64()); }
+  template <CheckpointScalar T> void i64(T& field) { field = T(i64()); }
+  void boolean(bool& field) { field = boolean(); }
+  void str(std::string& field) { field = str(); }
+
   void vec_u8(std::vector<std::uint8_t>& out);
   void vec_u64(std::vector<std::uint64_t>& out);
   void vec_i64(std::vector<std::int64_t>& out);
   void vec_int(std::vector<int>& out);
+
+  /// Reads a record count into \p n.  Fails, leaving n = 0, when it
+  /// exceeds \p max or when that many records of at least
+  /// \p min_bytes_per_item each cannot fit in the bytes left in the
+  /// current section — before the caller reserves or pushes anything.
+  template <CheckpointScalar T>
+  bool count(T& n, std::uint64_t max, std::size_t min_bytes_per_item) {
+    const std::uint64_t value = u64();
+    n = count_fits(value, max, min_bytes_per_item) ? T(value) : T{};
+    return ok();
+  }
+  /// Reads a count that must equal \p n (a geometry the configuration
+  /// fixed); fails with \p what otherwise.
+  bool expect(std::uint64_t n, const char* what) {
+    if (u64() != n) fail(what);
+    return ok_;
+  }
+  /// Fails with \p what unless \p holds.
+  bool check(bool holds, const char* what) {
+    if (!holds) fail(what);
+    return ok_;
+  }
+
+  /// Reads a counted list into \p list, \p fn filling each item (see
+  /// count() for \p max and \p min_bytes).
+  template <class Container, class Fn>
+  void items(Container& list, std::uint64_t max, std::size_t min_bytes,
+             Fn&& fn) {
+    std::uint64_t n = 0;
+    list.clear();
+    if (!count(n, max, min_bytes)) return;
+    list.resize(n);
+    for (auto& item : list) fn(item);
+  }
+  template <class Container>
+  void items(Container& list, std::uint64_t max, std::size_t min_bytes) {
+    items(list, max, min_bytes, [this](auto& item) { item.transfer(*this); });
+  }
 
   /// Enters the next section, which must carry \p tag; false (sticky
   /// failure) otherwise.
@@ -113,6 +236,13 @@ class CheckpointReader {
   /// Leaves the current section, verifying its declared length was
   /// consumed exactly.
   bool end_section();
+  /// Reads \p fn's fields from the section tagged \p tag.
+  template <class Fn>
+  void section(std::uint32_t tag, Fn&& fn) {
+    if (!begin_section(tag)) return;
+    fn();
+    end_section();
+  }
 
   /// Fails validation explicitly (component found impossible state).
   void fail(std::string message);
@@ -122,6 +252,8 @@ class CheckpointReader {
 
  private:
   [[nodiscard]] bool need(std::size_t count);
+  [[nodiscard]] bool count_fits(std::uint64_t n, std::uint64_t max,
+                                std::size_t min_bytes_per_item);
 
   std::string bytes_;
   std::size_t pos_ = 0;
@@ -130,7 +262,7 @@ class CheckpointReader {
   std::vector<std::pair<std::uint32_t, std::size_t>> sections_;  // tag, end
 };
 
-/// Four-character section tags used by Processor::save_state.
+/// Four-character section tags used by Processor::transfer.
 [[nodiscard]] constexpr std::uint32_t checkpoint_tag(char a, char b, char c,
                                                      char d) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) |
@@ -138,11 +270,6 @@ class CheckpointReader {
          (static_cast<std::uint32_t>(static_cast<unsigned char>(c)) << 16) |
          (static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24);
 }
-
-/// MicroOp serialization, shared by the ROB, the front-end queues and the
-/// fetch peek slot.
-void save_micro_op(CheckpointWriter& out, const MicroOp& op);
-void restore_micro_op(CheckpointReader& in, MicroOp& op);
 
 /// Header metadata identifying what a checkpoint contains.
 struct CheckpointMeta {

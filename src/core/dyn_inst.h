@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cluster/value_map.h"
-#include "core/checkpoint.h"
 #include "isa/micro_op.h"
 #include "util/assert.h"
 #include "util/static_vector.h"
@@ -136,76 +135,49 @@ class ReorderBuffer {
     return ready_at_[index];
   }
 
-  void save_state(CheckpointWriter& out) const {
-    // Live slots are serialized at their physical indices (issue queues
-    // reference ROB slots by index), so head/tail/size plus the occupied
-    // window reproduce the exact layout.  Hot columns are interleaved at
-    // their historical field positions, so the byte stream is identical to
-    // the pre-split array-of-structs layout.
-    out.u32(head_);
-    out.u32(tail_);
-    out.u64(size_);
-    for (std::size_t i = 0; i < size_; ++i) {
-      const std::size_t p = (head_ + i) % capacity_;
-      const DynInst& inst = slots_[p];
-      save_micro_op(out, inst.op);
-      out.u64(seq_[p]);
-      out.u8(static_cast<std::uint8_t>(state_[p]));
-      out.i64(cluster_[p]);
-      out.u32(inst.dst_value);
-      out.u32(inst.released_value);
-      out.u8(static_cast<std::uint8_t>(inst.srcs.size()));
-      for (ValueId src : inst.srcs) out.u32(src);
-      out.u32(inst.store_data);
-      out.i64(inst.dispatch_cycle);
-      out.i64(inst.issue_cycle);
-      out.i64(inst.complete_cycle);
-      out.i64(inst.mem_ready_cycle);
-      out.u32(wait_srcs_[p]);
-      out.i64(ready_at_[p]);
-    }
-  }
-
-  void restore_state(CheckpointReader& in) {
-    head_ = in.u32();
-    tail_ = in.u32();
-    size_ = in.u64();
-    if (!in.ok() || size_ > capacity_ || head_ >= capacity_ ||
-        tail_ >= capacity_) {
-      in.fail("rob geometry mismatch");
+  /// Checkpoint fields (core/checkpoint.h).  Live slots are serialized at
+  /// their physical indices (issue queues reference ROB slots by index),
+  /// so head/tail/size plus the occupied window reproduce the exact
+  /// layout.  Hot columns are interleaved at their historical field
+  /// positions, so the byte stream is identical to the pre-split
+  /// array-of-structs layout.
+  template <class Io>
+  void transfer(Io& io) {
+    io.u32(head_);
+    io.u32(tail_);
+    io.u64(size_);
+    if (!io.check(size_ <= capacity_ && head_ < capacity_ &&
+                      tail_ == (head_ + size_) % capacity_,
+                  "rob geometry mismatch")) {
       return;
     }
-    for (DynInst& slot : slots_) slot = DynInst{};
-    seq_.assign(capacity_, 0);
-    state_.assign(capacity_, InstState::Dispatched);
-    cluster_.assign(capacity_, -1);
-    wait_srcs_.assign(capacity_, 0);
-    ready_at_.assign(capacity_, -1);
     for (std::size_t i = 0; i < size_; ++i) {
       const std::size_t p = (head_ + i) % capacity_;
       DynInst& inst = slots_[p];
-      restore_micro_op(in, inst.op);
-      seq_[p] = in.u64();
-      state_[p] = static_cast<InstState>(in.u8());
-      cluster_[p] = static_cast<int>(in.i64());
-      inst.dst_value = in.u32();
-      inst.released_value = in.u32();
-      const std::uint8_t num_srcs = in.u8();
-      inst.srcs.clear();
-      if (num_srcs > kMaxSrcOperands) {
-        in.fail("dyn inst source count out of range");
+      inst.op.transfer(io);
+      io.u64(seq_[p]);
+      io.u8(state_[p]);
+      io.i64(cluster_[p]);
+      io.u32(inst.dst_value);
+      io.u32(inst.released_value);
+      std::uint8_t num_srcs = static_cast<std::uint8_t>(inst.srcs.size());
+      io.u8(num_srcs);
+      if (!io.check(num_srcs <= kMaxSrcOperands,
+                    "dyn inst source count out of range")) {
         return;
       }
-      for (std::uint8_t s = 0; s < num_srcs; ++s) {
-        inst.srcs.push_back(in.u32());
+      if constexpr (Io::kLoading) {
+        inst.srcs.clear();
+        for (std::uint8_t s = 0; s < num_srcs; ++s) inst.srcs.push_back(0);
       }
-      inst.store_data = in.u32();
-      inst.dispatch_cycle = in.i64();
-      inst.issue_cycle = in.i64();
-      inst.complete_cycle = in.i64();
-      inst.mem_ready_cycle = in.i64();
-      wait_srcs_[p] = in.u32();
-      ready_at_[p] = in.i64();
+      for (ValueId& src : inst.srcs) io.u32(src);
+      io.u32(inst.store_data);
+      io.i64(inst.dispatch_cycle);
+      io.i64(inst.issue_cycle);
+      io.i64(inst.complete_cycle);
+      io.i64(inst.mem_ready_cycle);
+      io.u32(wait_srcs_[p]);
+      io.i64(ready_at_[p]);
     }
   }
 

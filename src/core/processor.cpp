@@ -1186,7 +1186,7 @@ SimResult Processor::measure(TraceSource& trace, std::uint64_t measure_instrs,
   };
 
   // Crash-resume snapshot cadence, fully parallel to sampling and equally
-  // read-only (save_state mutates nothing).
+  // read-only (saving mutates nothing).
   const bool snapshotting = hooks.snapshotting();
   std::uint64_t next_snapshot =
       snapshotting ? (already_done / hooks.snapshot_interval_instrs + 1) *

@@ -83,13 +83,13 @@ class Processor final : public SteerOracle {
     return committed_total_;
   }
 
-  /// Checkpoint hooks: serialize/restore the complete microarchitectural
-  /// state (pipeline, queues, caches, predictor, values, steering,
-  /// counters and measurement-phase bookkeeping).  restore_state requires
-  /// a Processor constructed with the identical ArchConfig and leaves the
-  /// processor bit-identical to the one save_state captured.
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  /// Checkpoint fields (core/checkpoint.h): the complete
+  /// microarchitectural state (pipeline, queues, caches, predictor,
+  /// values, steering, counters and measurement-phase bookkeeping).
+  /// Loading requires a Processor constructed with the identical
+  /// ArchConfig and leaves it bit-identical to the one that was saved.
+  template <class Io>
+  void transfer(Io& io);
 
   // --- SteerOracle -------------------------------------------------------
   [[nodiscard]] bool iq_can_accept(int cluster, UnitKind kind) const override;
@@ -129,6 +129,13 @@ class Processor final : public SteerOracle {
   struct ReadyRef {
     std::uint32_t rob_index = 0;
     std::uint64_t seq = 0;
+
+    static constexpr std::size_t kCheckpointBytes = 12;
+    template <class Io>
+    void transfer(Io& io) {
+      io.u32(rob_index);
+      io.u64(seq);
+    }
   };
 
   struct Cluster {
@@ -147,12 +154,32 @@ class Processor final : public SteerOracle {
           fp_iq(static_cast<std::size_t>(iq_fp)),
           comm_queue(static_cast<std::size_t>(iq_comm)),
           fus(width) {}
+
+    /// \p max_ready bounds each ready list (the ROB capacity).
+    template <class Io>
+    void transfer(Io& io, std::size_t max_ready) {
+      int_iq.transfer(io);
+      fp_iq.transfer(io);
+      comm_queue.transfer(io);
+      fus.transfer(io);
+      io.items(int_ready, max_ready, ReadyRef::kCheckpointBytes);
+      io.items(fp_ready, max_ready, ReadyRef::kCheckpointBytes);
+      io.vec_u64(comm_ready);
+    }
   };
 
   struct FrontEndOp {
     MicroOp op;
     std::uint64_t seq = 0;
     std::int64_t stage_cycle = 0;  ///< cycle the op entered this queue
+
+    static constexpr std::size_t kCheckpointBytes = 58 + 16;
+    template <class Io>
+    void transfer(Io& io) {
+      op.transfer(io);
+      io.u64(seq);
+      io.i64(stage_cycle);
+    }
   };
 
   enum class EventKind : std::uint8_t {
@@ -171,6 +198,15 @@ class Processor final : public SteerOracle {
     bool operator>(const Event& other) const {
       return cycle != other.cycle ? cycle > other.cycle : seq > other.seq;
     }
+
+    static constexpr std::size_t kCheckpointBytes = 21;
+    template <class Io>
+    void transfer(Io& io) {
+      io.i64(cycle);
+      io.u8(kind);
+      io.u32(rob_index);
+      io.u64(seq);
+    }
   };
 
   /// Min-heap entry for time-bucketed memory operations (loads awaiting
@@ -183,6 +219,14 @@ class Processor final : public SteerOracle {
     bool operator>(const TimedRef& other) const {
       return cycle != other.cycle ? cycle > other.cycle : seq > other.seq;
     }
+
+    static constexpr std::size_t kCheckpointBytes = 20;
+    template <class Io>
+    void transfer(Io& io) {
+      io.i64(cycle);
+      io.u64(seq);
+      io.u32(rob_index);
+    }
   };
 
   /// Min-heap entry for comms whose value becomes readable at a known
@@ -194,18 +238,33 @@ class Processor final : public SteerOracle {
     bool operator>(const CommDue& other) const {
       return cycle != other.cycle ? cycle > other.cycle : id > other.id;
     }
+
+    static constexpr std::size_t kCheckpointBytes = 17;
+    template <class Io>
+    void transfer(Io& io) {
+      io.i64(cycle);
+      io.u64(id);
+      io.u8(cluster);
+    }
   };
 
   /// A load past its due cycle.  arrival orders loads as they left
   /// load_due_, which is the d-cache port arbitration order.
   struct ActiveLoad {
     std::uint32_t rob_index;
+    // ckpt: derived (restore renumbers the saved loads from 0)
     std::uint64_t arrival;
     /// Answered Proceed but denied a d-cache port.  Proceed is final (no
     /// older store can appear, addresses never change), so the load is
     /// not asked again.
     // ckpt: derived (restored loads start uncleared and are asked again)
     bool cleared = false;
+
+    static constexpr std::size_t kCheckpointBytes = 8;
+    template <class Io>
+    void transfer(Io& io) {
+      io.u64(rob_index);
+    }
   };
 
   /// What a fired value-waiter token wakes.  Packing: kind in the top two
@@ -218,6 +277,11 @@ class Processor final : public SteerOracle {
     return (static_cast<std::uint64_t>(kind) << 62) |
            (static_cast<std::uint64_t>(cluster) << 58) | index;
   }
+
+  /// After a load: checks the loaded sections against each other, then
+  /// rebuilds lsq_ord_, the load parking, the run start and the per-cycle
+  /// scratch.
+  void rebuild_derived(CheckpointReader& in);
 
   /// True when the trace ended and the pipeline fully emptied.
   [[nodiscard]] bool drained() const;

@@ -1,10 +1,10 @@
 /// \file processor_state.cpp
-/// Processor checkpoint serialization (save_state/restore_state) and the
-/// whole-file save_checkpoint/restore_checkpoint entry points.  Kept apart
-/// from processor.cpp: this file is all marshalling, no timing model.
+/// Processor checkpoint fields (Processor::transfer) and the whole-file
+/// save_checkpoint/restore_checkpoint entry points.  Kept apart from
+/// processor.cpp: this file is all marshalling, no timing model.
 ///
-/// Layout note: restore_state requires a Processor freshly constructed
-/// with the identical ArchConfig — construction-derived structure (queue
+/// Layout note: loading requires a Processor freshly constructed with the
+/// identical ArchConfig — construction-derived structure (queue
 /// capacities, cache geometry, bus distance tables, steering policy kind)
 /// is rebuilt by the constructor and only verified here, while every
 /// mutable field is overwritten.  Scratch buffers that are empty between
@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -38,407 +39,174 @@ constexpr std::uint32_t kTagSteering = checkpoint_tag('S', 'T', 'E', 'E');
 constexpr std::uint32_t kTagTrace = checkpoint_tag('T', 'R', 'A', 'C');
 constexpr std::uint32_t kTagProcessor = checkpoint_tag('P', 'R', 'O', 'C');
 
-/// Pops a copied priority queue into ascending order.  Safe for
-/// serialization because each queue's comparator is a total order on its
-/// actual contents (ties broken by unique seq/id), so the pop sequence is
-/// independent of internal heap layout.
-template <typename Queue>
-[[nodiscard]] std::vector<typename Queue::value_type> drain_copy(
-    Queue queue) {
-  std::vector<typename Queue::value_type> out;
-  out.reserve(queue.size());
-  while (!queue.empty()) {
-    out.push_back(queue.top());
-    queue.pop();
+/// Limits on a loaded event or front-end list (counts past these are
+/// corrupt; the reader also checks them against the bytes left).
+constexpr std::uint64_t kMaxEvents = 1u << 24;
+constexpr std::uint64_t kMaxFrontEndOps = 1u << 20;
+
+/// A priority queue as its elements in pop order.  The bytes do not
+/// depend on heap layout because each queue's comparator is a total order
+/// on its actual contents (ties broken by unique seq/id).
+template <class Io, class Queue>
+void transfer_heap(Io& io, Queue& queue, std::size_t min_bytes) {
+  std::vector<typename Queue::value_type> items;
+  if constexpr (!Io::kLoading) {
+    for (Queue copy = queue; !copy.empty(); copy.pop()) {
+      items.push_back(copy.top());
+    }
   }
-  return out;
+  io.items(items, kMaxEvents, min_bytes);
+  if constexpr (Io::kLoading) queue = Queue({}, std::move(items));
 }
 
 }  // namespace
 
-void Processor::save_state(CheckpointWriter& out) const {
-  out.begin_section(kTagCounters);
-  counters_.save_state(out);
-  out.end_section();
+template <class Io>
+void Processor::transfer(Io& io) {
+  // Ready and active-load lists hold ROB slots, so the ROB size bounds them.
+  const auto max_rob = static_cast<std::size_t>(config_.rob_size);
+  io.section(kTagCounters, [&] { counters_.transfer(io); });
+  io.section(kTagValues, [&] { values_.transfer(io); });
+  io.section(kTagRegs, [&] { regs_.transfer(io); });
+  io.section(kTagClusters, [&] {
+    if (!io.expect(clusters_.size(), "cluster count mismatch")) return;
+    for (Cluster& cluster : clusters_) cluster.transfer(io, max_rob);
+  });
+  io.section(kTagBuses, [&] { buses_.transfer(io); });
+  io.section(kTagMem, [&] { mem_.transfer(io); });
+  io.section(kTagLsq, [&] { lsq_.transfer(io); });
+  io.section(kTagFrontEnd, [&] { frontend_.transfer(io); });
+  io.section(kTagRob, [&] { rob_.transfer(io); });
 
-  out.begin_section(kTagValues);
-  values_.save_state(out);
-  out.end_section();
-
-  out.begin_section(kTagRegs);
-  regs_.save_state(out);
-  out.end_section();
-
-  out.begin_section(kTagClusters);
-  out.u64(clusters_.size());
-  for (const Cluster& cluster : clusters_) {
-    cluster.int_iq.save_state(out);
-    cluster.fp_iq.save_state(out);
-    cluster.comm_queue.save_state(out);
-    cluster.fus.save_state(out);
-    out.u64(cluster.int_ready.size());
-    for (const ReadyRef& ref : cluster.int_ready) {
-      out.u32(ref.rob_index);
-      out.u64(ref.seq);
-    }
-    out.u64(cluster.fp_ready.size());
-    for (const ReadyRef& ref : cluster.fp_ready) {
-      out.u32(ref.rob_index);
-      out.u64(ref.seq);
-    }
-    out.vec_u64(cluster.comm_ready);
-  }
-  out.end_section();
-
-  out.begin_section(kTagBuses);
-  buses_.save_state(out);
-  out.end_section();
-
-  out.begin_section(kTagMem);
-  mem_.save_state(out);
-  out.end_section();
-
-  out.begin_section(kTagLsq);
-  lsq_.save_state(out);
-  out.end_section();
-
-  out.begin_section(kTagFrontEnd);
-  frontend_.save_state(out);
-  out.end_section();
-
-  out.begin_section(kTagRob);
-  rob_.save_state(out);
-  out.end_section();
-
-  out.begin_section(kTagEvents);
-  {
-    // Calendar-ring events as a flat list; each re-buckets by its cycle on
-    // restore.  In-bucket order is irrelevant (do_events sorts by seq).
-    std::uint64_t ring_count = 0;
-    for (const auto& bucket : event_ring_) ring_count += bucket.size();
-    out.u64(ring_count);
-    for (const auto& bucket : event_ring_) {
-      for (const Event& event : bucket) {
-        out.i64(event.cycle);
-        out.u8(static_cast<std::uint8_t>(event.kind));
-        out.u32(event.rob_index);
-        out.u64(event.seq);
+  io.section(kTagEvents, [&] {
+    // Calendar-ring events as a flat list, re-bucketed by cycle on load.
+    // In-bucket order is irrelevant (do_events sorts by seq).
+    std::vector<Event> ring;
+    if constexpr (!Io::kLoading) {
+      for (const auto& bucket : event_ring_) {
+        ring.insert(ring.end(), bucket.begin(), bucket.end());
       }
     }
-    const std::vector<Event> overflow = drain_copy(overflow_events_);
-    out.u64(overflow.size());
-    for (const Event& event : overflow) {
-      out.i64(event.cycle);
-      out.u8(static_cast<std::uint8_t>(event.kind));
-      out.u32(event.rob_index);
-      out.u64(event.seq);
-    }
-    for (const auto* queue : {&load_due_, &store_due_}) {
-      const std::vector<TimedRef> refs = drain_copy(*queue);
-      out.u64(refs.size());
-      for (const TimedRef& ref : refs) {
-        out.i64(ref.cycle);
-        out.u64(ref.seq);
-        out.u32(ref.rob_index);
+    io.items(ring, kMaxEvents, Event::kCheckpointBytes);
+    if constexpr (Io::kLoading) {
+      for (auto& bucket : event_ring_) bucket.clear();
+      for (const Event& event : ring) {
+        event_ring_[static_cast<std::size_t>(event.cycle) &
+                    (kEventRingSize - 1)]
+            .push_back(event);
       }
     }
-    const std::vector<CommDue> comms = drain_copy(comm_due_);
-    out.u64(comms.size());
-    for (const CommDue& due : comms) {
-      out.i64(due.cycle);
-      out.u64(due.id);
-      out.u8(due.cluster);
+    transfer_heap(io, overflow_events_, Event::kCheckpointBytes);
+    transfer_heap(io, load_due_, TimedRef::kCheckpointBytes);
+    transfer_heap(io, store_due_, TimedRef::kCheckpointBytes);
+    transfer_heap(io, comm_due_, CommDue::kCheckpointBytes);
+    // Active and parked loads as one list in arrival order; the first
+    // memory stage after a load asks each again and re-parks the gated.
+    if constexpr (Io::kLoading) {
+      io.items(active_loads_, max_rob, ActiveLoad::kCheckpointBytes);
+    } else {
+      std::vector<ActiveLoad> loads(active_loads_);
+      for (const std::vector<ActiveLoad>& parked : parked_) {
+        loads.insert(loads.end(), parked.begin(), parked.end());
+      }
+      std::sort(loads.begin(), loads.end(),
+                [](const ActiveLoad& a, const ActiveLoad& b) {
+                  return a.arrival < b.arrival;
+                });
+      io.items(loads, max_rob, ActiveLoad::kCheckpointBytes);
     }
-    // Active and parked loads as one list in arrival order.
-    std::vector<ActiveLoad> loads(active_loads_);
-    for (const std::vector<ActiveLoad>& parked : parked_) {
-      loads.insert(loads.end(), parked.begin(), parked.end());
+    io.u64(events_pending_);
+  });
+
+  io.section(kTagRename, [&] {
+    for (ValueId& id : rename_) io.u32(id);
+  });
+
+  io.section(kTagMisc, [&] {
+    io.u64(ready_total_);
+    io.i64(cycle_);
+    io.u64(next_seq_);
+    io.u64(next_comm_id_);
+    io.u64(committed_total_);
+    io.i64(last_commit_cycle_);
+    io.boolean(fetch_blocked_);
+    io.u64(fetch_blocked_seq_);
+    io.i64(icache_stall_until_);
+    io.u64(last_fetch_line_);
+    io.boolean(trace_exhausted_);
+    io.boolean(have_peeked_);
+    peeked_.transfer(io);
+    io.items(fetchq_, kMaxFrontEndOps, FrontEndOp::kCheckpointBytes);
+    io.items(decodeq_, kMaxFrontEndOps, FrontEndOp::kCheckpointBytes);
+    io.i64(dcache_ports_used_);
+  });
+
+  io.section(kTagRunState, [&] {
+    io.boolean(measuring_);
+    io.boolean(warmup_pending_);
+    measure_baseline_.transfer(io);
+    io.u64(measure_target_);
+    io.u64(measure_start_committed_);
+    io.u64(run_start_committed_);  // save-only: rebuild_derived() resets it
+  });
+
+  io.section(kTagSteering, [&] {
+    std::string policy_name(policy_->name());
+    io.str(policy_name);
+    if (!io.check(policy_name == policy_->name(), "steering policy mismatch")) {
+      return;
     }
-    std::sort(loads.begin(), loads.end(),
-              [](const ActiveLoad& a, const ActiveLoad& b) {
-                return a.arrival < b.arrival;
-              });
-    std::vector<std::uint64_t> active;
-    active.reserve(loads.size());
-    for (const ActiveLoad& load : loads) active.push_back(load.rob_index);
-    out.vec_u64(active);
-    out.u64(events_pending_);
+    if constexpr (Io::kLoading) {
+      policy_->restore_state(io);
+    } else {
+      policy_->save_state(io);
+    }
+  });
+
+  if constexpr (Io::kLoading) {
+    if (io.ok()) rebuild_derived(io);
   }
-  out.end_section();
-
-  out.begin_section(kTagRename);
-  for (ValueId id : rename_) out.u32(id);
-  out.end_section();
-
-  out.begin_section(kTagMisc);
-  out.u64(ready_total_);
-  out.i64(cycle_);
-  out.u64(next_seq_);
-  out.u64(next_comm_id_);
-  out.u64(committed_total_);
-  out.i64(last_commit_cycle_);
-  out.boolean(fetch_blocked_);
-  out.u64(fetch_blocked_seq_);
-  out.i64(icache_stall_until_);
-  out.u64(last_fetch_line_);
-  out.boolean(trace_exhausted_);
-  out.boolean(have_peeked_);
-  save_micro_op(out, peeked_);
-  for (const auto* queue : {&fetchq_, &decodeq_}) {
-    out.u64(queue->size());
-    for (const FrontEndOp& op : *queue) {
-      save_micro_op(out, op.op);
-      out.u64(op.seq);
-      out.i64(op.stage_cycle);
-    }
-  }
-  out.i64(dcache_ports_used_);
-  out.end_section();
-
-  out.begin_section(kTagRunState);
-  out.boolean(measuring_);
-  out.boolean(warmup_pending_);
-  measure_baseline_.save_state(out);
-  out.u64(measure_target_);
-  out.u64(measure_start_committed_);
-  out.u64(run_start_committed_);
-  out.end_section();
-
-  out.begin_section(kTagSteering);
-  out.str(policy_->name());
-  policy_->save_state(out);
-  out.end_section();
 }
+template void Processor::transfer(CheckpointWriter&);
+template void Processor::transfer(CheckpointReader&);
 
-void Processor::restore_state(CheckpointReader& in) {
-  if (!in.begin_section(kTagCounters)) return;
-  counters_.restore_state(in);
-  if (!in.end_section()) return;
-  if (in.ok() &&
-      counters_.dispatched_per_cluster.size() != clusters_.size()) {
-    in.fail("cluster count mismatch");
+void Processor::rebuild_derived(CheckpointReader& in) {
+  std::size_t events = overflow_events_.size();
+  for (const auto& bucket : event_ring_) events += bucket.size();
+  if (!in.check(counters_.dispatched_per_cluster.size() == clusters_.size(),
+                "cluster count mismatch") ||
+      !in.check(events_pending_ == events, "events_pending mismatch")) {
     return;
   }
-
-  if (!in.begin_section(kTagValues)) return;
-  values_.restore_state(in);
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagRegs)) return;
-  regs_.restore_state(in);
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagClusters)) return;
-  if (in.u64() != clusters_.size()) {
-    in.fail("cluster count mismatch");
-    return;
-  }
-  for (Cluster& cluster : clusters_) {
-    cluster.int_iq.restore_state(in);
-    cluster.fp_iq.restore_state(in);
-    cluster.comm_queue.restore_state(in);
-    cluster.fus.restore_state(in);
-    for (auto* ready : {&cluster.int_ready, &cluster.fp_ready}) {
-      const std::uint64_t count = in.u64();
-      if (!in.ok() || count > rob_.capacity()) {
-        in.fail("ready list out of range");
-        return;
-      }
-      ready->clear();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        ReadyRef ref;
-        ref.rob_index = in.u32();
-        ref.seq = in.u64();
-        ready->push_back(ref);
-      }
-    }
-    in.vec_u64(cluster.comm_ready);
-  }
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagBuses)) return;
-  buses_.restore_state(in);
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagMem)) return;
-  mem_.restore_state(in);
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagLsq)) return;
-  lsq_.restore_state(in);
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagFrontEnd)) return;
-  frontend_.restore_state(in);
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagRob)) return;
-  rob_.restore_state(in);
-  if (!in.end_section()) return;
-
   // LSQ ordinals restart at 0, oldest first: the ROB's memory ops, walked
   // from the head, must be exactly the LSQ's entries in the same order.
-  {
-    std::uint64_t ord = lsq_.head_ordinal();
-    for (std::size_t i = 0; i < rob_.size(); ++i) {
-      const auto index = static_cast<std::uint32_t>(
-          (rob_.head_index() + i) % rob_.capacity());
-      if (!rob_.at(index).op.is_mem()) continue;
-      if (ord - lsq_.head_ordinal() >= lsq_.size() ||
-          lsq_.seq_at(ord) != rob_.seq(index)) {
-        in.fail("rob/lsq mismatch in checkpoint");
-        return;
-      }
-      lsq_ord_[index] = ord++;
-    }
-    if (ord - lsq_.head_ordinal() != lsq_.size()) {
-      in.fail("rob/lsq mismatch in checkpoint");
+  std::uint64_t ord = lsq_.head_ordinal();
+  for (std::size_t i = 0; i < rob_.size(); ++i) {
+    const auto index = static_cast<std::uint32_t>(
+        (rob_.head_index() + i) % rob_.capacity());
+    if (!rob_.at(index).op.is_mem()) continue;
+    if (!in.check(ord - lsq_.head_ordinal() < lsq_.size() &&
+                      lsq_.seq_at(ord) == rob_.seq(index),
+                  "rob/lsq mismatch in checkpoint")) {
       return;
     }
+    lsq_ord_[index] = ord++;
   }
-
-  if (!in.begin_section(kTagEvents)) return;
-  {
-    for (auto& bucket : event_ring_) bucket.clear();
-    const std::uint64_t ring_count = in.u64();
-    if (!in.ok() || ring_count > (1u << 24)) {
-      in.fail("event count out of range");
-      return;
-    }
-    for (std::uint64_t i = 0; i < ring_count; ++i) {
-      Event event{0, EventKind::Complete, 0, 0};
-      event.cycle = in.i64();
-      event.kind = static_cast<EventKind>(in.u8());
-      event.rob_index = in.u32();
-      event.seq = in.u64();
-      event_ring_[static_cast<std::size_t>(event.cycle) &
-                  (kEventRingSize - 1)]
-          .push_back(event);
-    }
-    overflow_events_ = {};
-    const std::uint64_t overflow_count = in.u64();
-    if (!in.ok() || overflow_count > (1u << 24)) {
-      in.fail("event count out of range");
-      return;
-    }
-    for (std::uint64_t i = 0; i < overflow_count; ++i) {
-      Event event{0, EventKind::Complete, 0, 0};
-      event.cycle = in.i64();
-      event.kind = static_cast<EventKind>(in.u8());
-      event.rob_index = in.u32();
-      event.seq = in.u64();
-      overflow_events_.push(event);
-    }
-    for (auto* queue : {&load_due_, &store_due_}) {
-      *queue = {};
-      const std::uint64_t count = in.u64();
-      if (!in.ok() || count > (1u << 24)) {
-        in.fail("timed-ref count out of range");
-        return;
-      }
-      for (std::uint64_t i = 0; i < count; ++i) {
-        TimedRef ref{0, 0, 0};
-        ref.cycle = in.i64();
-        ref.seq = in.u64();
-        ref.rob_index = in.u32();
-        queue->push(ref);
-      }
-    }
-    comm_due_ = {};
-    const std::uint64_t comm_count = in.u64();
-    if (!in.ok() || comm_count > (1u << 24)) {
-      in.fail("comm-due count out of range");
-      return;
-    }
-    for (std::uint64_t i = 0; i < comm_count; ++i) {
-      CommDue due{0, 0, 0};
-      due.cycle = in.i64();
-      due.id = in.u64();
-      due.cluster = in.u8();
-      comm_due_.push(due);
-    }
-    std::vector<std::uint64_t> active;
-    in.vec_u64(active);
-    // Every saved load is asked once on the next memory stage, which
-    // re-parks the gated ones: the parking lists are derived state.
-    active_loads_.clear();
-    for (std::vector<ActiveLoad>& parked : parked_) parked.clear();
-    parked_total_ = 0;
-    for (const std::uint64_t rob_index : active) {
-      active_loads_.push_back(ActiveLoad{
-          static_cast<std::uint32_t>(rob_index), active_loads_.size()});
-    }
-    next_arrival_ = active_loads_.size();
-    events_pending_ = in.u64();
-    if (in.ok() &&
-        events_pending_ != ring_count + overflow_count) {
-      in.fail("events_pending mismatch");
-      return;
-    }
+  if (!in.check(ord - lsq_.head_ordinal() == lsq_.size(),
+                "rob/lsq mismatch in checkpoint")) {
+    return;
   }
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagRename)) return;
-  for (ValueId& id : rename_) id = in.u32();
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagMisc)) return;
-  ready_total_ = in.u64();
-  cycle_ = in.i64();
-  next_seq_ = in.u64();
-  next_comm_id_ = in.u64();
-  committed_total_ = in.u64();
-  last_commit_cycle_ = in.i64();
-  fetch_blocked_ = in.boolean();
-  fetch_blocked_seq_ = in.u64();
-  icache_stall_until_ = in.i64();
-  last_fetch_line_ = in.u64();
-  trace_exhausted_ = in.boolean();
-  have_peeked_ = in.boolean();
-  restore_micro_op(in, peeked_);
-  for (auto* queue : {&fetchq_, &decodeq_}) {
-    queue->clear();
-    const std::uint64_t count = in.u64();
-    if (!in.ok() || count > (1u << 20)) {
-      in.fail("front-end queue out of range");
-      return;
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-      FrontEndOp op;
-      restore_micro_op(in, op.op);
-      op.seq = in.u64();
-      op.stage_cycle = in.i64();
-      queue->push_back(op);
-    }
+  // The loaded loads are renumbered by arrival and none is parked.
+  for (std::vector<ActiveLoad>& parked : parked_) parked.clear();
+  parked_total_ = 0;
+  for (std::size_t i = 0; i < active_loads_.size(); ++i) {
+    active_loads_[i].arrival = i;
   }
-  dcache_ports_used_ = static_cast<int>(in.i64());
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagRunState)) return;
-  measuring_ = in.boolean();
-  warmup_pending_ = in.boolean();
-  measure_baseline_.restore_state(in);
-  measure_target_ = in.u64();
-  measure_start_committed_ = in.u64();
+  next_arrival_ = active_loads_.size();
   // The saved run start is kept in the format but not reused: the commits
   // before this checkpoint were restored, not simulated by this run, so
   // total_committed (and the throughput derived from it) counts from here.
-  (void)in.u64();
   run_start_committed_ = committed_total_;
-  if (!in.end_section()) return;
-
-  if (!in.begin_section(kTagSteering)) return;
-  const std::string policy_name = in.str();
-  if (in.ok() && policy_name != policy_->name()) {
-    in.fail(str_format("steering policy mismatch: checkpoint has '%s', "
-                       "config builds '%s'",
-                       policy_name.c_str(),
-                       std::string(policy_->name()).c_str()));
-    return;
-  }
-  policy_->restore_state(in);
-  if (!in.end_section()) return;
-
   // Per-cycle scratch: empty between cycles by construction.
   deliveries_.clear();
   steering_srcs_.clear();
@@ -460,12 +228,8 @@ bool save_checkpoint(const std::string& path, const Processor& processor,
   out.u64(processor.committed_total());
   out.u64(trace.position());
   out.f64(meta.prefix_wall_seconds);
-  out.begin_section(kTagTrace);
-  trace.save_pos(out);
-  out.end_section();
-  out.begin_section(kTagProcessor);
-  processor.save_state(out);
-  out.end_section();
+  out.section(kTagTrace, [&] { trace.save_pos(out); });
+  out.section(kTagProcessor, [&] { out.save(processor); });
   return out.write_file(path, error);
 }
 
@@ -530,21 +294,9 @@ bool restore_checkpoint(const std::string& path, Processor& processor,
     if (error) *error = "checkpoint seed mismatch";
     return false;
   }
-  if (!in.begin_section(kTagTrace)) {
-    if (error) *error = in.error();
-    return false;
-  }
-  trace.restore_pos(in);
-  if (!in.end_section()) {
-    if (error) *error = in.error();
-    return false;
-  }
-  if (!in.begin_section(kTagProcessor)) {
-    if (error) *error = in.error();
-    return false;
-  }
-  processor.restore_state(in);
-  if (!in.ok() || !in.end_section()) {
+  in.section(kTagTrace, [&] { trace.restore_pos(in); });
+  in.section(kTagProcessor, [&] { processor.transfer(in); });
+  if (!in.ok()) {
     if (error) *error = in.error();
     return false;
   }

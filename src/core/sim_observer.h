@@ -55,7 +55,7 @@ struct RunHooks {
 
   /// Crash-resume snapshot cadence (committed instructions); 0 disables.
   /// At each boundary crossing the processor invokes on_snapshot, which is
-  /// expected to call Processor::save_state (e.g. via save_checkpoint).
+  /// expected to save the processor (e.g. via save_checkpoint).
   /// Like sampling, snapshotting is read-only with respect to simulation
   /// state, so results are bit-identical with and without it.
   std::uint64_t snapshot_interval_instrs = 0;

@@ -1,6 +1,5 @@
 #include "core/sim_result.h"
 
-#include "core/checkpoint.h"
 #include "util/assert.h"
 #include "util/format.h"
 
@@ -17,58 +16,6 @@ SimCounters SimCounters::minus(const SimCounters& baseline) const {
     out.dispatched_per_cluster[c] -= baseline.dispatched_per_cluster[c];
   }
   return out;
-}
-
-void SimCounters::save_state(CheckpointWriter& out) const {
-  out.u64(cycles);
-  out.u64(committed);
-  out.u64(comms);
-  out.u64(comm_distance_sum);
-  out.u64(comm_contention_sum);
-  out.u64(nready_sum);
-  out.vec_u64(dispatched_per_cluster);
-  out.u64(branches);
-  out.u64(mispredicts);
-  out.u64(icache_stall_cycles);
-  out.u64(loads);
-  out.u64(stores);
-  out.u64(load_forwards);
-  out.u64(l1d_accesses);
-  out.u64(l1d_misses);
-  out.u64(l2_accesses);
-  out.u64(l2_misses);
-  out.u64(steer_stall_cycles);
-  out.u64(rob_stall_cycles);
-  out.u64(lsq_stall_cycles);
-  out.u64(copy_evictions);
-  out.u64(rob_occupancy_sum);
-  out.u64(regs_in_use_sum);
-}
-
-void SimCounters::restore_state(CheckpointReader& in) {
-  cycles = in.u64();
-  committed = in.u64();
-  comms = in.u64();
-  comm_distance_sum = in.u64();
-  comm_contention_sum = in.u64();
-  nready_sum = in.u64();
-  in.vec_u64(dispatched_per_cluster);
-  branches = in.u64();
-  mispredicts = in.u64();
-  icache_stall_cycles = in.u64();
-  loads = in.u64();
-  stores = in.u64();
-  load_forwards = in.u64();
-  l1d_accesses = in.u64();
-  l1d_misses = in.u64();
-  l2_accesses = in.u64();
-  l2_misses = in.u64();
-  steer_stall_cycles = in.u64();
-  rob_stall_cycles = in.u64();
-  lsq_stall_cycles = in.u64();
-  copy_evictions = in.u64();
-  rob_occupancy_sum = in.u64();
-  regs_in_use_sum = in.u64();
 }
 
 double SimResult::dispatch_share(int cluster) const {

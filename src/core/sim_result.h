@@ -12,9 +12,6 @@
 
 namespace ringclu {
 
-class CheckpointReader;
-class CheckpointWriter;
-
 /// Version of the result schema: bump when simulator semantics or the
 /// counter set change so stale cache entries re-run.  The counter set is
 /// kCounterFields below (plus dispatched_per_cluster): adding, removing or
@@ -64,9 +61,33 @@ struct SimCounters {
   /// Field-wise difference (this - baseline); used to subtract warmup.
   [[nodiscard]] SimCounters minus(const SimCounters& baseline) const;
 
-  /// Checkpoint serialization of every counter field.
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  /// Checkpoint fields (core/checkpoint.h); see kCounterFields below.
+  template <class Io>
+  void transfer(Io& io) {
+    io.u64(cycles);
+    io.u64(committed);
+    io.u64(comms);
+    io.u64(comm_distance_sum);
+    io.u64(comm_contention_sum);
+    io.u64(nready_sum);
+    io.vec_u64(dispatched_per_cluster);
+    io.u64(branches);
+    io.u64(mispredicts);
+    io.u64(icache_stall_cycles);
+    io.u64(loads);
+    io.u64(stores);
+    io.u64(load_forwards);
+    io.u64(l1d_accesses);
+    io.u64(l1d_misses);
+    io.u64(l2_accesses);
+    io.u64(l2_misses);
+    io.u64(steer_stall_cycles);
+    io.u64(rob_stall_cycles);
+    io.u64(lsq_stall_cycles);
+    io.u64(copy_evictions);
+    io.u64(rob_occupancy_sum);
+    io.u64(regs_in_use_sum);
+  }
 
   /// Bit-identical comparison, the determinism-regression contract.
   [[nodiscard]] friend bool operator==(const SimCounters&,
@@ -87,9 +108,9 @@ struct CounterField {
 /// (serialize_result / try_deserialize_result), the JSON "counters" block
 /// and the registry's counter metrics all walk this table;
 /// dispatched_per_cluster, the one vector field, each consumer handles
-/// beside it.  Checkpoints (save_state/restore_state) stay hand-listed:
-/// ringclu-lint's ckpt-coverage rule checks them by member name, and they
-/// put the vector after nready_sum.
+/// beside it.  The checkpoint field list (SimCounters::transfer) stays
+/// hand-listed: ringclu-lint's ckpt-coverage rule checks it by member
+/// name, and it puts the vector after nready_sum.
 inline constexpr CounterField kCounterFields[] = {
     {"cycles", &SimCounters::cycles, "measured cycles", ""},
     {"committed", &SimCounters::committed, "committed instructions", ""},

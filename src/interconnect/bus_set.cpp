@@ -1,6 +1,5 @@
 #include "interconnect/bus_set.h"
 
-#include "core/checkpoint.h"
 #include "util/assert.h"
 
 namespace ringclu {
@@ -75,20 +74,6 @@ void BusSet::tick(std::vector<BusDelivery>& out) {
 
 void BusSet::idle_ticks(std::uint64_t cycles) {
   for (PipelinedRingBus& bus : buses_) bus.idle_ticks(cycles);
-}
-
-void BusSet::save_state(CheckpointWriter& out) const {
-  out.u64(buses_.size());
-  for (const PipelinedRingBus& bus : buses_) bus.save_state(out);
-}
-
-void BusSet::restore_state(CheckpointReader& in) {
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count != buses_.size()) {
-    in.fail("bus set size mismatch");
-    return;
-  }
-  for (PipelinedRingBus& bus : buses_) bus.restore_state(in);
 }
 
 }  // namespace ringclu

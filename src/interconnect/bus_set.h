@@ -99,10 +99,13 @@ class BusSet {
     return buses_[static_cast<std::size_t>(index)];
   }
 
-  /// min_distance_ is rebuilt at construction, so only bus pipeline state
-  /// is serialized.
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  /// Checkpoint fields: only bus pipeline state (the lookup tables are
+  /// built at construction).
+  template <class Io>
+  void transfer(Io& io) {
+    if (!io.expect(buses_.size(), "bus set size mismatch")) return;
+    for (PipelinedRingBus& bus : buses_) bus.transfer(io);
+  }
 
  private:
   int num_clusters_;  // ckpt: derived (config)

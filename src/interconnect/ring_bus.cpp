@@ -81,41 +81,27 @@ void PipelinedRingBus::idle_ticks(std::uint64_t cycles) {
                                     slots_.size());
 }
 
-void PipelinedRingBus::save_state(CheckpointWriter& out) const {
-  out.u64(slots_.size());
-  for (const Slot& slot : slots_) {
-    out.boolean(slot.full);
-    out.i64(slot.dst);
-    out.u64(slot.payload);
+template <class Io>
+void PipelinedRingBus::transfer(Io& io) {
+  if (!io.expect(slots_.size(), "ring bus geometry mismatch")) return;
+  for (Slot& slot : slots_) slot.transfer(io);
+  io.u64(shift_);
+  io.i64(in_flight_);
+  io.u64(busy_slot_cycles_);
+  io.u64(ticks_);
+  io.u64(injections_);
+  if constexpr (Io::kLoading) {
+    if (io.check(shift_ < slots_.size(), "ring bus shift out of range")) {
+      rebuild_derived();
+    }
   }
-  out.u64(shift_);
-  out.i64(in_flight_);
-  out.u64(busy_slot_cycles_);
-  out.u64(ticks_);
-  out.u64(injections_);
 }
+template void PipelinedRingBus::transfer(CheckpointWriter&);
+template void PipelinedRingBus::transfer(CheckpointReader&);
 
-void PipelinedRingBus::restore_state(CheckpointReader& in) {
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count != slots_.size()) {
-    in.fail("ring bus geometry mismatch");
-    return;
-  }
-  for (Slot& slot : slots_) {
-    slot.full = in.boolean();
-    slot.dst = static_cast<int>(in.i64());
-    slot.payload = in.u64();
-  }
-  shift_ = in.u64();
-  in_flight_ = static_cast<int>(in.i64());
-  busy_slot_cycles_ = in.u64();
-  ticks_ = in.u64();
-  injections_ = in.u64();
-  if (!in.ok()) return;
-
-  // Rebuild the (derived, unserialized) arrival calendar: physical slot p
-  // delivers to dst when entry_slot(dst) == p, i.e. at the shift value
-  // congruent to dst*hop -/+ p depending on direction.
+void PipelinedRingBus::rebuild_derived() {
+  // Physical slot p delivers to dst when entry_slot(dst) == p, i.e. at the
+  // shift value congruent to dst*hop -/+ p depending on direction.
   arrivals_.assign(slots_.size(), 0);
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(slots_.size());
   for (std::ptrdiff_t p = 0; p < n; ++p) {

@@ -22,9 +22,6 @@
 
 namespace ringclu {
 
-class CheckpointReader;
-class CheckpointWriter;
-
 /// Direction of travel around the ring.
 enum class RingDirection : std::int8_t { Forward = 1, Backward = -1 };
 
@@ -71,15 +68,26 @@ class PipelinedRingBus {
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
   [[nodiscard]] std::uint64_t injections() const { return injections_; }
 
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  /// Checkpoint fields (core/checkpoint.h).
+  template <class Io>
+  void transfer(Io& io);
 
  private:
   struct Slot {
     bool full = false;
     int dst = -1;
     std::uint64_t payload = 0;
+
+    template <class Io>
+    void transfer(Io& io) {
+      io.boolean(full);
+      io.i64(dst);
+      io.u64(payload);
+    }
   };
+
+  /// Rebuilds arrivals_ from the occupied slots.
+  void rebuild_derived();
 
   /// Physical index of the logical pipeline slot where cluster \p c injects.
   ///
@@ -106,9 +114,8 @@ class PipelinedRingBus {
   /// Deliveries due per future shift_ value: a datum injected at shift s
   /// with travel distance d arrives when shift_ == (s + d*hop) mod size.
   /// Lets tick() skip the delivery scan on the (common) cycles where
-  /// traffic is in flight but nothing lands.  Derived state: rebuilt from
-  /// slots_ on restore, never serialized.
-  // ckpt: derived (rebuilt from slots_ on restore)
+  /// traffic is in flight but nothing lands.
+  // ckpt: derived (rebuild_derived() recomputes it from slots_)
   std::vector<std::uint16_t> arrivals_;
   int in_flight_ = 0;
   std::uint64_t busy_slot_cycles_ = 0;

@@ -48,6 +48,25 @@ struct MicroOp {
   [[nodiscard]] bool is_load() const { return cls == OpClass::Load; }
   [[nodiscard]] bool is_store() const { return cls == OpClass::Store; }
   [[nodiscard]] bool is_branch() const { return op_is_branch(cls); }
+
+  /// Checkpoint fields (core/checkpoint.h), shared by the ROB, the
+  /// front-end queues and the fetch peek slot.
+  template <class Io>
+  void transfer(Io& io) {
+    io.u64(pc);
+    io.u8(cls);
+    io.u8(dst.cls);
+    io.i64(dst.index);
+    for (RegId& reg : src) {
+      io.u8(reg.cls);
+      io.i64(reg.index);
+    }
+    io.u64(mem_addr);
+    io.u32(mem_size);
+    io.u8(branch_kind);
+    io.boolean(taken);
+    io.u64(target);
+  }
 };
 
 }  // namespace ringclu

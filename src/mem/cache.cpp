@@ -1,6 +1,5 @@
 #include "mem/cache.h"
 
-#include "core/checkpoint.h"
 #include "util/assert.h"
 
 namespace ringclu {
@@ -80,34 +79,6 @@ bool SetAssocCache::contains(std::uint64_t addr) const {
 
 void SetAssocCache::flush() {
   for (Line& line : lines_) line.valid = false;
-}
-
-void SetAssocCache::save_state(CheckpointWriter& out) const {
-  out.u64(lines_.size());
-  for (const Line& line : lines_) {
-    out.u64(line.tag);
-    out.u64(line.lru);
-    out.boolean(line.valid);
-  }
-  out.u64(tick_);
-  out.u64(accesses_);
-  out.u64(misses_);
-}
-
-void SetAssocCache::restore_state(CheckpointReader& in) {
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count != lines_.size()) {
-    in.fail("cache geometry mismatch");
-    return;
-  }
-  for (Line& line : lines_) {
-    line.tag = in.u64();
-    line.lru = in.u64();
-    line.valid = in.boolean();
-  }
-  tick_ = in.u64();
-  accesses_ = in.u64();
-  misses_ = in.u64();
 }
 
 }  // namespace ringclu

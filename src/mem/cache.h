@@ -9,9 +9,6 @@
 
 namespace ringclu {
 
-class CheckpointReader;
-class CheckpointWriter;
-
 struct CacheConfig {
   std::uint64_t size_bytes = 32 * 1024;
   std::uint32_t line_bytes = 32;
@@ -46,15 +43,28 @@ class SetAssocCache {
 
   void reset_stats() { accesses_ = misses_ = 0; }
 
-  /// Serializes tags, LRU state and statistics counters.
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  /// Checkpoint fields: tags, LRU state and statistics counters.
+  template <class Io>
+  void transfer(Io& io) {
+    if (!io.expect(lines_.size(), "cache geometry mismatch")) return;
+    for (Line& line : lines_) line.transfer(io);
+    io.u64(tick_);
+    io.u64(accesses_);
+    io.u64(misses_);
+  }
 
  private:
   struct Line {
     std::uint64_t tag = 0;
     std::uint64_t lru = 0;
     bool valid = false;
+
+    template <class Io>
+    void transfer(Io& io) {
+      io.u64(tag);
+      io.u64(lru);
+      io.boolean(valid);
+    }
   };
 
   [[nodiscard]] std::size_t set_of(std::uint64_t addr) const;

@@ -1,7 +1,5 @@
 #include "mem/hierarchy.h"
 
-#include "core/checkpoint.h"
-
 namespace ringclu {
 
 MemoryHierarchy::MemoryHierarchy(const MemHierarchyConfig& config)
@@ -34,18 +32,6 @@ void MemoryHierarchy::reset_stats() {
   l1i_.reset_stats();
   l1d_.reset_stats();
   l2_.reset_stats();
-}
-
-void MemoryHierarchy::save_state(CheckpointWriter& out) const {
-  l1i_.save_state(out);
-  l1d_.save_state(out);
-  l2_.save_state(out);
-}
-
-void MemoryHierarchy::restore_state(CheckpointReader& in) {
-  l1i_.restore_state(in);
-  l1d_.restore_state(in);
-  l2_.restore_state(in);
 }
 
 }  // namespace ringclu

@@ -46,8 +46,12 @@ class MemoryHierarchy {
 
   void reset_stats();
 
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  template <class Io>
+  void transfer(Io& io) {
+    l1i_.transfer(io);
+    l1d_.transfer(io);
+    l2_.transfer(io);
+  }
 
  private:
   MemHierarchyConfig config_;  // ckpt: derived (config)

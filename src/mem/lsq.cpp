@@ -110,55 +110,41 @@ bool LoadStoreQueue::release(std::uint64_t seq) {
   return was_store;
 }
 
-void LoadStoreQueue::save_state(CheckpointWriter& out) const {
-  out.u64(size());
+template <class Io>
+void LoadStoreQueue::transfer(Io& io) {
+  std::uint64_t count = size();
+  if (!io.count(count, capacity_, Entry::kCheckpointBytes)) return;
+  if constexpr (Io::kLoading) {
+    head_ord_ = 0;
+    next_ord_ = count;
+  }
   for (std::uint64_t ord = head_ord_; ord != next_ord_; ++ord) {
-    const Entry& entry = ring_[ord & mask_];
-    out.u64(entry.seq);
-    out.u64(entry.addr);
-    out.u32(entry.size);
-    out.boolean(entry.is_store);
-    out.boolean(entry.addr_known);
-    out.boolean(entry.must_wait_memo);
-    out.u64(entry.blocker_seq);
-    out.boolean(entry.blocker_addr_known);
+    ring_[ord & mask_].transfer(io);
   }
-  out.u64(forwards_);
-  out.u64(load_waits_);
+  io.u64(forwards_);
+  io.u64(load_waits_);
+  if constexpr (Io::kLoading) rebuild_derived();
 }
+template void LoadStoreQueue::transfer(CheckpointWriter&);
+template void LoadStoreQueue::transfer(CheckpointReader&);
 
-void LoadStoreQueue::restore_state(CheckpointReader& in) {
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count > capacity_) {
-    in.fail("lsq overflow in checkpoint");
-    return;
-  }
-  head_ord_ = 0;
-  next_ord_ = count;
+void LoadStoreQueue::rebuild_derived() {
   head_store_ = 0;
   next_store_ = 0;
-  for (std::uint64_t ord = 0; ord < count; ++ord) {
-    Entry entry;
-    entry.seq = in.u64();
-    entry.addr = in.u64();
-    entry.size = in.u32();
-    entry.is_store = in.boolean();
-    entry.addr_known = in.boolean();
-    entry.must_wait_memo = in.boolean();
-    entry.blocker_seq = in.u64();
-    entry.blocker_addr_known = in.boolean();
+  for (std::uint64_t ord = head_ord_; ord != next_ord_; ++ord) {
+    Entry& entry = ring_[ord & mask_];
     // A memoised blocker is an older live store, unless it has since
     // retired (the memo is then stale and the next query rescans).
-    for (std::uint64_t older = 0; entry.must_wait_memo && older < ord;
+    entry.blocker_ord = kNoOrdinal;
+    for (std::uint64_t older = head_ord_; entry.must_wait_memo && older < ord;
          ++older) {
-      if (ring_[older].seq == entry.blocker_seq) entry.blocker_ord = older;
+      if (ring_[older & mask_].seq == entry.blocker_seq) {
+        entry.blocker_ord = older;
+      }
     }
     entry.stores_before = next_store_;
-    if (entry.is_store) store_ords_[next_store_++] = ord;
-    ring_[ord] = entry;
+    if (entry.is_store) store_ords_[next_store_++ & mask_] = ord;
   }
-  forwards_ = in.u64();
-  load_waits_ = in.u64();
 }
 
 }  // namespace ringclu

@@ -21,9 +21,6 @@
 
 namespace ringclu {
 
-class CheckpointReader;
-class CheckpointWriter;
-
 /// Result of asking whether a load may proceed.
 enum class LoadGate : std::uint8_t {
   Proceed,     ///< no conflicting older store; access the cache
@@ -88,8 +85,10 @@ class LoadStoreQueue {
   void count_forward() { ++forwards_; }
   void count_load_waits(std::uint64_t loads) { load_waits_ += loads; }
 
-  void save_state(CheckpointWriter& out) const;
-  void restore_state(CheckpointReader& in);
+  /// Checkpoint fields (core/checkpoint.h).  Ordinals restart at 0,
+  /// oldest first, on load.
+  template <class Io>
+  void transfer(Io& io);
 
  private:
   /// blocker_ord of an entry whose blocker is unknown (not live).
@@ -120,7 +119,23 @@ class LoadStoreQueue {
     /// and for a load the store number of the next younger store.
     // ckpt: derived (renumbered from 0 on restore)
     std::uint64_t stores_before = 0;
+
+    static constexpr std::size_t kCheckpointBytes = 32;
+    template <class Io>
+    void transfer(Io& io) {
+      io.u64(seq);
+      io.u64(addr);
+      io.u32(size);
+      io.boolean(is_store);
+      io.boolean(addr_known);
+      io.boolean(must_wait_memo);
+      io.u64(blocker_seq);
+      io.boolean(blocker_addr_known);
+    }
   };
+
+  /// Re-finds memoised blockers and renumbers the live stores.
+  void rebuild_derived();
 
   /// True while \p ord names a live entry (also false for kNoOrdinal).
   [[nodiscard]] bool live(std::uint64_t ord) const {

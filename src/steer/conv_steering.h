@@ -17,6 +17,7 @@
 ///           all clusters;
 ///       choose the least loaded candidate (lowest DCOUNT).
 
+#include "core/checkpoint.h"
 #include "steer/dcount.h"
 #include "steer/steer_common.h"
 #include "steer/steering.h"
@@ -43,13 +44,8 @@ class ConvSteering final : public SteeringPolicy {
 
   [[nodiscard]] const DcountTracker& dcount() const { return dcount_; }
 
-  void save_state(CheckpointWriter& out) const override {
-    dcount_.save_state(out);
-  }
-
-  void restore_state(CheckpointReader& in) override {
-    dcount_.restore_state(in);
-  }
+  void save_state(CheckpointWriter& out) const override { out.save(dcount_); }
+  void restore_state(CheckpointReader& in) override { dcount_.transfer(in); }
 
  private:
   /// Least-loaded viable cluster within \p candidate_mask.

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "util/assert.h"
 
 namespace ringclu {
@@ -58,16 +57,15 @@ class DcountTracker {
 
   void reset();
 
-  void save_state(CheckpointWriter& out) const { out.vec_i64(counters_); }
-
-  void restore_state(CheckpointReader& in) {
+  /// Checkpoint fields; order_ is re-sorted from the loaded counters.
+  template <class Io>
+  void transfer(Io& io) {
     const std::size_t size = counters_.size();
-    in.vec_i64(counters_);
-    if (in.ok() && counters_.size() != size) {
-      in.fail("dcount size mismatch");
+    io.vec_i64(counters_);
+    if (!io.check(counters_.size() == size, "dcount size mismatch")) {
       counters_.assign(size, 0);
     }
-    sort_order();
+    if constexpr (Io::kLoading) sort_order();
   }
 
  private:

@@ -29,9 +29,7 @@ class RoundRobinSteering final : public SteeringPolicy {
 
   void save_state(CheckpointWriter& out) const override { out.i64(next_); }
 
-  void restore_state(CheckpointReader& in) override {
-    next_ = static_cast<int>(in.i64());
-  }
+  void restore_state(CheckpointReader& in) override { in.i64(next_); }
 
  private:
   int num_clusters_;  // ckpt: derived (config)

@@ -46,9 +46,7 @@ class RingSteering final : public SteeringPolicy {
     out.i64(rotate_);
   }
 
-  void restore_state(CheckpointReader& in) override {
-    rotate_ = static_cast<int>(in.i64());
-  }
+  void restore_state(CheckpointReader& in) override { in.i64(rotate_); }
 
  private:
   /// Picks the best viable cluster from \p candidate_mask using

@@ -34,10 +34,7 @@ class SimpleSteering final : public SteeringPolicy {
   void save_state(CheckpointWriter& out) const override {
     out.i64(round_robin_);
   }
-
-  void restore_state(CheckpointReader& in) override {
-    round_robin_ = static_cast<int>(in.i64());
-  }
+  void restore_state(CheckpointReader& in) override { in.i64(round_robin_); }
 
  private:
   int num_clusters_;  // ckpt: derived (config)

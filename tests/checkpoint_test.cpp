@@ -326,6 +326,91 @@ TEST_F(CheckpointRejection, SeedMismatch) {
   expect_rejected(path_, expect);
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Offset of the first section tagged \p tag (four ASCII characters).
+std::size_t section_offset(const std::string& bytes, const char* tag) {
+  const std::size_t at = bytes.find(tag);
+  EXPECT_NE(at, std::string::npos) << tag;
+  return at;
+}
+
+// A corrupt record count is rejected by the count check itself, before
+// restore reserves or pushes anything for it.  The value map below claims
+// 2^20 values (166 bytes each) in a section that holds only the count: a
+// restore that trusted the count would build 2^20 values from zeros and
+// fail only after its loop, on the truncated section.
+TEST_F(CheckpointRejection, CorruptCountFailsBeforeAllocating) {
+  std::string bytes = read_bytes(path_);
+  // Section: u32 tag, u64 payload length, then the payload, which for the
+  // value map starts with the u64 value count.
+  const std::size_t values = section_offset(bytes, "VMAP");
+  ASSERT_LT(values + 20, bytes.size());
+  const auto put_u64 = [&](std::size_t at, std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + static_cast<std::size_t>(i)] =
+          static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+  };
+  put_u64(values + 4, 8);
+  put_u64(values + 12, 1u << 20);
+  write_bytes(path_, bytes);
+  Processor processor(config_, kSeed);
+  auto trace = make_benchmark_trace(benchmark_, kSeed);
+  std::string error;
+  EXPECT_FALSE(restore_checkpoint(path_, processor, *trace,
+                                  expectation(config_, benchmark_), nullptr,
+                                  &error));
+  EXPECT_NE(error.find("cannot fit"), std::string::npos) << error;
+}
+
+// Every truncation length (at a stride) and a byte flip at every k-th
+// offset of the processor section of small Ring and Conv warmup
+// checkpoints: restore returns false with a diagnostic, or true.  It never
+// aborts on a contract or, under the ASan/UBSan build, touches memory it
+// does not own.
+TEST(CheckpointCorruption, TruncationsAndByteFlipsNeverAbort) {
+  for (const char* preset : {"Ring_4clus_1bus_2IW", "Conv_4clus_1bus_2IW"}) {
+    const ArchConfig config = ArchConfig::preset(preset);
+    const std::filesystem::path dir = fresh_dir(preset);
+    const std::string warm = (dir / "warm.ckpt").string();
+    const std::string path = (dir / "corrupt.ckpt").string();
+    save_warmup_checkpoint(config, "gcc", warm);
+    const std::string bytes = read_bytes(warm);
+    const std::size_t processor_at = section_offset(bytes, "PROC");
+    int rejected = 0;
+    const auto attempt = [&](const std::string& corrupt) {
+      write_bytes(path, corrupt);
+      Processor processor(config, kSeed);
+      auto trace = make_benchmark_trace("gcc", kSeed);
+      std::string error;
+      if (!restore_checkpoint(path, processor, *trace,
+                              expectation(config, "gcc"), nullptr, &error)) {
+        EXPECT_FALSE(error.empty());
+        ++rejected;
+      }
+    };
+    for (std::size_t length = 0; length < bytes.size(); length += 4099) {
+      attempt(bytes.substr(0, length));
+    }
+    for (std::size_t at = processor_at; at < bytes.size(); at += 1021) {
+      std::string flipped = bytes;
+      flipped[at] = static_cast<char>(flipped[at] ^ 0x5a);
+      attempt(flipped);
+    }
+    EXPECT_GT(rejected, 0) << preset;
+  }
+}
+
 // ---- Crash-resume snapshots --------------------------------------------
 
 /// What the processor held when the snapshot was taken.
@@ -499,7 +584,7 @@ TEST(CheckpointGolden, WarmupCheckpointBytesArePinned) {
 }
 
 /// FNV-1a digest of a run's measured counters followed by its end-of-run
-/// state (save_state bytes: everything a checkpoint holds).
+/// state (its saved bytes: everything a checkpoint holds).
 std::uint64_t end_of_run_digest(const ArchConfig& config,
                                 const std::string& benchmark,
                                 SimCounters* measured) {
@@ -507,8 +592,8 @@ std::uint64_t end_of_run_digest(const ArchConfig& config,
   Processor processor(config, kSeed);
   *measured = processor.run(*trace, kWarmup, kMeasure).counters;
   CheckpointWriter out;
-  measured->save_state(out);
-  processor.save_state(out);
+  out.save(*measured);
+  out.save(processor);
   return fnv1a(out.bytes());
 }
 
@@ -561,7 +646,7 @@ TEST(CheckpointGolden, SnapshotWithParkedLoadsIsPinned) {
     if (!bytes.empty() || processor.committed_total() < kSnapshotAt) return;
     parked = processor.parked_loads();
     CheckpointWriter out;
-    processor.save_state(out);
+    out.save(processor);
     bytes = out.bytes();
   };
   (void)processor.measure(*trace, kMeasure, hooks);
@@ -662,7 +747,7 @@ CountedRun counted_run(const std::string& preset, const std::string& benchmark,
   run.counters = processor.run(*trace, warmup, measure).counters;
   run.tally = g_steer_tally;
   CheckpointWriter out;
-  processor.save_state(out);
+  out.save(processor);
   run.state = out.bytes();
   return run;
 }

@@ -118,8 +118,8 @@ TEST(RingBus, IdleTicksEqualSingleTicks) {
       skipped.idle_ticks(static_cast<std::uint64_t>(cycles));
       CheckpointWriter stepped_state;
       CheckpointWriter skipped_state;
-      stepped.save_state(stepped_state);
-      skipped.save_state(skipped_state);
+      stepped_state.save(stepped);
+      skipped_state.save(skipped);
       EXPECT_EQ(skipped_state.bytes(), stepped_state.bytes())
           << "cycles=" << cycles;
       // Traffic injected now must land at the same cycle on both.

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Checkpoint-coverage mutation test over real simulator code.
+"""Checkpoint-coverage mutation tests over real simulator code.
 
 The property the ckpt-coverage rule exists for: deleting a single member
-reference from a real save_state body must turn the lint red.  This test
-proves it end to end on src/steer/ring_steering.h — first asserting the
-pristine header lints clean, then removing the 'out.i64(rotate_);' write
-from save_state and asserting ringclu_lint reports exactly that member.
+reference from a real checkpoint hook must turn the lint red.  Each
+mutation below first asserts the pristine header lints clean, then
+removes one field's line and asserts ringclu_lint reports exactly that
+member:
+  - 'out.i64(rotate_);' from RingSteering::save_state, one of the
+    virtual save_state/restore_state pairs the steering policies keep;
+  - 'io.u64(tick_);' from SetAssocCache::transfer, a one-list transfer().
 """
 
 import os
@@ -16,8 +19,12 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 LINT = os.path.join(ROOT, "tools", "lint", "ringclu_lint.py")
-TARGET = os.path.join(ROOT, "src", "steer", "ring_steering.h")
-MUTATION = "    out.i64(rotate_);\n"
+
+# (header, line to delete, member the lint must name)
+MUTATIONS = (
+    ("src/steer/ring_steering.h", "    out.i64(rotate_);\n", "rotate_"),
+    ("src/mem/cache.h", "    io.u64(tick_);\n", "tick_"),
+)
 
 
 def run_lint(files):
@@ -28,40 +35,48 @@ def run_lint(files):
     )
 
 
-def main() -> int:
-    with open(TARGET, "r", encoding="utf-8") as f:
+def check(relpath: str, mutation: str, member: str) -> int:
+    target = os.path.join(ROOT, relpath)
+    with open(target, "r", encoding="utf-8") as f:
         original = f.read()
-    if original.count(MUTATION) != 1:
-        print(f"mutation anchor {MUTATION!r} not found exactly once in "
-              f"{TARGET}; update this test", file=sys.stderr)
+    if original.count(mutation) != 1:
+        print(f"mutation anchor {mutation!r} not found exactly once in "
+              f"{target}; update this test", file=sys.stderr)
         return 2
 
-    clean = run_lint([TARGET])
+    clean = run_lint([target])
     if clean.returncode != 0:
-        print("lint is not clean on the pristine header:", file=sys.stderr)
+        print(f"lint is not clean on the pristine {relpath}:",
+              file=sys.stderr)
         sys.stderr.write(clean.stdout)
         return 1
 
     with tempfile.TemporaryDirectory() as tmp:
-        mutated_path = os.path.join(tmp, "ring_steering.h")
+        mutated_path = os.path.join(tmp, os.path.basename(target))
         with open(mutated_path, "w", encoding="utf-8") as f:
-            f.write(original.replace(MUTATION, ""))
+            f.write(original.replace(mutation, ""))
         mutated = run_lint([mutated_path])
 
     if mutated.returncode != 1:
-        print(f"mutated header: expected exit 1, got {mutated.returncode}",
-              file=sys.stderr)
+        print(f"mutated {relpath}: expected exit 1, got "
+              f"{mutated.returncode}", file=sys.stderr)
         sys.stderr.write(mutated.stdout)
         return 1
-    if "ckpt-coverage" not in mutated.stdout or \
-            "rotate_" not in mutated.stdout:
-        print("mutated header: missing ckpt-coverage finding for rotate_:",
-              file=sys.stderr)
+    if "ckpt-coverage" not in mutated.stdout or member not in mutated.stdout:
+        print(f"mutated {relpath}: missing ckpt-coverage finding for "
+              f"{member}:", file=sys.stderr)
         sys.stderr.write(mutated.stdout)
         return 1
-    print("mutation detected: dropping 'out.i64(rotate_)' from save_state "
+    print(f"mutation detected: dropping {mutation.strip()!r} from {relpath} "
           "fails the lint")
     return 0
+
+
+def main() -> int:
+    status = 0
+    for relpath, mutation, member in MUTATIONS:
+        status = max(status, check(relpath, mutation, member))
+    return status
 
 
 if __name__ == "__main__":

@@ -351,10 +351,10 @@ TEST(Lsq, RandomisedOperationsMatchReferenceScan) {
   for (int step = 0; step < 50000; ++step) {
     if (step % 97 == 96) {  // save, restore into a fresh queue, rebase
       CheckpointWriter out;
-      lsq.save_state(out);
+      out.save(lsq);
       LoadStoreQueue restored(kCapacity);
       CheckpointReader in(out.bytes());
-      restored.restore_state(in);
+      restored.transfer(in);
       ASSERT_TRUE(in.ok()) << "step " << step;
       lsq = restored;
       std::map<std::uint64_t, std::uint64_t> rebased;

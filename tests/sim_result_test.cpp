@@ -169,10 +169,10 @@ TEST(CounterSchema, EveryFieldSurvivesTheStoreLine) {
 TEST(CounterSchema, EveryFieldSurvivesACheckpoint) {
   const SimResult original = distinct_fields();
   CheckpointWriter writer;
-  original.counters.save_state(writer);
+  writer.save(original.counters);
   CheckpointReader reader(writer.bytes());
   SimCounters restored;
-  restored.restore_state(reader);
+  restored.transfer(reader);
   ASSERT_TRUE(reader.ok()) << reader.error();
   expect_identical(restored, original.counters);
 }

@@ -705,10 +705,10 @@ TEST(Dcount, OrderAndImbalanceStayConsistentAfterClamping) {
       clamped_ties += at_floor > 1;
       if (step % 500 == 499) {  // the order is rebuilt on restore
         CheckpointWriter out;
-        dcount.save_state(out);
+        out.save(dcount);
         DcountTracker restored(clusters, 2);
         CheckpointReader in(out.bytes());
-        restored.restore_state(in);
+        restored.transfer(in);
         ASSERT_TRUE(in.ok());
         expect_dcount_consistent(restored);
         ASSERT_EQ(restored.order(), dcount.order());

@@ -24,8 +24,11 @@ Rule families (see DESIGN.md section 12 for the full catalog):
 
   checkpoint coverage
     ckpt-coverage        every non-static data member of a class that
-                         defines save_state/restore_state must be
-                         referenced in BOTH bodies, or carry a
+                         defines transfer() (its one checkpoint field
+                         list, run by both the writer and the reader)
+                         must be referenced in that body -- or, for a
+                         class with the virtual save_state/restore_state
+                         pair, in BOTH bodies -- or carry a
                          "// ckpt: derived" annotation on its declaration.
     ckpt-pair            a class defining only one of save_state /
                          restore_state cannot round-trip.
@@ -87,7 +90,8 @@ RULES = {
         "wall-clock/entropy source inside a sim-state module"
     ),
     "ckpt-coverage": (
-        "data member not referenced by both save_state and restore_state"
+        "data member not referenced by transfer (or by both save_state "
+        "and restore_state)"
     ),
     "ckpt-pair": "class defines only one of save_state/restore_state",
     "env-getenv": (
@@ -390,6 +394,15 @@ SKIP_STMT_RE = re.compile(
 )
 
 
+# Checkpoint hooks: the one-list transfer(), or the virtual pair.
+CKPT_PAIR = ("save_state", "restore_state")
+CKPT_HOOKS = ("transfer",) + CKPT_PAIR
+
+# A member template's "template <...>" head, stripped so its declaration
+# parses like a plain one (one level of nested angle brackets).
+TEMPLATE_HEAD_RE = re.compile(r"^\s*template\s*<(?:[^<>]|<[^<>]*>)*>\s*")
+
+
 def _member_names(stmt: str):
     """Member name(s) declared by an in-class statement (already known not
     to be a function); yields identifier strings."""
@@ -449,7 +462,8 @@ def parse_classes(sf: SourceFile, out_classes: list, out_bodies: dict):
 
     # Out-of-line method bodies.
     for m in re.finditer(
-        r"\b([A-Za-z_]\w*)\s*::\s*(save_state|restore_state)\s*\(", blanked
+        r"\b([A-Za-z_]\w*)\s*::\s*(save_state|restore_state|transfer)\s*\(",
+        blanked,
     ):
         # Find the '{' that opens the body (skip declarations/calls).
         i = m.end() - 1
@@ -485,7 +499,7 @@ def parse_classes(sf: SourceFile, out_classes: list, out_bodies: dict):
         _parse_class_body(
             sf, m.group(2), body_open + 1, body_close - 1, out_classes
         )
-        pos = m.end()
+        pos = body_close  # nested classes were parsed with their parent
 
 
 def _parse_class_body(sf, class_name, start, end, out_classes):
@@ -537,8 +551,7 @@ def _parse_class_body(sf, class_name, start, end, out_classes):
                 # Method definition: record save/restore bodies.
                 name_m = re.search(r"([A-Za-z_]\w*)\s*$", stripped[:paren])
                 close = match_brace(blanked, i)
-                if name_m and name_m.group(1) in ("save_state",
-                                                  "restore_state"):
+                if name_m and name_m.group(1) in CKPT_HOOKS:
                     info.hooks[name_m.group(1)] = blanked[i:close]
                 i = close
                 buf = []
@@ -551,7 +564,7 @@ def _parse_class_body(sf, class_name, start, end, out_classes):
             continue
         if c == ";":
             stmt = "".join(buf)
-            stripped = ACCESS_RE.sub("", stmt).strip()
+            stripped = TEMPLATE_HEAD_RE.sub("", ACCESS_RE.sub("", stmt)).strip()
             stmt_line = sf.line_of(buf_start + len(buf) - len("".join(buf).lstrip()))
             if stripped and not SKIP_STMT_RE.match(stripped):
                 depth_a = 0
@@ -565,8 +578,7 @@ def _parse_class_body(sf, class_name, start, end, out_classes):
                     # Function declaration: record save/restore presence.
                     name_m = re.search(r"([A-Za-z_]\w*)\s*$",
                                        stripped[:paren])
-                    if name_m and name_m.group(1) in ("save_state",
-                                                      "restore_state"):
+                    if name_m and name_m.group(1) in CKPT_HOOKS:
                         info.hooks.setdefault(name_m.group(1), None)
                 else:
                     # Member declaration line: the line of the declarator
@@ -878,52 +890,51 @@ def check_checkpoint_coverage(files: dict, classes: list, bodies: dict,
         if not info.hooks:
             continue
         sf = files[info.path]
-        have = {}
-        for hook in ("save_state", "restore_state"):
-            body = info.hooks.get(hook)
-            if body is None and hook in info.hooks:
-                # Declared in-class; body may be out of line.
-                body = bodies.get((info.name, hook))
-            elif body is None:
-                body = bodies.get((info.name, hook))
-            have[hook] = body
-        declared = set(info.hooks.keys()) | {
+        declared = set(info.hooks) | {
             h for (cls, h) in bodies if cls == info.name
         }
-        if len(declared) == 1:
-            (only,) = declared
-            findings.append(
-                Finding(
-                    info.path,
-                    info.line,
-                    "ckpt-pair",
-                    f"class {info.name} defines {only} but not "
-                    f"{'restore_state' if only == 'save_state' else 'save_state'}: "
-                    "checkpoints cannot round-trip",
+        if "transfer" in declared:
+            required = ("transfer",)
+        else:
+            pair = declared & set(CKPT_PAIR)
+            if len(pair) == 1:
+                (only,) = pair
+                findings.append(
+                    Finding(
+                        info.path,
+                        info.line,
+                        "ckpt-pair",
+                        f"class {info.name} defines {only} but not "
+                        f"{'restore_state' if only == 'save_state' else 'save_state'}: "
+                        "checkpoints cannot round-trip",
+                    )
                 )
-            )
+                continue
+            required = CKPT_PAIR
+        ids = {}
+        for hook in required:
+            body = info.hooks.get(hook)
+            if body is None:
+                # Declared in-class; body may be out of line.
+                body = bodies.get((info.name, hook))
+            if body is None:
+                break  # body outside the scanned file set
+            ids[hook] = body_identifiers(body)
+        if len(ids) != len(required):
             continue
-        if have["save_state"] is None or have["restore_state"] is None:
-            # Bodies live outside the scanned file set; nothing to check.
-            continue
-        save_ids = body_identifiers(have["save_state"])
-        restore_ids = body_identifiers(have["restore_state"])
         for member, line in info.members:
             if has_ckpt_derived(sf, line):
                 continue
-            missing = []
-            if member not in save_ids:
-                missing.append("save_state")
-            if member not in restore_ids:
-                missing.append("restore_state")
+            missing = [hook for hook in required if member not in ids[hook]]
             if missing:
+                where = "in both" if len(required) == 2 else "there"
                 findings.append(
                     Finding(
                         info.path,
                         line,
                         "ckpt-coverage",
                         f"{info.name}::{member} is not referenced in "
-                        f"{' or '.join(missing)}: serialize it in both, or "
+                        f"{' or '.join(missing)}: serialize it {where}, or "
                         "annotate the declaration with '// ckpt: derived' "
                         "if it is reconstructed/config-constant",
                     )
