@@ -89,8 +89,6 @@ int main() {
 
   SimServiceOptions service_options;
   service_options.threads = options.threads;
-  service_options.shards = options.shards;
-  service_options.pin_workers = options.pin_workers;
   service_options.force = true;  // Measure simulations, not cache hits.
   service_options.checkpoint = options.checkpoint_options();
   SimService service(
@@ -224,7 +222,6 @@ int main() {
   std::fprintf(json, "  \"threads\": %zu,\n", workers);
   std::fprintf(json, "  \"threads_requested\": %d,\n",
                service.options().threads);
-  std::fprintf(json, "  \"shards\": %d,\n", service.options().shards);
   std::fprintf(json, "  \"benchmarks\": %zu,\n", benchmarks.size());
   std::fprintf(json, "  \"runs\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {

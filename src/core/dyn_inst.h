@@ -189,7 +189,7 @@ class ReorderBuffer {
   std::vector<std::int32_t> cluster_;
   std::vector<std::uint32_t> wait_srcs_;
   std::vector<std::int64_t> ready_at_;
-  std::size_t capacity_;
+  std::size_t capacity_;  // ckpt: derived (config)
   std::uint32_t head_ = 0;
   std::uint32_t tail_ = 0;
   std::size_t size_ = 0;

@@ -4,7 +4,6 @@
 #include <sys/file.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -156,51 +155,40 @@ void append_line_atomic(const std::string& path, std::string_view line) {
 
 namespace {
 
-/// Key -> cached result map shared by every backend.  Lookup, insert,
-/// and size only — no backend ever iterates it (persistence appends
-/// each result to the TSV at put() time, in call order), so the
-/// unordered layout cannot leak address- or hash-dependent ordering.
-// ringclu-lint: allow(det-unordered-decl: lookup/insert/size; not iterated)
-using ResultMap = std::unordered_map<std::string, SimResult>;
-
-/// Loads "key \t serialized-result" lines into \p entries (first key wins),
-/// counting corrupt lines.  Missing file is an empty store, not an error.
-void load_tsv_file(const std::string& path, ResultMap& entries,
-                   std::size_t& corrupt) {
-  std::ifstream in(path);
-  if (!in) return;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t sep = line.find('\t');
-    if (sep == std::string::npos) {
-      if (!line.empty()) ++corrupt;
-      continue;
-    }
-    std::optional<SimResult> result =
-        try_deserialize_result(line.substr(sep + 1));
-    if (!result) {
-      ++corrupt;
-      continue;
-    }
-    entries.emplace(line.substr(0, sep), *std::move(result));
-  }
-}
-
-void warn_corrupt(std::size_t corrupt, const std::string& path) {
-  if (corrupt != 0) {
-    std::fprintf(stderr,
-                 "[ringclu] warning: skipped %zu corrupt cache line(s) in %s\n",
-                 corrupt, path.c_str());
-  }
-}
-
-/// The historical single-file append-only TSV cache.
-class TsvFileStore final : public ResultStore {
+/// Both backends: a key -> result map, which the tsv backend also loads
+/// from and appends to its file.  The map is looked up, inserted into and
+/// sized only — never iterated (persistence appends each result to the
+/// TSV at put() time, in call order), so the unordered layout cannot leak
+/// address- or hash-dependent ordering.
+class MapStore final : public ResultStore {
  public:
-  TsvFileStore(std::string path, bool verbose) : path_(std::move(path)) {
+  /// \p path is the TSV file when \p persistent, else unused.  A missing
+  /// file is an empty store; corrupt lines are skipped (and counted on
+  /// stderr when \p verbose).
+  MapStore(std::string path, bool persistent, bool verbose)
+      : path_(std::move(path)), persistent_(persistent) {
+    if (!persistent_) return;
+    std::ifstream in(path_);
     std::size_t corrupt = 0;
-    load_tsv_file(path_, entries_, corrupt);
-    if (verbose) warn_corrupt(corrupt, path_);
+    std::string line;
+    while (std::getline(in, line)) {
+      const std::size_t sep = line.find('\t');
+      std::optional<SimResult> result;
+      if (sep != std::string::npos) {
+        result = try_deserialize_result(line.substr(sep + 1));
+      }
+      if (!result) {
+        if (!line.empty()) ++corrupt;
+        continue;
+      }
+      entries_.emplace(line.substr(0, sep), *std::move(result));
+    }
+    if (verbose && corrupt != 0) {
+      std::fprintf(stderr,
+                   "[ringclu] warning: skipped %zu corrupt cache line(s) in "
+                   "%s\n",
+                   corrupt, path_.c_str());
+    }
   }
 
   std::optional<SimResult> get(const std::string& key) override {
@@ -211,7 +199,9 @@ class TsvFileStore final : public ResultStore {
   }
 
   void put(const std::string& key, const SimResult& result) override {
-    append_line_atomic(path_, key + "\t" + serialize_result(result));
+    if (persistent_) {
+      append_line_atomic(path_, key + "\t" + serialize_result(result));
+    }
     const std::lock_guard<std::mutex> lock(mutex_);
     entries_.emplace(key, result);
   }
@@ -221,174 +211,37 @@ class TsvFileStore final : public ResultStore {
     return entries_.size();
   }
 
-  bool persistent() const override { return true; }
+  bool persistent() const override { return persistent_; }
 
-  std::string describe() const override { return "tsv at " + path_; }
+  std::string describe() const override {
+    return persistent_ ? "tsv at " + path_ : "memory";
+  }
 
  private:
   std::string path_;
+  bool persistent_;
   mutable std::mutex mutex_;
-  ResultMap entries_;
-};
-
-/// 64-bit FNV-1a; stable across platforms so shard placement is portable.
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-/// TSV store split over kNumShards files under one directory.  The shard
-/// for a key is fixed by hash, so concurrent writers working on different
-/// parts of a matrix mostly append to different files (and different
-/// advisory locks).  Shards load lazily: a reader that only ever touches
-/// two shards never parses the other fourteen.
-class ShardedTsvStore final : public ResultStore {
- public:
-  static constexpr std::size_t kNumShards = 16;
-
-  ShardedTsvStore(std::string directory, bool verbose)
-      : directory_(std::move(directory)), verbose_(verbose) {
-    for (std::size_t i = 0; i < kNumShards; ++i) {
-      shards_[i].path = (std::filesystem::path(directory_) /
-                         str_format("shard-%02zu.tsv", i))
-                            .string();
-    }
-  }
-
-  std::optional<SimResult> get(const std::string& key) override {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    ensure_loaded(shard);
-    const auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) return std::nullopt;
-    return it->second;
-  }
-
-  void put(const std::string& key, const SimResult& result) override {
-    Shard& shard = shard_for(key);
-    // Append before locking the shard map: the file append has its own
-    // cross-process lock and the in-memory emplace below is first-wins
-    // either way.
-    append_line_atomic(shard.path, key + "\t" + serialize_result(result));
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    ensure_loaded(shard);
-    shard.entries.emplace(key, result);
-  }
-
-  std::size_t size() const override {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      ensure_loaded(shard);
-      total += shard.entries.size();
-    }
-    return total;
-  }
-
-  bool persistent() const override { return true; }
-
-  std::string describe() const override {
-    return str_format("sharded(%zu) at %s", kNumShards, directory_.c_str());
-  }
-
- private:
-  struct Shard {
-    std::string path;
-    mutable std::mutex mutex;
-    // Lazily loaded under \c mutex, including from const readers (size()).
-    mutable bool loaded = false;
-    mutable ResultMap entries;
-  };
-
-  Shard& shard_for(const std::string& key) {
-    return shards_[fnv1a(key) % kNumShards];
-  }
-
-  void ensure_loaded(const Shard& shard) const {
-    if (shard.loaded) return;
-    std::size_t corrupt = 0;
-    load_tsv_file(shard.path, shard.entries, corrupt);
-    if (verbose_) warn_corrupt(corrupt, shard.path);
-    shard.loaded = true;
-  }
-
-  std::string directory_;
-  bool verbose_;
-  std::array<Shard, kNumShards> shards_;
-};
-
-/// Process-local store for tests and cache-free benchmarking.
-class MemoryStore final : public ResultStore {
- public:
-  std::optional<SimResult> get(const std::string& key) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  void put(const std::string& key, const SimResult& result) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    entries_.emplace(key, result);
-  }
-
-  std::size_t size() const override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-  }
-
-  bool persistent() const override { return false; }
-
-  std::string describe() const override { return "memory"; }
-
- private:
-  mutable std::mutex mutex_;
-  ResultMap entries_;
+  // ringclu-lint: allow(det-unordered-decl: lookup/insert/size; not iterated)
+  std::unordered_map<std::string, SimResult> entries_;
 };
 
 }  // namespace
 
 std::optional<StoreBackend> parse_store_backend(std::string_view name) {
   if (name == "tsv") return StoreBackend::Tsv;
-  if (name == "sharded") return StoreBackend::Sharded;
   if (name == "memory") return StoreBackend::Memory;
   return std::nullopt;
 }
 
 std::string_view store_backend_name(StoreBackend backend) {
-  switch (backend) {
-    case StoreBackend::Tsv: return "tsv";
-    case StoreBackend::Sharded: return "sharded";
-    case StoreBackend::Memory: return "memory";
-  }
-  RINGCLU_UNREACHABLE("bad StoreBackend");
-}
-
-std::string default_cache_path(StoreBackend backend) {
-  switch (backend) {
-    case StoreBackend::Tsv: return "bench_cache/results.tsv";
-    case StoreBackend::Sharded: return "bench_cache/shards";
-    case StoreBackend::Memory: return "";
-  }
-  RINGCLU_UNREACHABLE("bad StoreBackend");
+  return backend == StoreBackend::Tsv ? "tsv" : "memory";
 }
 
 std::unique_ptr<ResultStore> make_result_store(StoreBackend backend,
                                                const std::string& path,
                                                bool verbose) {
-  switch (backend) {
-    case StoreBackend::Tsv:
-      return std::make_unique<TsvFileStore>(path, verbose);
-    case StoreBackend::Sharded:
-      return std::make_unique<ShardedTsvStore>(path, verbose);
-    case StoreBackend::Memory:
-      return std::make_unique<MemoryStore>();
-  }
-  RINGCLU_UNREACHABLE("bad StoreBackend");
+  return std::make_unique<MapStore>(path, backend == StoreBackend::Tsv,
+                                    verbose);
 }
 
 }  // namespace ringclu

@@ -7,21 +7,18 @@
 /// of it) reads and writes results through the ResultStore interface, so
 /// the storage strategy can be swapped without touching the scheduling
 /// logic.
-/// Three backends ship today:
+/// Two backends ship today:
 ///
 ///   tsv      one append-only TSV file ("key \t serialized-result" lines),
 ///            the historical bench_cache/results.tsv format.  Appends are
 ///            atomic across processes (single O_APPEND write under an
 ///            advisory flock), so concurrent bench binaries sharing one
 ///            cache can no longer tear each other's lines.
-///   sharded  16 TSV shard files in a directory, keyed by FNV-1a hash of
-///            the cache key.  Parallel writers mostly land on different
-///            shards, so writer lock contention drops with the shard count.
 ///   memory   process-local map; nothing touches the filesystem.  The
 ///            default for tests and for throughput benchmarking.
 ///
 /// Selection: RunnerOptions::cache_backend / RINGCLU_CACHE_BACKEND
-/// ("tsv" | "sharded" | "memory").
+/// ("tsv" | "memory").
 ///
 /// Contract (the conformance suite in tests/result_store_test.cpp runs
 /// every backend through it):
@@ -78,23 +75,17 @@ class ResultStore {
   [[nodiscard]] virtual std::string describe() const = 0;
 };
 
-enum class StoreBackend { Tsv, Sharded, Memory };
+/// Numbered explicitly so the raw values that parameterized test names
+/// print stay stable.
+enum class StoreBackend { Tsv = 0, Memory = 2 };
 
-/// "tsv" | "sharded" | "memory" -> backend; nullopt on anything else.
+/// "tsv" | "memory" -> backend; nullopt on anything else.
 [[nodiscard]] std::optional<StoreBackend> parse_store_backend(
     std::string_view name);
 [[nodiscard]] std::string_view store_backend_name(StoreBackend backend);
 
-/// The conventional cache location for \p backend under the working
-/// directory: bench_cache/results.tsv (tsv), bench_cache/shards
-/// (sharded, a directory), or "" (memory).  Kept per-backend because
-/// pointing the sharded store at an existing results.tsv FILE would make
-/// every shard append fail.
-[[nodiscard]] std::string default_cache_path(StoreBackend backend);
-
-/// Builds a store.  \p path is the TSV file path (tsv), the shard
-/// directory (sharded), or ignored (memory).  \p verbose enables the
-/// corrupt-line warning on load.
+/// Builds a store.  \p path is the TSV file path (tsv) or ignored
+/// (memory).  \p verbose enables the corrupt-line warning on load.
 [[nodiscard]] std::unique_ptr<ResultStore> make_result_store(
     StoreBackend backend, const std::string& path, bool verbose);
 

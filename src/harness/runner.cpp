@@ -74,9 +74,6 @@ RunnerOptions RunnerOptions::from_env() {
       env_uint(env, "threads", static_cast<std::uint64_t>(
                                    default_thread_count()),
                1u << 20));
-  options.shards =
-      static_cast<int>(env_uint(env, "shards", 0, 1u << 12));
-  options.pin_workers = env_bool(env, "pin_workers", false);
   options.force = env_bool(env, "force", false);
   options.verbose = env_bool(env, "verbose", true);
   const std::string backend = env.get_string(
@@ -86,12 +83,11 @@ RunnerOptions RunnerOptions::from_env() {
   } else {
     std::fprintf(stderr,
                  "[ringclu] RINGCLU_CACHE_BACKEND=%s is not a result-store "
-                 "backend; valid backends: tsv, sharded, memory\n",
+                 "backend; valid backends: tsv, memory\n",
                  backend.c_str());
     std::exit(2);
   }
-  options.cache_path =
-      env.get_string("cache", default_cache_path(options.cache_backend));
+  options.cache_path = env.get_string("cache", options.cache_path);
   options.interval = env_uint(env, "interval", 0);
   options.metrics_sink = env.get_string("metrics", "");
   options.checkpoint_dir = env.get_string("checkpoint_dir", "");

@@ -15,17 +15,11 @@
 ///   RINGCLU_WARMUP          warmup instructions           (default instrs/10)
 ///   RINGCLU_SEED            workload seed                 (default 42)
 ///   RINGCLU_THREADS         worker threads                (default hw threads)
-///   RINGCLU_SHARDS          deterministic parallel shards (default 0 = off;
-///                           N > 0 partitions jobs by cache-key hash with
-///                           submission-ordered store writes — sharded
-///                           parallel sweeps leave byte-identical store
-///                           content to a serial run)
-///   RINGCLU_PIN_WORKERS     pin each shard's workers to one CPU (Linux;
-///                           default 0)
 ///   RINGCLU_FORCE           ignore the cache when set to 1
 ///   RINGCLU_VERBOSE         progress lines on stderr (default 1)
-///   RINGCLU_CACHE           cache file path (tsv) or directory (sharded)
-///   RINGCLU_CACHE_BACKEND   result store: tsv | sharded | memory
+///   RINGCLU_CACHE           tsv cache file (default
+///                           bench_cache/results.tsv; memory ignores it)
+///   RINGCLU_CACHE_BACKEND   result store: tsv | memory (default tsv)
 ///   RINGCLU_BENCHMARKS      comma-separated benchmark subset (validated)
 ///   RINGCLU_INTERVAL        metric-sampling period in committed
 ///                           instructions (default 0 = off)
@@ -67,11 +61,6 @@ struct RunnerOptions {
   std::uint64_t warmup = instrs / 10;
   std::uint64_t seed = 42;
   int threads = default_thread_count();
-  /// Deterministic parallel shards (RINGCLU_SHARDS); 0 = off.  See
-  /// SimServiceOptions::shards.
-  int shards = 0;
-  /// Pin each shard's workers to one CPU (RINGCLU_PIN_WORKERS).
-  bool pin_workers = false;
   bool force = false;
   bool verbose = true;
   StoreBackend cache_backend = StoreBackend::Tsv;

@@ -1,10 +1,5 @@
 #include "harness/sim_service.h"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -20,7 +15,6 @@
 #include "trace/synth/suite.h"
 #include "util/assert.h"
 #include "util/format.h"
-#include "util/rng.h"
 
 namespace ringclu {
 
@@ -245,14 +239,10 @@ struct JobHandle::JobState {
   std::string error;
   /// Attached handles that have not cancelled.
   std::size_t waiters = 0;
+  /// Completion callbacks registered before Done.  A worker puts the
+  /// result into the store before it publishes Done, so Done also means
+  /// "stored" and a callback always finds its result there.
   std::vector<std::function<void(const SimResult&)>> callbacks;
-  /// The result is in the store (or came from it).  Completion callbacks
-  /// run only from then on, so a callback always finds its result there.
-  bool stored = false;
-  /// Shard queue this job was enqueued on (always 0 when unsharded).
-  std::size_t shard = 0;
-  /// Submission index, for the ordered store flush (sharded mode).
-  std::uint64_t order = 0;
 };
 
 // ---- JobHandle --------------------------------------------------------
@@ -305,66 +295,21 @@ std::unique_ptr<ResultStore> store_from_runner_options(
 SimServiceOptions service_options_from_runner(const RunnerOptions& options) {
   SimServiceOptions service_options;
   service_options.threads = options.threads;
-  service_options.shards = options.shards;
-  service_options.pin_workers = options.pin_workers;
   service_options.force = options.force;
   service_options.verbose = options.verbose;
   service_options.checkpoint = options.checkpoint_options();
   return service_options;
 }
 
-/// Best-effort affinity: pin the calling thread to one CPU.  Linux only;
-/// failures (and unknown hardware concurrency) are silently ignored —
-/// pinning is a locality hint, never a correctness requirement.
-void pin_current_thread(std::size_t cpu) {
-#ifdef __linux__
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % hw, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
-
 }  // namespace
-
-std::size_t SimService::shard_for_key(std::string_view key, int shards) {
-  RINGCLU_EXPECTS(shards > 0);
-  return fnv1a(key) % static_cast<std::size_t>(shards);
-}
 
 SimService::SimService(std::unique_ptr<ResultStore> store,
                        SimServiceOptions options)
     : options_(options), store_(std::move(store)) {
   RINGCLU_EXPECTS(store_ != nullptr);
-  RINGCLU_EXPECTS(options_.shards >= 0);
   if (options_.threads <= 0) options_.threads = default_thread_count();
   paused_ = options_.start_paused;
-  const std::size_t shard_count =
-      options_.shards > 0 ? static_cast<std::size_t>(options_.shards) : 1;
-  shards_.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->workers.reserve(worker_quota(s));
-  }
-}
-
-std::size_t SimService::worker_quota(std::size_t shard) const {
-  const std::size_t threads = static_cast<std::size_t>(options_.threads);
-  const std::size_t count =
-      options_.shards > 0 ? static_cast<std::size_t>(options_.shards) : 1;
-  const std::size_t quota = threads / count + (shard < threads % count);
-  return quota > 0 ? quota : 1;
-}
-
-void SimService::spawn_worker_locked(std::size_t shard) {
-  Shard& s = *shards_[shard];
-  if (s.workers.size() < worker_quota(shard)) {
-    s.workers.emplace_back([this, shard] { worker_loop(shard); });
-  }
+  workers_.reserve(static_cast<std::size_t>(options_.threads));
 }
 
 SimService::SimService(const RunnerOptions& options)
@@ -375,24 +320,15 @@ SimService::~SimService() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      for (const std::shared_ptr<JobState>& state : shard->queue) {
-        state->status = JobStatus::Cancelled;
-        unindex_locked(state);
-        // Park a null flush entry so any still-running job behind this
-        // index can flush its result before its worker exits.
-        if (ordered_puts()) pending_flush_.emplace(state->order, nullptr);
-      }
-      shard->queue.clear();
+    for (const std::shared_ptr<JobState>& state : queue_) {
+      state->status = JobStatus::Cancelled;
+      unindex_locked(state);
     }
+    queue_.clear();
   }
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->work_cv.notify_all();
-  }
+  work_cv_.notify_all();
   done_cv_.notify_all();
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (std::thread& worker : shard->workers) worker.join();
-  }
+  for (std::thread& worker : workers_) worker.join();
 }
 
 JobHandle SimService::submit(SimJob job) { return submit_one(std::move(job)); }
@@ -426,12 +362,9 @@ std::vector<JobHandle> SimService::submit_batch(std::vector<SimJob> jobs) {
     if (newly_queued != 0) {
       std::fprintf(stderr,
                    "[ringclu] simulating %zu run(s) (%llu instrs each, "
-                   "%d thread(s)%s)...\n",
+                   "%d thread(s))...\n",
                    newly_queued, static_cast<unsigned long long>(instrs),
-                   options_.threads,
-                   ordered_puts()
-                       ? str_format(", %zu shard(s)", shards_.size()).c_str()
-                       : "");
+                   options_.threads);
     }
   }
   return handles;
@@ -476,8 +409,6 @@ JobHandle SimService::submit_one(SimJob&& job) {
   }
 
   const bool use_store = !options_.force && !streaming;
-  const std::size_t shard =
-      ordered_puts() ? shard_for_key(state->key, options_.shards) : 0;
   JobHandle handle;
   for (;;) {
     // Serve from the store (skipped under force).  The read — possibly a
@@ -487,7 +418,6 @@ JobHandle SimService::submit_one(SimJob&& job) {
       if (std::optional<SimResult> cached = store_->get(state->key)) {
         state->status = JobStatus::Done;
         state->result = *std::move(cached);
-        state->stored = true;
         const std::lock_guard<std::mutex> lock(mutex_);
         ++store_hits_;
         return make_handle(std::move(state));
@@ -511,18 +441,18 @@ JobHandle SimService::submit_one(SimJob&& job) {
       continue;
     }
     state->status = JobStatus::Queued;
-    state->shard = shard;
-    state->order = next_order_++;
     // Attach the handle before publishing the state to the queue: from
     // that point on, waiters is shared with coalescing submitters.
     handle = make_handle(state);
-    shards_[shard]->queue.push_back(state);
+    queue_.push_back(state);
     if (!streaming) in_flight_.emplace(state->key, state);
     ++total_accepted_;
-    spawn_worker_locked(shard);
+    if (workers_.size() < static_cast<std::size_t>(options_.threads)) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
     break;
   }
-  shards_[shard]->work_cv.notify_one();
+  work_cv_.notify_one();
   return handle;
 }
 
@@ -538,17 +468,15 @@ void SimService::unindex_locked(const std::shared_ptr<JobState>& state) {
   }
 }
 
-void SimService::worker_loop(std::size_t shard) {
-  if (options_.pin_workers) pin_current_thread(shard);
-  Shard& home = *shards_[shard];
+void SimService::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    home.work_cv.wait(lock, [this, &home] {
-      return stopping_ || (!paused_ && !home.queue.empty());
+    work_cv_.wait(lock, [this] {
+      return stopping_ || (!paused_ && !queue_.empty());
     });
     if (stopping_) return;
-    std::shared_ptr<JobState> state = home.queue.front();
-    home.queue.pop_front();
+    std::shared_ptr<JobState> state = queue_.front();
+    queue_.pop_front();
     if (state->status != JobStatus::Queued) continue;  // Cancelled in place.
     state->status = JobStatus::Running;
     ++running_;
@@ -559,9 +487,7 @@ void SimService::worker_loop(std::size_t shard) {
     // exist; re-putting would append a duplicate line to persistent
     // backends on every repeated streaming run (first-write-wins makes
     // it dead weight, not a wrong answer — but unbounded growth).
-    // Sharded mode defers this to the submission-ordered flush instead.
-    if (!ordered_puts() &&
-        (!state->job.streaming() || !store_->get(state->key))) {
+    if (!state->job.streaming() || !store_->get(state->key)) {
       store_->put(state->key, result);
     }
 
@@ -575,59 +501,17 @@ void SimService::worker_loop(std::size_t shard) {
                    total_accepted_, state->result.summary().c_str());
     }
     done_cv_.notify_all();
-    if (ordered_puts()) {
-      // Ordered mode keeps the job in the coalescing index until its flush
-      // lands: a duplicate submitted while the result is Done-but-unflushed
-      // would otherwise miss both the index and the store and re-simulate,
-      // appending a second line serial execution never writes.  The flush
-      // also runs the job's callbacks, once its result is in the store.
-      pending_flush_.emplace(state->order, state);
-      flush_store(lock);
-      continue;
-    }
     unindex_locked(state);
-    run_callbacks(state, lock);
-  }
-}
-
-void SimService::run_callbacks(const std::shared_ptr<JobState>& state,
-                               std::unique_lock<std::mutex>& lock) {
-  state->stored = true;
-  std::vector<std::function<void(const SimResult&)>> callbacks =
-      std::move(state->callbacks);
-  state->callbacks.clear();
-  if (callbacks.empty()) return;
-  lock.unlock();
-  // state->result is immutable from here on; callbacks run unlocked, in
-  // registration order.
-  for (const auto& callback : callbacks) callback(state->result);
-  lock.lock();
-}
-
-void SimService::flush_store(std::unique_lock<std::mutex>& lock) {
-  if (flushing_) return;  // The active flusher will drain new deposits.
-  flushing_ = true;
-  for (;;) {
-    const auto it = pending_flush_.find(next_flush_);
-    if (it == pending_flush_.end()) break;
-    const std::shared_ptr<JobState> state = it->second;
-    pending_flush_.erase(it);
-    ++next_flush_;
-    if (state == nullptr) continue;  // Cancelled index: nothing to write.
+    const std::vector<std::function<void(const SimResult&)>> callbacks =
+        std::move(state->callbacks);
+    state->callbacks.clear();
+    if (callbacks.empty()) continue;
     lock.unlock();
-    // state->result is immutable once Done (observed under the mutex);
-    // the store call runs unlocked so it never stalls other workers.
-    if (!state->job.streaming() || !store_->get(state->key)) {
-      store_->put(state->key, state->result);
-    }
+    // state->result is immutable from here on; callbacks run unlocked, in
+    // registration order.
+    for (const auto& callback : callbacks) callback(state->result);
     lock.lock();
-    // The entry is in the store now: duplicates can leave the coalescing
-    // index and resolve as store hits, and callbacks may run.
-    unindex_locked(state);
-    run_callbacks(state, lock);
   }
-  flushing_ = false;
-  done_cv_.notify_all();  // wait_idle() also waits for the flush to drain.
 }
 
 JobStatus JobHandle::wait() const {
@@ -635,12 +519,8 @@ JobStatus JobHandle::wait() const {
   JobState& state = *core_->state;
   SimService& service = *state.service;
   std::unique_lock<std::mutex> lock(service.mutex_);
-  // A Done job counts once its result is in the store: in sharded mode
-  // that is after the ordered flush, which notifies done_cv_ when it drains.
   service.done_cv_.wait(lock, [this, &state] {
-    return core_->cancelled ||
-           (job_status_terminal(state.status) &&
-            (state.status != JobStatus::Done || state.stored));
+    return core_->cancelled || job_status_terminal(state.status);
   });
   return core_->cancelled ? JobStatus::Cancelled : state.status;
 }
@@ -649,33 +529,23 @@ bool JobHandle::cancel() {
   RINGCLU_EXPECTS(valid());
   JobState& state = *core_->state;
   SimService& service = *state.service;
-  bool notify = false;
   {
-    std::unique_lock<std::mutex> lock(service.mutex_);
-    if (core_->cancelled) return false;
-    if (state.status != JobStatus::Queued) return false;
+    const std::lock_guard<std::mutex> lock(service.mutex_);
+    if (core_->cancelled || state.status != JobStatus::Queued) return false;
     core_->cancelled = true;
     --state.waiters;
     if (state.waiters == 0) {
       // Last interested handle: drop the job before it is dispatched.
       state.status = JobStatus::Cancelled;
       service.unindex_locked(core_->state);
-      auto& queue = service.shards_[state.shard]->queue;
+      auto& queue = service.queue_;
       queue.erase(std::remove(queue.begin(), queue.end(), core_->state),
                   queue.end());
       --service.total_accepted_;
-      if (service.ordered_puts()) {
-        // Park a null entry at this submission index and flush: results
-        // already parked behind it must not wait for a job that will
-        // never run.
-        service.pending_flush_.emplace(state.order, nullptr);
-        service.flush_store(lock);
-      }
     }
-    notify = true;
   }
   service.done_cv_.notify_all();
-  return notify;
+  return true;
 }
 
 void JobHandle::on_complete(std::function<void(const SimResult&)> callback) {
@@ -683,17 +553,17 @@ void JobHandle::on_complete(std::function<void(const SimResult&)> callback) {
   JobState& state = *core_->state;
   SimService& service = *state.service;
   {
-    std::unique_lock<std::mutex> lock(service.mutex_);
+    const std::lock_guard<std::mutex> lock(service.mutex_);
     if (core_->cancelled || state.status == JobStatus::Cancelled ||
         state.status == JobStatus::Failed) {
       return;  // Never completes: callback is dropped.
     }
-    if (!state.stored) {
+    if (state.status != JobStatus::Done) {
       state.callbacks.push_back(std::move(callback));
       return;
     }
   }
-  // Already done and stored: run inline, unlocked (result is immutable).
+  // Already done, so stored: run inline, unlocked (result is immutable).
   callback(state.result);
 }
 
@@ -707,21 +577,12 @@ void SimService::resume() {
     const std::lock_guard<std::mutex> lock(mutex_);
     paused_ = false;
   }
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->work_cv.notify_all();
-  }
+  work_cv_.notify_all();
 }
 
 void SimService::wait_idle() const {
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] {
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      if (!shard->queue.empty()) return false;
-    }
-    // In sharded mode "idle" includes the ordered flush: every completed
-    // result has reached the store (pending empty, no put in flight).
-    return running_ == 0 && pending_flush_.empty() && !flushing_;
-  });
+  done_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
 }
 
 std::size_t SimService::simulations_run() const {
@@ -741,20 +602,14 @@ std::size_t SimService::coalesced_submissions() const {
 
 std::size_t SimService::workers_started() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->workers.size();
-  }
-  return total;
+  return workers_.size();
 }
 
 SimServiceStats SimService::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   SimServiceStats stats;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    stats.queued += shard->queue.size();
-    stats.workers += shard->workers.size();
-  }
+  stats.queued = queue_.size();
+  stats.workers = workers_.size();
   stats.running = running_;
   stats.simulations = simulations_;
   stats.store_hits = store_hits_;

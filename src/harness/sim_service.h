@@ -19,12 +19,11 @@
 ///   - streams time-resolved metrics: a SimJob with a sampling interval
 ///     and an attached MetricSink (sim_job.h) always simulates — never a
 ///     store hit, never coalesced — and its worker feeds every interval
-///     sample plus the finished result to the sink,
-///   - optionally shards (SimServiceOptions::shards): jobs partition
-///     across per-shard queues and worker pools by a stable hash of the
-///     cache key, with store writes replayed in submission order, so a
-///     parallel sharded sweep leaves byte-for-byte the same store content
-///     as a serial run (DESIGN.md §11).
+///     sample plus the finished result to the sink.
+///
+/// One job queue feeds one worker pool, and each worker puts its result
+/// straight into the store before publishing Done, so wait() and every
+/// completion callback find the result there.
 ///
 /// A synchronous batch is submit_batch() followed by wait() on every
 /// handle, in order.  See DESIGN.md §7.
@@ -40,7 +39,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -92,10 +90,7 @@ class JobHandle {
   [[nodiscard]] const std::string& key() const;
 
   /// Blocks until the job reaches a terminal status and returns it.  A
-  /// Done job's result is in the store by then (in sharded mode wait()
-  /// also waits for the ordered flush).  Not for completion callbacks: a
-  /// callback runs inside that flush, so waiting there on a later job
-  /// would wait on itself.  \pre valid()
+  /// Done job's result is in the store by then.  \pre valid()
   JobStatus wait() const;
 
   /// The finished result.  \pre wait() or status() returned Done.
@@ -118,10 +113,8 @@ class JobHandle {
   /// Registers \p callback to run with the finished result, once that
   /// result is in the store.  Callbacks registered before then run in
   /// registration order (across all handles of a coalesced job) on the
-  /// thread that stores the result: the completing worker, or in sharded
-  /// mode whichever thread runs the ordered flush.  Registered after,
-  /// \p callback runs inline.  Callbacks are not invoked for Cancelled or
-  /// Failed jobs.  \pre valid()
+  /// completing worker.  Registered after, \p callback runs inline.
+  /// Callbacks are not invoked for Cancelled or Failed jobs.  \pre valid()
   void on_complete(std::function<void(const SimResult&)> callback);
 
  private:
@@ -142,7 +135,7 @@ class JobHandle {
 /// that want every counter from the same lock acquisition instead of four
 /// racing accessor calls.
 struct SimServiceStats {
-  std::size_t queued = 0;        ///< jobs waiting in shard queues
+  std::size_t queued = 0;        ///< jobs waiting in the queue
   std::size_t running = 0;       ///< jobs currently on a worker
   std::size_t simulations = 0;   ///< simulations actually executed
   std::size_t store_hits = 0;    ///< submissions served from the store
@@ -153,21 +146,6 @@ struct SimServiceStats {
 struct SimServiceOptions {
   /// Worker threads.  Clamped to >= 1.
   int threads = 0;  // 0 -> default_thread_count() (resolved by the service)
-  /// Deterministic parallel sharding (RINGCLU_SHARDS).  0 keeps the single
-  /// shared queue and the historical store-write order (workers put as
-  /// they finish).  N > 0 partitions jobs across N shard queues by a
-  /// stable hash of the cache key (FNV-1a, so the assignment is identical
-  /// across runs and hosts), gives every shard its own slice of the
-  /// worker budget, and defers store writes into a submission-ordered
-  /// flush: the merged store content is byte-identical to a serial
-  /// (shards=0, threads=1) run of the same submissions, for any shard or
-  /// worker count.  See DESIGN.md §11.
-  int shards = 0;
-  /// Pin each shard's workers to one CPU (shard index modulo the hardware
-  /// concurrency) so a shard's jobs share a cache.  Linux only; elsewhere
-  /// (and on affinity errors) it is a silent no-op.  Never affects
-  /// simulated numbers.
-  bool pin_workers = false;
   /// Skip store reads (results are still written), forcing re-simulation.
   bool force = false;
   /// Progress lines on stderr as jobs complete.
@@ -232,15 +210,6 @@ class SimService {
   /// atomically under one lock.
   [[nodiscard]] SimServiceStats stats() const;
 
-  /// Shard queue count: max(1, options().shards).  A non-sharded service
-  /// runs its single shared queue as shard 0.
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// The stable shard a \p key maps to under \p shards queues (FNV-1a
-  /// modulo shards; identical across runs and hosts).  Exposed so tests
-  /// and tools can predict placement.
-  [[nodiscard]] static std::size_t shard_for_key(std::string_view key,
-                                                 int shards);
-
   [[nodiscard]] ResultStore& store() { return *store_; }
   [[nodiscard]] const SimServiceOptions& options() const { return options_; }
 
@@ -248,61 +217,29 @@ class SimService {
   friend class JobHandle;  // Handles lock mutex_ / wait on done_cv_.
   using JobState = JobHandle::JobState;
 
-  /// One shard: its job queue and its slice of the worker budget.  A
-  /// non-sharded service (options_.shards == 0) is exactly one shard
-  /// holding the whole budget; each shard's workers wait on their own
-  /// condition variable so an enqueue wakes only the shard it lands in.
-  /// unique_ptr because condition_variable is immovable and the shard
-  /// vector is sized at construction.
-  struct Shard {
-    std::deque<std::shared_ptr<JobState>> queue;
-    std::condition_variable work_cv;
-    /// Spawned lazily, one per newly queued job, up to worker_quota() —
-    /// a service whose submissions all resolve from the store never
-    /// starts a thread.
-    std::vector<std::thread> workers;
-  };
-
-  void worker_loop(std::size_t shard);
+  void worker_loop();
   /// Submission core for one job.  Takes and releases \c mutex_ itself;
   /// the store read (which may do disk I/O) runs unlocked so submissions
   /// never stall workers publishing results or handles polling status.
   JobHandle submit_one(SimJob&& job);
-  /// Worker budget of \p shard: options_.threads split evenly across the
-  /// shards (earlier shards take the remainder), floored at 1 so no shard
-  /// can starve.  With threads < shards the effective total is the shard
-  /// count.
-  [[nodiscard]] std::size_t worker_quota(std::size_t shard) const;
-  /// Grows \p shard's worker pool up to worker_quota().  \pre mutex_ held.
-  void spawn_worker_locked(std::size_t shard);
   /// Removes \p state from the coalescing index iff it is the indexed
   /// entry for its key (streaming jobs never register).  \pre mutex_ held.
   void unindex_locked(const std::shared_ptr<JobState>& state);
-  /// True when store writes are deferred into the submission-ordered
-  /// flush (sharded mode) instead of issued directly by workers.
-  [[nodiscard]] bool ordered_puts() const { return options_.shards > 0; }
-  /// Submission-ordered store flush: writes every contiguous pending
-  /// result starting at next_flush_, releasing \p lock around each store
-  /// call.  At most one thread flushes at a time (flushing_); later
-  /// depositors return immediately and the active flusher drains them.
-  /// \pre \p lock holds mutex_.
-  void flush_store(std::unique_lock<std::mutex>& lock);
-  /// Marks \p state's result stored and runs its queued callbacks,
-  /// releasing \p lock around them.  \pre \p lock holds mutex_.
-  void run_callbacks(const std::shared_ptr<JobState>& state,
-                     std::unique_lock<std::mutex>& lock);
 
   SimServiceOptions options_;
   std::unique_ptr<ResultStore> store_;
 
   mutable std::mutex mutex_;
   mutable std::condition_variable done_cv_;  ///< waiters: completions
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::condition_variable work_cv_;          ///< workers: queued jobs
+  std::deque<std::shared_ptr<JobState>> queue_;
+  /// Spawned lazily, one per newly queued job, up to options_.threads — a
+  /// service whose submissions all resolve from the store never starts a
+  /// thread.
+  std::vector<std::thread> workers_;
   /// Coalescing index over queued + running jobs; entries are erased when
-  /// their job reaches a terminal status (in ordered_puts() mode, Done
-  /// entries linger until their store flush lands, so duplicates keep
-  /// coalescing instead of re-simulating an unflushed result).
-  /// Keyed find/insert/erase only — never iterated.
+  /// their job reaches a terminal status.  Keyed find/insert/erase only —
+  /// never iterated.
   // ringclu-lint: allow(det-unordered-decl: find/insert/erase; not iterated)
   std::unordered_map<std::string, std::shared_ptr<JobState>> in_flight_;
   /// Bumped whenever an entry leaves in_flight_.  A finished job leaves
@@ -317,19 +254,6 @@ class SimService {
   std::size_t store_hits_ = 0;
   std::size_t coalesced_ = 0;
   std::size_t total_accepted_ = 0;  ///< queued jobs ever (progress total)
-
-  /// Submission-order bookkeeping for ordered_puts() mode.  Every queued
-  /// job takes the next index; finished results park in pending_flush_
-  /// until every lower index has flushed (cancelled indices park a null
-  /// entry so they never stall the line).  next_order_ is monotonic —
-  /// unlike total_accepted_ it never decrements on cancellation.
-  std::uint64_t next_order_ = 0;
-  std::uint64_t next_flush_ = 0;
-  // Fetched by exact flush index (find/erase) — never iterated.
-  // ringclu-lint: allow(det-unordered-decl: keyed fetch by flush index)
-  std::unordered_map<std::uint64_t, std::shared_ptr<JobState>>
-      pending_flush_;
-  bool flushing_ = false;
 };
 
 }  // namespace ringclu

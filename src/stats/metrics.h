@@ -16,7 +16,7 @@
 ///   - the MetricSink backends (metric_sink.h) streaming per-interval
 ///     series sampled by a SimObserver (core/sim_observer.h),
 ///   - the machine-readable CLI outputs (ringclu_sim --json and the
-///     --matrix json= JSON Lines stream), built by result_to_json /
+///     --sweep json= JSON Lines stream), built by result_to_json /
 ///     interval_to_json below.
 ///
 /// See DESIGN.md §8.

@@ -3,7 +3,7 @@
 /// \file registry.h
 /// The trace benchmark registry: every `.rclp` pack found in a registered
 /// directory becomes a named benchmark ("trace:<stem>") usable anywhere a
-/// synthetic suite name is — single runs, --matrix, --sweep,
+/// synthetic suite name is — single runs, --sweep,
 /// ExperimentSpec and the daemon wire format — without those layers
 /// knowing traces exist.  Directories come from RINGCLU_TRACE_DIR
 /// (colon-separated, scanned lazily on first lookup) and the CLIs'

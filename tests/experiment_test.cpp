@@ -3,7 +3,7 @@
 // with exhaustive error reporting, config fingerprints as cache identity,
 // the string-keyed steering registry, and ExperimentSpec sweep expansion
 // (cross-product, deterministic naming, duplicate collapsing) feeding the
-// SimService exactly like --matrix does.
+// SimService exactly like a hand-built job list does.
 
 #include <gtest/gtest.h>
 

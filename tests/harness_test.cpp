@@ -383,13 +383,11 @@ TEST(Runner, CheckpointKnobsReadFromEnv) {
 }
 
 TEST(Runner, CacheBackendFromEnv) {
-  ::setenv("RINGCLU_CACHE_BACKEND", "sharded", 1);
-  EXPECT_EQ(RunnerOptions::from_env().cache_backend, StoreBackend::Sharded);
-  // The default path follows the backend: a directory for sharded (the
-  // historical results.tsv is often an existing FILE).
-  EXPECT_EQ(RunnerOptions::from_env().cache_path, "bench_cache/shards");
   ::setenv("RINGCLU_CACHE_BACKEND", "memory", 1);
   EXPECT_EQ(RunnerOptions::from_env().cache_backend, StoreBackend::Memory);
+  // The default path is the tsv file whatever the backend; memory
+  // ignores it.
+  EXPECT_EQ(RunnerOptions::from_env().cache_path, "bench_cache/results.tsv");
   ::unsetenv("RINGCLU_CACHE_BACKEND");
   EXPECT_EQ(RunnerOptions::from_env().cache_backend, StoreBackend::Tsv);
   EXPECT_EQ(RunnerOptions::from_env().cache_path, "bench_cache/results.tsv");
@@ -398,27 +396,12 @@ TEST(Runner, CacheBackendFromEnv) {
 TEST(RunnerDeathTest, UnknownCacheBackendFailsWithValidNames) {
   ::setenv("RINGCLU_CACHE_BACKEND", "redis", 1);
   EXPECT_EXIT({ (void)RunnerOptions::from_env(); },
-              ::testing::ExitedWithCode(2), "redis.*tsv, sharded, memory");
+              ::testing::ExitedWithCode(2), "redis.*tsv, memory");
+  // The retired sharded store is an unknown backend like any other.
+  ::setenv("RINGCLU_CACHE_BACKEND", "sharded", 1);
+  EXPECT_EXIT({ (void)RunnerOptions::from_env(); },
+              ::testing::ExitedWithCode(2), "sharded.*tsv, memory");
   ::unsetenv("RINGCLU_CACHE_BACKEND");
-}
-
-TEST(Runner, ShardedBackendCachesAcrossInstances) {
-  const std::string dir = "/tmp/ringclu_harness_test_sharded";
-  std::filesystem::remove_all(dir);
-  RunnerOptions options = small_options(dir);
-  options.cache_backend = StoreBackend::Sharded;
-
-  SimService first(options);
-  const SimResult fresh =
-      run_one(first, options, "Ring_4clus_1bus_2IW", "gzip");
-  EXPECT_TRUE(std::filesystem::is_directory(dir));
-
-  SimService second(options);
-  const SimResult cached =
-      run_one(second, options, "Ring_4clus_1bus_2IW", "gzip");
-  EXPECT_EQ(cached.counters.cycles, fresh.counters.cycles);
-  EXPECT_EQ(serialize_result(cached), serialize_result(fresh));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Runner, MemoryBackendKeepsResultsWithinOneRunnerOnly) {

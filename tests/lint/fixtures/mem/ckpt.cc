@@ -40,14 +40,14 @@ class MissingBoth {
   std::uint64_t dropped_ = 0;  // violation: never serialized
 };
 
-/// 'lost_' is written by restore_state but never saved: flagged naming
+/// 'lost_' is restored by restore_state but never saved: flagged naming
 /// save_state only.
 class MissingSave {
  public:
   void save_state(CheckpointWriter& out) const { out_u64(out, kept_); }
   void restore_state(CheckpointReader& in) {
     kept_ = in_u64(in);
-    lost_ = 0;
+    lost_ = in_u64(in);
   }
 
  private:

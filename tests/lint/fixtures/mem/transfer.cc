@@ -4,6 +4,7 @@
 // that one body (or carry '// ckpt: derived').  Never compiled; parsed by
 // the self-test.
 #include <cstdint>
+#include <vector>
 
 namespace fixture {
 
@@ -50,6 +51,39 @@ class TransferDerived {
 
   std::uint64_t logical_ = 0;
   std::uint64_t cache_ = 0;  // ckpt: derived (rebuilt by rebuild_derived)
+};
+
+/// 'rows_' appears only in a bound and a check, never as the object a
+/// stream call transfers: flagged.
+class TransferBoundOnly {
+ public:
+  template <class Io>
+  void transfer(Io& io) {
+    io.items(cells_, rows_.size() * 4, 8);
+    io.check(cells_.size() <= rows_.size() * 4, "cells out of range");
+  }
+
+ private:
+  std::vector<std::uint64_t> rows_;  // violation: bounds and checks only
+  std::vector<std::uint64_t> cells_;
+};
+
+/// Members transferred through a range-for alias, a reference alias or a
+/// helper handed the stream all count (no findings).
+class TransferAliases {
+ public:
+  template <class Io>
+  void transfer(Io& io) {
+    for (auto& group : groups_) io.vec_u64(group);
+    std::uint64_t& head = slots_[0];
+    io.u64(head);
+    transfer_heap(io, heap_);
+  }
+
+ private:
+  std::vector<std::uint64_t> groups_[4];
+  std::uint64_t slots_[2] = {};
+  std::vector<std::uint64_t> heap_;
 };
 
 /// A declared member template is matched to its out-of-line body by

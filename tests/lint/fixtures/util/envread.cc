@@ -5,8 +5,8 @@
 
 namespace fixture {
 
-const char* shards() {
-  return std::getenv("RINGCLU_SHARDS");  // violation: bypasses util/env.h
+const char* threads() {
+  return std::getenv("RINGCLU_THREADS");  // violation: bypasses util/env.h
 }
 
 const char* suppressed() {

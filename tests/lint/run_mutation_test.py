@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Checkpoint-coverage mutation tests over real simulator code.
 
-The property the ckpt-coverage rule exists for: deleting a single member
-reference from a real checkpoint hook must turn the lint red.  Each
-mutation below first asserts the pristine header lints clean, then
+The property the ckpt-coverage rule exists for: deleting the line that
+transfers a member from a real checkpoint hook must turn the lint red.
+Each mutation below first asserts the pristine file lints clean, then
 removes one field's line and asserts ringclu_lint reports exactly that
 member:
   - 'out.i64(rotate_);' from RingSteering::save_state, one of the
     virtual save_state/restore_state pairs the steering policies keep;
-  - 'io.u64(tick_);' from SetAssocCache::transfer, a one-list transfer().
+  - 'io.u64(tick_);' from SetAssocCache::transfer, a one-list transfer();
+  - 'io.items(values_, ...);' from ValueMap::transfer, whose member still
+    appears in the body's bounds and checks: only a transfer counts.
 """
 
 import os
@@ -20,10 +22,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 LINT = os.path.join(ROOT, "tools", "lint", "ringclu_lint.py")
 
-# (header, line to delete, member the lint must name)
+# (file, line to delete, member the lint must name, files linted with it:
+# the class declaration when the hook body is out of line)
 MUTATIONS = (
-    ("src/steer/ring_steering.h", "    out.i64(rotate_);\n", "rotate_"),
-    ("src/mem/cache.h", "    io.u64(tick_);\n", "tick_"),
+    ("src/steer/ring_steering.h", "    out.i64(rotate_);\n", "rotate_", ()),
+    ("src/mem/cache.h", "    io.u64(tick_);\n", "tick_", ()),
+    ("src/cluster/value_map.cpp",
+     "  io.items(values_, 1u << 24, ValueInfo::kCheckpointBytes);\n",
+     "values_", ("src/cluster/value_map.h",)),
 )
 
 
@@ -35,7 +41,7 @@ def run_lint(files):
     )
 
 
-def check(relpath: str, mutation: str, member: str) -> int:
+def check(relpath: str, mutation: str, member: str, companions) -> int:
     target = os.path.join(ROOT, relpath)
     with open(target, "r", encoding="utf-8") as f:
         original = f.read()
@@ -44,7 +50,8 @@ def check(relpath: str, mutation: str, member: str) -> int:
               f"{target}; update this test", file=sys.stderr)
         return 2
 
-    clean = run_lint([target])
+    others = [os.path.join(ROOT, path) for path in companions]
+    clean = run_lint([target, *others])
     if clean.returncode != 0:
         print(f"lint is not clean on the pristine {relpath}:",
               file=sys.stderr)
@@ -55,7 +62,7 @@ def check(relpath: str, mutation: str, member: str) -> int:
         mutated_path = os.path.join(tmp, os.path.basename(target))
         with open(mutated_path, "w", encoding="utf-8") as f:
             f.write(original.replace(mutation, ""))
-        mutated = run_lint([mutated_path])
+        mutated = run_lint([mutated_path, *others])
 
     if mutated.returncode != 1:
         print(f"mutated {relpath}: expected exit 1, got "
@@ -74,8 +81,8 @@ def check(relpath: str, mutation: str, member: str) -> int:
 
 def main() -> int:
     status = 0
-    for relpath, mutation, member in MUTATIONS:
-        status = max(status, check(relpath, mutation, member))
+    for relpath, mutation, member, companions in MUTATIONS:
+        status = max(status, check(relpath, mutation, member, companions))
     return status
 
 

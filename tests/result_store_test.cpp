@@ -1,7 +1,6 @@
-// Conformance suite for every ResultStore backend (tsv, sharded, memory),
-// plus backend-specific coverage: atomic cross-instance TSV appends (the
-// multi-process bench_cache regression), shard distribution, and corrupt
-// line tolerance.
+// Conformance suite for every ResultStore backend (tsv, memory), plus
+// backend-specific coverage: atomic cross-instance TSV appends (the
+// multi-process bench_cache regression) and corrupt line tolerance.
 
 #include <gtest/gtest.h>
 
@@ -55,12 +54,8 @@ class ResultStoreConformance : public ::testing::TestWithParam<BackendCase> {
 
   void TearDown() override { std::filesystem::remove_all(root_); }
 
-  /// Path handed to the factory: a file for tsv, a directory for sharded,
-  /// ignored for memory.
+  /// Path handed to the factory: the TSV file, ignored for memory.
   [[nodiscard]] std::string store_path() const {
-    if (GetParam().backend == StoreBackend::Sharded) {
-      return (root_ / "shards").string();
-    }
     return (root_ / "results.tsv").string();
   }
 
@@ -161,17 +156,13 @@ TEST_P(ResultStoreConformance, CorruptLinesAreSkippedOnReload) {
     const auto store = make_store();
     store->put("key-good", make_result("cfg", "gcc", 3));
   }
-  // Vandalize every TSV file the backend produced.
-  std::size_t files = 0;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(root_)) {
-    if (!entry.is_regular_file()) continue;
-    std::ofstream out(entry.path(), std::ios::app);
+  {
+    // Vandalize the TSV file the backend produced.
+    ASSERT_TRUE(std::filesystem::exists(store_path()));
+    std::ofstream out(store_path(), std::ios::app);
     out << "complete garbage, no tabs\n";
     out << "key-with-tab\ttruncated\tpayload\n";
-    ++files;
   }
-  ASSERT_GE(files, 1u);
 
   const auto reloaded = make_store();
   const std::optional<SimResult> loaded = reloaded->get("key-good");
@@ -182,7 +173,6 @@ TEST_P(ResultStoreConformance, CorruptLinesAreSkippedOnReload) {
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, ResultStoreConformance,
     ::testing::Values(BackendCase{StoreBackend::Tsv, "tsv"},
-                      BackendCase{StoreBackend::Sharded, "sharded"},
                       BackendCase{StoreBackend::Memory, "memory"}),
     [](const ::testing::TestParamInfo<BackendCase>& param_info) {
       return std::string(param_info.param.name);
@@ -254,40 +244,10 @@ TEST_F(TsvStoreTest, CrossInstanceConcurrentAppendsNeverTearLines) {
             static_cast<std::size_t>(kWriters * kPerWriter));
 }
 
-// ---- Sharded-specific -------------------------------------------------
-
-TEST(ShardedStoreTest, KeysSpreadAcrossMultipleShardFiles) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "ringclu_shards_spread";
-  std::filesystem::remove_all(dir);
-  {
-    const auto store =
-        make_result_store(StoreBackend::Sharded, dir.string(),
-                          /*verbose=*/false);
-    for (int i = 0; i < 64; ++i) {
-      store->put("key-" + std::to_string(i),
-                 make_result("cfg", "swim", static_cast<std::uint64_t>(i)));
-    }
-  }
-  std::size_t shard_files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file()) ++shard_files;
-  }
-  // 64 FNV-distributed keys essentially never land in one shard.
-  EXPECT_GE(shard_files, 2u);
-
-  const auto reloaded =
-      make_result_store(StoreBackend::Sharded, dir.string(),
-                        /*verbose=*/false);
-  EXPECT_EQ(reloaded->size(), 64u);
-  std::filesystem::remove_all(dir);
-}
-
 // ---- Backend parsing --------------------------------------------------
 
 TEST(StoreBackendTest, ParseRoundTripsAllNames) {
-  for (const StoreBackend backend :
-       {StoreBackend::Tsv, StoreBackend::Sharded, StoreBackend::Memory}) {
+  for (const StoreBackend backend : {StoreBackend::Tsv, StoreBackend::Memory}) {
     const std::optional<StoreBackend> parsed =
         parse_store_backend(store_backend_name(backend));
     ASSERT_TRUE(parsed.has_value());
@@ -296,6 +256,7 @@ TEST(StoreBackendTest, ParseRoundTripsAllNames) {
   EXPECT_FALSE(parse_store_backend("").has_value());
   EXPECT_FALSE(parse_store_backend("TSV").has_value());
   EXPECT_FALSE(parse_store_backend("redis").has_value());
+  EXPECT_FALSE(parse_store_backend("sharded").has_value());  // Retired.
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Concurrency tests for SimService: duplicate in-flight coalescing,
 // cancellation before/after dispatch, completion-callback ordering, store
 // interaction (hits, force), and a randomized multi-submitter stress test
-// over all three ResultStore backends.
+// over both ResultStore backends.
 
 #include <gtest/gtest.h>
 
@@ -296,30 +296,20 @@ class GateSink final : public MetricSink {
   bool released_ = false;
 };
 
-// Sharded mode writes results in submission order, so a later job can be
-// Done while its store write waits for an earlier, still-running one.
-// Its callbacks must wait too: a callback that journals completion must
-// find the result in the store.
-TEST(SimServiceTest, ShardedCallbacksRunAfterTheStoreWrite) {
-  SimServiceOptions options;
-  options.threads = 2;
-  options.shards = 2;
-  SimService service(memory_store(), options);
+// Workers put each result into the store before publishing Done: once
+// wait() returns Done the store hits, and a callback registered before
+// completion finds its key there.  A job that finishes while an earlier
+// submission is still running completes at once instead of waiting for
+// it.
+TEST(SimServiceTest, WaitAndCallbacksFollowTheStoreWrite) {
+  SimService service(memory_store(), paused_options(2));
 
   GateSink gate;
   SimJob held_job = make_job("swim");
   held_job.params.interval = 1000;
   held_job.sink = &gate;
-  const std::size_t held_shard =
-      SimService::shard_for_key(sim_cache_key(held_job), 2);
-  SimJob quick_job = make_job("gzip");
-  while (SimService::shard_for_key(sim_cache_key(quick_job), 2) ==
-         held_shard) {
-    ++quick_job.params.seed;
-  }
-
   JobHandle held = service.submit(held_job);
-  JobHandle quick = service.submit(quick_job);
+  JobHandle quick = service.submit(make_job("gzip"));
   const std::string quick_key = quick.key();
   std::atomic<int> stored_at_callback{-1};
   quick.on_complete([&service, &quick_key,
@@ -327,35 +317,22 @@ TEST(SimServiceTest, ShardedCallbacksRunAfterTheStoreWrite) {
     stored_at_callback.store(
         service.store().get(quick_key).has_value() ? 1 : 0);
   });
-  // The quick job finishes while the held one, submitted first, is still
-  // running: its result is not in the store yet, so neither its callback
-  // nor a wait() on it may return.  Give either that returns too early
-  // time to do so.
-  std::atomic<bool> waited{false};
-  std::atomic<bool> stored_at_wait{false};
-  std::thread waiter([&] {
-    EXPECT_EQ(quick.wait(), JobStatus::Done);
-    stored_at_wait.store(service.store().get(quick_key).has_value());
-    waited.store(true);
-  });
+
+  service.resume();
+  EXPECT_EQ(quick.wait(), JobStatus::Done);
+  EXPECT_TRUE(service.store().get(quick_key).has_value());
+  EXPECT_EQ(held.status(), JobStatus::Running);
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (quick.status() != JobStatus::Done &&
+  while (stored_at_callback.load() == -1 &&
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(quick.status(), JobStatus::Done);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_FALSE(waited.load());
-  EXPECT_EQ(stored_at_callback.load(), -1);
-  EXPECT_FALSE(service.store().get(quick_key).has_value());
+  EXPECT_EQ(stored_at_callback.load(), 1);
 
   gate.release();
-  waiter.join();
-  EXPECT_TRUE(stored_at_wait.load());
   EXPECT_EQ(held.wait(), JobStatus::Done);
-  service.wait_idle();
-  EXPECT_EQ(stored_at_callback.load(), 1);
+  EXPECT_TRUE(service.store().get(held.key()).has_value());
 }
 
 TEST(SimServiceTest, UnknownBenchmarkFailsAtSubmission) {
@@ -387,7 +364,7 @@ TEST(SimServiceTest, DestructionCancelsQueuedJobs) {
   SUCCEED();
 }
 
-// ---- Randomized stress over all three backends ------------------------
+// ---- Randomized stress over both backends -----------------------------
 
 class SimServiceStressTest
     : public ::testing::TestWithParam<StoreBackend> {};
@@ -398,9 +375,7 @@ TEST_P(SimServiceStressTest, ManySubmittersRandomCancelsStayConsistent) {
       ("ringclu_service_stress_" +
        std::string(store_backend_name(GetParam())));
   std::filesystem::remove_all(root);
-  const std::string store_path =
-      GetParam() == StoreBackend::Sharded ? root.string()
-                                          : (root / "results.tsv").string();
+  const std::string store_path = (root / "results.tsv").string();
 
   const std::vector<std::string> benchmarks = {"gzip", "swim", "art", "mcf"};
   constexpr std::uint64_t kInstrs = 400;
@@ -481,8 +456,7 @@ TEST_P(SimServiceStressTest, ManySubmittersRandomCancelsStayConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, SimServiceStressTest,
-    ::testing::Values(StoreBackend::Tsv, StoreBackend::Sharded,
-                      StoreBackend::Memory),
+    ::testing::Values(StoreBackend::Tsv, StoreBackend::Memory),
     [](const ::testing::TestParamInfo<StoreBackend>& param_info) {
       return std::string(store_backend_name(param_info.param));
     });

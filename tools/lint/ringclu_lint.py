@@ -2,7 +2,7 @@
 """ringclu-lint: project-specific static analysis for the ringclu simulator.
 
 Every guarantee this reproduction stands on -- byte-identical goldens,
-bit-identical checkpoint restore, serial-vs-sharded store byte-equality --
+bit-identical checkpoint restore, byte-identical serial result stores --
 is a *determinism* invariant.  Runtime tests can only observe the
 configurations they happen to run; this tool checks the classes of bugs
 that break those invariants statically, for every translation unit in the
@@ -26,10 +26,14 @@ Rule families (see DESIGN.md section 12 for the full catalog):
     ckpt-coverage        every non-static data member of a class that
                          defines transfer() (its one checkpoint field
                          list, run by both the writer and the reader)
-                         must be referenced in that body -- or, for a
+                         must be transferred in that body -- or, for a
                          class with the virtual save_state/restore_state
                          pair, in BOTH bodies -- or carry a
                          "// ckpt: derived" annotation on its declaration.
+                         Transferred means the first argument of a stream
+                         call other than check(), a nested hook's
+                         receiver, or an alias of one; a mention in a
+                         bound or a check does not count.
     ckpt-pair            a class defining only one of save_state /
                          restore_state cannot round-trip.
 
@@ -90,7 +94,7 @@ RULES = {
         "wall-clock/entropy source inside a sim-state module"
     ),
     "ckpt-coverage": (
-        "data member not referenced by transfer (or by both save_state "
+        "data member not transferred by transfer (or by both save_state "
         "and restore_state)"
     ),
     "ckpt-pair": "class defines only one of save_state/restore_state",
@@ -880,8 +884,96 @@ def check_contract_side_effects(sf: SourceFile, findings: list):
             )
 
 
-def body_identifiers(body: str) -> set:
-    return set(IDENT_RE.findall(body))
+# A checkpoint stream call: "io.u64(", "out.items(", "in.i64(".
+CKPT_IO_CALL_RE = re.compile(r"\b(?:io|out|in)\s*\.\s*([A-Za-z_]\w*)\s*\(")
+# A nested hook's receiver: "rob_.transfer(io)", "inst.op.transfer(io)".
+CKPT_RECEIVER_RE = re.compile(
+    r"\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?(?:\.|->)\s*"
+    r"(?:transfer|save_state|restore_state)\s*\("
+)
+# A helper handed the stream first: "transfer_heap(io, due_, ...)".
+CKPT_HELPER_RE = re.compile(r"\b[A-Za-z_]\w*\s*\(\s*(?:io|out|in)\s*,")
+# A stream read assigned to a name: "word = in.u64()", "x_ = read(in)".
+CKPT_READ_RE = re.compile(
+    r"\b([A-Za-z_]\w*)\s*=\s*(?:(?:io|out|in)\s*\.|"
+    r"[A-Za-z_]\w*\s*\(\s*(?:io|out|in)\s*[,)])"
+)
+# Aliases: "for (T& x : member_)" and "T& x = member_[i];".
+CKPT_RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;()]*?)\s*:([^;]*?)\)\s*[{\w]")
+CKPT_REF_BIND_RE = re.compile(r"&\s*([A-Za-z_]\w*)\s*=([^=;][^;]*);")
+# A member rebuilt from a transferred local: "rng_.set_state(words)",
+# "ring_[slot].push_back(event)".
+CKPT_SETTER_RE = re.compile(
+    r"\b([A-Za-z_]\w*)\s*(?:\[[^;]*?\]\s*)?(?:\.|->)\s*[A-Za-z_]\w*\s*"
+    r"\(\s*([A-Za-z_]\w*)\s*\)"
+)
+
+
+def _first_argument(body: str, start: int) -> str:
+    """The text of the call argument that starts at body[start]."""
+    depth = 0
+    end = start
+    while end < len(body):
+        ch = body[end]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            if depth == 0:
+                break
+            depth -= 1
+        elif ch == "," and depth == 0:
+            break
+        end += 1
+    return body[start:end]
+
+
+def _variables(expr: str) -> set:
+    """Identifiers in expr that name objects: not keywords, and not
+    function, template or namespace names."""
+    names = set()
+    for m in IDENT_RE.finditer(expr):
+        rest = expr[m.end():].lstrip()
+        if m.group(0) in CXX_KEYWORDS or rest.startswith(("(", "<", "::")):
+            continue
+        names.add(m.group(0))
+    return names
+
+
+def transferred_identifiers(body: str) -> set:
+    """Identifiers a hook body actually transfers.  Seeds: the first
+    argument of every stream call except check(), nested hook receivers,
+    the object a stream helper is handed, and locals assigned a stream
+    read.  A range-for or reference alias of a transferred name transfers
+    what it aliases (and the reverse), and a member rebuilt from a
+    transferred local by one method call counts too.  A member that only
+    appears in a bound, a check or a size computation is not
+    transferred."""
+    ids = set()
+    for m in CKPT_IO_CALL_RE.finditer(body):
+        if m.group(1) != "check":
+            ids |= _variables(_first_argument(body, m.end()))
+    for m in CKPT_HELPER_RE.finditer(body):
+        ids |= _variables(_first_argument(body, m.end()))
+    ids |= {m.group(1) for m in CKPT_RECEIVER_RE.finditer(body)}
+    ids |= {m.group(1) for m in CKPT_READ_RE.finditer(body)}
+    # (alias name, names it aliases) pairs.
+    aliases = [
+        (IDENT_RE.findall(m.group(1))[-1], _variables(m.group(2)))
+        for m in CKPT_RANGE_FOR_RE.finditer(body)
+        if IDENT_RE.search(m.group(1))
+    ] + [
+        (m.group(1), _variables(m.group(2)))
+        for m in CKPT_REF_BIND_RE.finditer(body)
+    ]
+    setters = [(m.group(1), m.group(2)) for m in CKPT_SETTER_RE.finditer(body)]
+    while True:
+        before = len(ids)
+        for name, target in aliases:
+            if name in ids or target & ids:
+                ids |= target | {name}
+        ids |= {member for member, local in setters if local in ids}
+        if len(ids) == before:
+            return ids
 
 
 def check_checkpoint_coverage(files: dict, classes: list, bodies: dict,
@@ -919,7 +1011,7 @@ def check_checkpoint_coverage(files: dict, classes: list, bodies: dict,
                 body = bodies.get((info.name, hook))
             if body is None:
                 break  # body outside the scanned file set
-            ids[hook] = body_identifiers(body)
+            ids[hook] = transferred_identifiers(body)
         if len(ids) != len(required):
             continue
         for member, line in info.members:
@@ -933,7 +1025,7 @@ def check_checkpoint_coverage(files: dict, classes: list, bodies: dict,
                         info.path,
                         line,
                         "ckpt-coverage",
-                        f"{info.name}::{member} is not referenced in "
+                        f"{info.name}::{member} is not transferred in "
                         f"{' or '.join(missing)}: serialize it {where}, or "
                         "annotate the declaration with '// ckpt: derived' "
                         "if it is reconstructed/config-constant",

@@ -2,13 +2,13 @@
 /// The command-line driver: simulate one (configuration, workload) pair
 /// with arbitrary parameter overrides, or expand and run a declarative
 /// sweep spec through the asynchronous SimService and print its report
-/// tables (a preset matrix is a one-axis sweep).
+/// tables (a preset matrix is a spec with one "preset" axis, e.g.
+/// examples/sweeps/paper_matrix.json).
 ///
 ///   ringclu_sim [--json] <preset|config.json> <benchmark|pack.rclp>
 ///       [key=value ...]
 ///   ringclu_sim --config <file.json> <benchmark|pack.rclp> [key=value ...]
 ///   ringclu_sim --dump-config <preset|config.json> [key=value ...]
-///   ringclu_sim --matrix [key=value ...]
 ///   ringclu_sim --sweep <spec.json> [key=value ...]
 ///   ringclu_sim --list
 ///
@@ -37,26 +37,18 @@
 ///   eviction, eager_release       copy policies (bool)
 ///   report=summary|detailed|csv|json   output format (--json == report=json)
 ///
-/// --matrix / --sweep overrides (--matrix is a sweep over one preset axis):
-///   configs=<preset,preset,...>   (--matrix only; default: ten presets)
+/// --sweep overrides:
 ///   benchmarks=<name,name,...>    (default: spec / suite / RINGCLU_BENCHMARKS)
-///   instrs, warmup, seed, threads run control (--sweep: spec's run block
-///                                 loses to the command line)
-///   shards=N                      deterministic parallel sharding
-///                                 (RINGCLU_SHARDS): N shard queues keyed
-///                                 by cache-key hash, store writes in
-///                                 submission order — byte-identical store
-///                                 content to a serial run
-///   pin=1                         pin each shard's workers to one CPU
-///                                 (RINGCLU_PIN_WORKERS, Linux)
-///   backend=tsv|sharded|memory    result store (RINGCLU_CACHE_BACKEND)
-///   cache=<path>                  store path   (RINGCLU_CACHE)
+///   instrs, warmup, seed, threads run control (the spec's run block loses
+///                                 to the command line)
+///   backend=tsv|memory            result store (RINGCLU_CACHE_BACKEND)
+///   cache=<path>                  tsv store file (RINGCLU_CACHE)
 ///   force=1                       re-simulate despite the store
 ///   interval=N                    sample metrics every N committed instrs
 ///   json=<path> | csv=<path>      interval-metric sink (needs interval=N;
 ///                                 sampled jobs always simulate)
-///   expand=<path>                 (--sweep only) write the expanded design
-///                                 points as a JSON artifact
+///   expand=<path>                 write the expanded design points as a
+///                                 JSON artifact
 ///   checkpoint_dir=DIR, resume=1  as --checkpoint-dir / --resume
 ///
 /// The paper's figures and ablations are sweep specs under bench/figures/
@@ -67,7 +59,7 @@
 ///   ringclu_sim --dump-config Ring_8clus_1bus_2IW clusters=4 > my.json
 ///   ringclu_sim --config my.json swim
 ///   ringclu_sim Conv_8clus_1bus_2IW gcc steer=round_robin report=summary
-///   ringclu_sim --matrix configs=Ring_8clus_1bus_2IW,Conv_8clus_1bus_2IW
+///   ringclu_sim --sweep examples/sweeps/paper_matrix.json
 ///       benchmarks=gzip,swim backend=memory instrs=50000
 ///   ringclu_sim --sweep sweep.json interval=10000 json=metrics.jsonl
 ///   ringclu_sim --sweep bench/figures/fig06_10_paper_matrix.json
@@ -186,12 +178,11 @@ std::vector<std::string_view> single_run_keys() {
               {"instrs", "warmup", "seed", "snapshot_interval", "report"});
   return keys;
 }
-std::vector<std::string_view> batch_keys(std::string_view mode_key) {
-  return {
-      "benchmarks", "instrs", "warmup",  "seed",           "threads",
-      "shards",     "pin",    "backend", "cache",          "force",
-      "interval",   "json",   "csv",     "checkpoint_dir", "snapshot_interval",
-      "resume",     mode_key};
+std::vector<std::string_view> sweep_keys() {
+  return {"benchmarks", "instrs",   "warmup",         "seed",
+          "threads",    "backend",  "cache",          "force",
+          "interval",   "json",     "csv",            "checkpoint_dir",
+          "snapshot_interval",      "resume",         "expand"};
 }
 
 /// False (diagnostic naming the key and the valid keys printed) when
@@ -322,10 +313,6 @@ std::optional<RunnerOptions> resolve_batch_options(
   runner_options.threads = static_cast<int>(cli_uint(
       options, "threads",
       static_cast<std::uint64_t>(runner_options.threads)));
-  runner_options.shards = static_cast<int>(cli_uint(
-      options, "shards", static_cast<std::uint64_t>(runner_options.shards)));
-  runner_options.pin_workers =
-      cli_bool(options, "pin", runner_options.pin_workers);
   runner_options.force = cli_bool(options, "force", runner_options.force);
   runner_options.verbose = false;  // Progress line instead.
   runner_options.checkpoint_dir = options.get_string(
@@ -338,26 +325,19 @@ std::optional<RunnerOptions> resolve_batch_options(
     runner_options.checkpoint_dir = checkpoint_flags.dir;
   }
   if (checkpoint_flags.resume) runner_options.resume = true;
-  const StoreBackend env_backend = runner_options.cache_backend;
   const std::string backend_name = options.get_string(
-      "backend", std::string(store_backend_name(env_backend)));
+      "backend", std::string(store_backend_name(runner_options.cache_backend)));
   const std::optional<StoreBackend> backend =
       parse_store_backend(backend_name);
   if (!backend) {
-    std::fprintf(stderr,
-                 "bad backend '%s' (valid: tsv, sharded, memory)\n",
+    std::fprintf(stderr, "bad backend '%s' (valid: tsv, memory)\n",
                  backend_name.c_str());
     return std::nullopt;
   }
   runner_options.cache_backend = *backend;
-  // Resolve the cache path AFTER the backend: a backend= override must
-  // also move a defaulted path (e.g. backend=sharded needs the shard
-  // directory default, not the tsv file inherited from the environment).
-  const std::string cache_token = options.get_string("cache", "");
-  if (!cache_token.empty()) {
-    runner_options.cache_path = cache_token;
-  } else if (runner_options.cache_path == default_cache_path(env_backend)) {
-    runner_options.cache_path = default_cache_path(*backend);
+  if (const std::string cache = options.get_string("cache", "");
+      !cache.empty()) {
+    runner_options.cache_path = cache;
   }
   return runner_options;
 }
@@ -404,16 +384,16 @@ bool resolve_streaming(const Config& options, RunnerOptions& runner_options) {
 /// workers publish Done (waking wait()) BEFORE running callbacks, so this
 /// frame can unwind — normally or via the early error return — while a
 /// worker is still counting; a by-reference capture would be a
-/// use-after-scope.  \p tag must be a string literal.
-int run_batch(SimService& service, const char* tag, std::vector<SimJob> jobs,
+/// use-after-scope.
+int run_batch(SimService& service, std::vector<SimJob> jobs,
               std::vector<SimResult>& results) {
   const std::size_t total = jobs.size();
   auto completed = std::make_shared<std::atomic<std::size_t>>(0);
   std::vector<JobHandle> handles = service.submit_batch(std::move(jobs));
   for (JobHandle& handle : handles) {
-    handle.on_complete([completed, total, tag](const SimResult&) {
+    handle.on_complete([completed, total](const SimResult&) {
       const std::size_t done = completed->fetch_add(1) + 1;
-      std::fprintf(stderr, "\r[%s] %zu/%zu done", tag, done, total);
+      std::fprintf(stderr, "\r[sweep] %zu/%zu done", done, total);
       if (done == total) std::fprintf(stderr, "\n");
     });
   }
@@ -421,7 +401,7 @@ int run_batch(SimService& service, const char* tag, std::vector<SimJob> jobs,
   results.reserve(handles.size());
   for (const JobHandle& handle : handles) {
     if (handle.wait() != JobStatus::Done) {
-      std::fprintf(stderr, "\n[%s] job %s: %s\n", tag, handle.key().c_str(),
+      std::fprintf(stderr, "\n[sweep] job %s: %s\n", handle.key().c_str(),
                    std::string(job_status_name(handle.status())).c_str());
       return 1;
     }
@@ -432,10 +412,8 @@ int run_batch(SimService& service, const char* tag, std::vector<SimJob> jobs,
 }
 
 /// Runs every (point, benchmark) pair of \p spec through SimService with
-/// live progress on stderr, then prints the spec's report tables.  The
-/// batch path of both --sweep and --matrix; \p tag prefixes the stderr
-/// lines and must be a string literal.
-int run_spec(const ExperimentSpec& spec, const char* tag, const Config& options,
+/// live progress on stderr, then prints the spec's report tables.
+int run_spec(const ExperimentSpec& spec, const Config& options,
              const CheckpointFlags& checkpoint_flags) {
   std::optional<RunnerOptions> runner_options =
       resolve_batch_options(options, checkpoint_flags);
@@ -477,7 +455,7 @@ int run_spec(const ExperimentSpec& spec, const char* tag, const Config& options,
       return 2;
     }
     outfile << ExperimentSpec::points_to_json(points) << "\n";
-    std::fprintf(stderr, "[%s] wrote %zu expanded configs to %s\n", tag,
+    std::fprintf(stderr, "[sweep] wrote %zu expanded configs to %s\n",
                  points.size(), expand_path.c_str());
   }
 
@@ -490,22 +468,22 @@ int run_spec(const ExperimentSpec& spec, const char* tag, const Config& options,
 
   const std::size_t raw = spec.cross_product_size();
   std::fprintf(stderr,
-               "[%s] %s: %zu design points (%zu raw, %zu collapsed as "
+               "[sweep] %s: %zu design points (%zu raw, %zu collapsed as "
                "duplicates) x %zu benchmarks, %d thread(s), %s store\n",
-               tag, spec.name.c_str(), points.size(), raw, raw - points.size(),
+               spec.name.c_str(), points.size(), raw, raw - points.size(),
                benchmarks.size(), service.options().threads,
                service.store().describe().c_str());
   if (sink != nullptr) {
     std::fprintf(stderr,
-                 "[%s] streaming interval metrics (every %llu committed "
+                 "[sweep] streaming interval metrics (every %llu committed "
                  "instrs) to %s\n",
-                 tag, static_cast<unsigned long long>(params.interval),
+                 static_cast<unsigned long long>(params.interval),
                  sink->describe().c_str());
   }
 
   std::vector<SimResult> results;
   if (const int status = run_batch(
-          service, tag, make_sweep_jobs(points, benchmarks, params, sink.get()),
+          service, make_sweep_jobs(points, benchmarks, params, sink.get()),
           results);
       status != 0) {
     return status;
@@ -539,31 +517,7 @@ int run_sweep_mode(const std::string& spec_path, const Config& options,
     print_errors(("invalid sweep spec " + spec_path).c_str(), errors);
     return 2;
   }
-  return run_spec(*spec, "sweep", options, checkpoint_flags);
-}
-
-/// --matrix: a sweep over one preset axis (configs=, default the ten
-/// paper presets).
-int run_matrix(const Config& options, const CheckpointFlags& checkpoint_flags) {
-  SweepAxis presets{"preset", {}};
-  std::vector<std::string> names =
-      split(options.get_string("configs", ""), ',');
-  if (names.empty()) names = ArchConfig::paper_preset_names();
-  for (std::string& name : names) {
-    JsonValue value;
-    value.kind = JsonValue::Kind::String;
-    value.string = std::move(name);
-    presets.values.push_back(std::move(value));
-  }
-  ExperimentSpec spec;
-  spec.name = "matrix";
-  spec.axes.push_back(std::move(presets));
-  std::vector<std::string> errors;
-  if (spec.expand(&errors).empty()) {
-    print_errors("invalid configs=", errors);
-    return 2;
-  }
-  return run_spec(spec, "matrix", options, checkpoint_flags);
+  return run_spec(*spec, options, checkpoint_flags);
 }
 
 /// --dump-config: print the resolved configuration as pretty JSON.
@@ -590,7 +544,6 @@ int usage() {
       "       ringclu_sim --config <file.json> <benchmark|pack.rclp> "
       "[key=value ...]\n"
       "       ringclu_sim --dump-config <preset|config.json> [key=value ...]\n"
-      "       ringclu_sim --matrix [key=value ...]\n"
       "       ringclu_sim --sweep <spec.json> [key=value ...]\n"
       "       ringclu_sim --list\n"
       "flags (any mode): --checkpoint-dir=DIR  reuse warmup checkpoints\n"
@@ -652,17 +605,10 @@ int main(int argc, char** argv) {
     return list_everything();
   }
 
-  if (argc >= 2 && std::strcmp(argv[1], "--matrix") == 0) {
-    const std::optional<Config> options =
-        parse_overrides(argc, argv, 2, batch_keys("configs"));
-    if (!options) return 2;
-    return run_matrix(*options, checkpoint_flags);
-  }
-
   if (argc >= 2 && std::strcmp(argv[1], "--sweep") == 0) {
     if (argc < 3) return usage();
     const std::optional<Config> options =
-        parse_overrides(argc, argv, 3, batch_keys("expand"));
+        parse_overrides(argc, argv, 3, sweep_keys());
     if (!options) return 2;
     return run_sweep_mode(argv[2], *options, checkpoint_flags);
   }

@@ -14,7 +14,7 @@
 ///   POST /v1/shutdown            graceful drain, then exit
 ///
 /// Configuration comes from the usual RINGCLU_* environment (store
-/// backend/path, threads, shards, checkpoint dir, ...) plus the
+/// backend/path, threads, checkpoint dir, ...) plus the
 /// daemon-specific knobs, each overridable on the command line:
 ///   RINGCLU_SERVE_PORT      TCP port        (--port,    default 0 = pick)
 ///   RINGCLU_SERVE_ADDRESS   bind address    (--address, default 127.0.0.1)
@@ -23,8 +23,10 @@
 ///   RINGCLU_SERVE_WINDOW    dispatch window (--window,  default
 ///                           max(2, threads))
 ///
-/// key=value overrides (same grammar as ringclu_sim --matrix): instrs,
-/// warmup, seed, threads, shards, backend, cache, force.
+/// key=value overrides (same grammar as ringclu_sim --sweep): instrs,
+/// warmup, seed, threads, backend, cache, force.  Their order does not
+/// matter: backend= never moves cache=, and instrs=N implies
+/// warmup=N/10 only when no warmup= is given.
 ///
 /// On startup the daemon replays its journal: jobs accepted before a
 /// crash but never finished are re-submitted (completed tasks resolve as
@@ -95,6 +97,7 @@ int main(int argc, char** argv) {
   options.dispatch_window =
       static_cast<int>(env_uint_or("RINGCLU_SERVE_WINDOW", 0));
   std::string port_file;
+  bool warmup_given = false;  // instrs=N sets warmup=N/10 only without it
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -116,21 +119,22 @@ int main(int argc, char** argv) {
       options.dispatch_window = static_cast<int>(cli_uint(key, value));
     } else if (key == "instrs") {
       options.runner.instrs = cli_uint(key, value);
-      options.runner.warmup = options.runner.instrs / 10;
+      if (!warmup_given) options.runner.warmup = options.runner.instrs / 10;
     } else if (key == "warmup") {
       options.runner.warmup = cli_uint(key, value);
+      warmup_given = true;
     } else if (key == "seed") {
       options.runner.seed = cli_uint(key, value);
     } else if (key == "threads") {
       options.runner.threads = static_cast<int>(cli_uint(key, value));
-    } else if (key == "shards") {
-      options.runner.shards = static_cast<int>(cli_uint(key, value));
     } else if (key == "backend") {
       const std::optional<StoreBackend> backend =
           parse_store_backend(value);
-      if (!backend) usage_error("backend=" + value + ": unknown backend");
+      if (!backend) {
+        usage_error("backend=" + value +
+                    ": unknown backend (valid: tsv, memory)");
+      }
       options.runner.cache_backend = *backend;
-      options.runner.cache_path = default_cache_path(*backend);
     } else if (key == "cache") {
       options.runner.cache_path = value;
     } else if (key == "force") {
