@@ -37,6 +37,8 @@ class CounterTable {
     io.check(counters_.size() == size, "counter table size mismatch");
   }
 
+  friend bool operator==(const CounterTable&, const CounterTable&) = default;
+
  private:
   std::vector<std::uint8_t> counters_;
 };
@@ -73,6 +75,9 @@ class HybridPredictor {
     io.u64(history_);
   }
 
+  friend bool operator==(const HybridPredictor&,
+                         const HybridPredictor&) = default;
+
  private:
   [[nodiscard]] std::size_t gshare_index(std::uint64_t pc) const;
   [[nodiscard]] std::size_t bimodal_index(std::uint64_t pc) const;
@@ -82,7 +87,7 @@ class HybridPredictor {
   CounterTable bimodal_;
   CounterTable selector_;
   std::uint64_t history_ = 0;
-  std::uint64_t history_mask_;  // ckpt: derived (config geometry)
+  std::uint64_t history_mask_;
 };
 
 /// Set-associative branch target buffer with LRU replacement.
@@ -108,6 +113,8 @@ class Btb {
     io.u64(misses_);
   }
 
+  friend bool operator==(const Btb&, const Btb&) = default;
+
  private:
   struct Entry {
     std::uint64_t tag = 0;
@@ -122,12 +129,14 @@ class Btb {
       io.u64(lru);
       io.boolean(valid);
     }
+
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
 
   [[nodiscard]] std::size_t set_index(std::uint64_t pc) const;
 
-  std::size_t ways_;  // ckpt: derived (config geometry)
-  std::size_t sets_;  // ckpt: derived (config geometry)
+  std::size_t ways_;
+  std::size_t sets_;
   std::vector<Entry> entries_;
   std::uint64_t tick_ = 0;
   mutable std::uint64_t lookups_ = 0;
@@ -153,6 +162,9 @@ class ReturnAddressStack {
     io.check(stack_.size() == depth && top_ < depth && count_ <= depth,
              "return-address stack mismatch");
   }
+
+  friend bool operator==(const ReturnAddressStack&,
+                         const ReturnAddressStack&) = default;
 
  private:
   std::vector<std::uint64_t> stack_;
@@ -194,6 +206,8 @@ class FrontEnd {
     io.u64(branches_);
     io.u64(mispredicts_);
   }
+
+  friend bool operator==(const FrontEnd&, const FrontEnd&) = default;
 
  private:
   HybridPredictor direction_;

@@ -80,6 +80,8 @@ class FuPool {
     }
   }
 
+  friend bool operator==(const FuPool&, const FuPool&) = default;
+
  private:
   [[nodiscard]] std::vector<std::int64_t>& group(OpClass cls) {
     return busy_until_[static_cast<std::size_t>(fu_group_for(cls))];

@@ -25,6 +25,8 @@ struct IqEntry {
     io.u32(rob_index);
     io.u64(seq);
   }
+
+  friend bool operator==(const IqEntry&, const IqEntry&) = default;
 };
 
 /// Fixed-capacity issue queue; insertion keeps age order because dispatch is
@@ -79,8 +81,10 @@ class IssueQueue {
     io.items(entries_, capacity_, IqEntry::kCheckpointBytes);
   }
 
+  friend bool operator==(const IssueQueue&, const IssueQueue&) = default;
+
  private:
-  std::size_t capacity_;  // ckpt: derived (config; checked on restore)
+  std::size_t capacity_;
   std::vector<IqEntry> entries_;
 };
 
@@ -109,6 +113,8 @@ struct CommOp {
     io.i64(created_cycle);
     io.i64(first_ready_cycle);
   }
+
+  friend bool operator==(const CommOp&, const CommOp&) = default;
 };
 
 /// Fixed-capacity communication queue (age-ordered like IssueQueue).
@@ -156,8 +162,10 @@ class CommQueue {
     io.items(entries_, capacity_, CommOp::kCheckpointBytes);
   }
 
+  friend bool operator==(const CommQueue&, const CommQueue&) = default;
+
  private:
-  std::size_t capacity_;  // ckpt: derived (config; checked on restore)
+  std::size_t capacity_;
   std::vector<CommOp> entries_;
 };
 

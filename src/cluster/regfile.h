@@ -59,6 +59,8 @@ class RegFileSet {
              "regfile geometry mismatch");
   }
 
+  friend bool operator==(const RegFileSet&, const RegFileSet&) = default;
+
  private:
   [[nodiscard]] std::size_t index(int cluster, RegClass cls) const {
     RINGCLU_EXPECTS(cluster >= 0 && cluster < num_clusters_);
@@ -66,8 +68,8 @@ class RegFileSet {
            static_cast<std::size_t>(cls);
   }
 
-  int num_clusters_;  // ckpt: derived (config)
-  int regs_per_class_;  // ckpt: derived (config)
+  int num_clusters_;
+  int regs_per_class_;
   std::vector<int> free_;
   int in_use_ = 0;
 };

@@ -223,6 +223,8 @@ std::vector<std::vector<ValueWaiter>> ValueMap::waiter_lists() const {
 
 void ValueMap::rebuild_derived(
     const std::vector<std::vector<ValueWaiter>>& lists) {
+  idle_watch_ = {};
+  idle_watch_hit_ = false;
   waiter_pool_.clear();
   waiter_free_ = -1;
   waiter_head_.assign(lists.size(), -1);

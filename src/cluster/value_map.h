@@ -60,6 +60,8 @@ struct ValueInfo {
     for (std::int64_t& cycle : readable_cycle) io.i64(cycle);
     for (std::uint16_t& readers : pending_readers) io.u16(readers);
   }
+
+  friend bool operator==(const ValueInfo&, const ValueInfo&) = default;
 };
 
 /// A consumer blocked until a value becomes readable in a cluster.  The
@@ -75,6 +77,8 @@ struct ValueWaiter {
     io.u8(cluster);
     io.u64(token);
   }
+
+  friend bool operator==(const ValueWaiter&, const ValueWaiter&) = default;
 };
 
 /// Dense table of live values with slot reuse.
@@ -181,9 +185,12 @@ class ValueMap {
   /// physical registers in use when core/value bookkeeping is consistent.
   [[nodiscard]] int total_mapped_count() const;
 
-  /// Checkpoint fields (core/checkpoint.h).
+  /// Checkpoint fields (core/checkpoint.h).  Loading disarms the
+  /// steer-stall watch.
   template <class Io>
   void transfer(Io& io);
+
+  friend bool operator==(const ValueMap&, const ValueMap&) = default;
 
  private:
   [[nodiscard]] std::size_t idle_index(int cluster, RegClass cls) const {
@@ -200,6 +207,8 @@ class ValueMap {
   struct WaiterNode {
     ValueWaiter waiter;
     std::int32_t next = -1;
+
+    friend bool operator==(const WaiterNode&, const WaiterNode&) = default;
   };
 
   /// Allocates a pool node holding \p waiter (next = -1).
@@ -210,26 +219,20 @@ class ValueMap {
   [[nodiscard]] std::vector<std::vector<ValueWaiter>> waiter_lists() const;
   void rebuild_derived(const std::vector<std::vector<ValueWaiter>>& lists);
 
-  int num_clusters_;  // ckpt: derived (config)
+  int num_clusters_;
   std::vector<ValueInfo> values_;
   /// Idle copies per (cluster, class); see idle_copy_count().
   std::vector<int> idle_copies_;
   /// Steer-stall watch; see watch_idle().  The processor re-arms it at
   /// every stall it remembers, and remembers none across a restore.
-  // ckpt: derived (re-armed by the next steer stall)
   std::array<std::uint16_t, kNumRegClasses> idle_watch_{};
-  // ckpt: derived (re-armed by the next steer stall)
   bool idle_watch_hit_ = false;
   /// Waiter arena: per-value singly linked lists (head/tail parallel to
   /// values_, appended at the tail so subscription order is preserved)
   /// threaded through one shared node pool.
-  // ckpt: derived (rebuilt from the serialized lists)
   std::vector<WaiterNode> waiter_pool_;
-  // ckpt: derived (rebuilt from the serialized lists)
   std::vector<std::int32_t> waiter_head_;
-  // ckpt: derived (tail cache; rebuilt from the serialized lists)
   std::vector<std::int32_t> waiter_tail_;
-  // ckpt: derived (free-list head; rebuilt from the serialized lists)
   std::int32_t waiter_free_ = -1;  ///< head of the recycled-node list
   std::vector<std::uint64_t> fired_;
   std::vector<ValueId> free_slots_;

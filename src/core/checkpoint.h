@@ -14,10 +14,18 @@
 /// io.section(tag, fn), ...) write a field or read it back in place.
 /// Steps that apply to one direction only sit under
 /// `if constexpr (Io::kLoading)`; state derived from the loaded fields is
-/// rebuilt by the component's rebuild_derived().  Restoring a checkpoint
-/// into a freshly constructed Processor (same configuration, same
-/// workload) is bit-identical to having simulated the saved prefix cold —
-/// the contract the checkpoint round-trip tests pin.
+/// rebuilt by the component's rebuild_derived().  Loading overwrites every
+/// member, so restoring a checkpoint into any Processor of the same
+/// configuration (same workload) is bit-identical to having simulated the
+/// saved prefix cold — the contract the checkpoint round-trip tests pin.
+///
+/// Completeness is checked by equality, not by a member list: every
+/// checkpointed type has a defaulted operator==, and the CheckpointEquality
+/// tests load one snapshot into a fresh Processor and back into the one
+/// that saved it, then require the two to compare equal.  A member that
+/// transfer() skips keeps its live value in one and its constructor value
+/// in the other.  A member that is not simulation state (a pointer into
+/// the owner, a per-call cache) is wrapped in NotState.
 ///
 /// Invalidation rules: a checkpoint is rejected (restore_checkpoint
 /// returns false; the caller falls back to a cold run) when any of magic,
@@ -57,6 +65,14 @@ inline constexpr std::uint64_t kCheckpointMagic = 0x54504B43554C4352ULL;
 /// is embedded separately: it invalidates checkpoints whenever simulator
 /// semantics change, even when the layout did not.
 inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+
+/// A member that is not simulation state: it compares equal to any other,
+/// so a defaulted operator== of its owner skips it, and checkpoints leave
+/// it alone.  Derives from T, so the member is used as a T.
+template <class T>
+struct NotState : T {
+  friend bool operator==(const NotState&, const NotState&) { return true; }
+};
 
 /// A field type the integer primitives convert to and from their width.
 template <class T>

@@ -51,6 +51,8 @@ struct DynInst {
   /// Loads: earliest cycle the memory access may start (address at the
   /// cache cluster).
   std::int64_t mem_ready_cycle = -1;
+
+  friend bool operator==(const DynInst&, const DynInst&) = default;
 };
 
 /// Fixed-capacity circular reorder buffer.  Slot indices are stable for an
@@ -140,7 +142,8 @@ class ReorderBuffer {
   /// so head/tail/size plus the occupied window reproduce the exact
   /// layout.  Hot columns are interleaved at their historical field
   /// positions, so the byte stream is identical to the pre-split
-  /// array-of-structs layout.
+  /// array-of-structs layout.  Loading returns the dead slots to their
+  /// constructor values.
   template <class Io>
   void transfer(Io& io) {
     io.u32(head_);
@@ -179,7 +182,20 @@ class ReorderBuffer {
       io.u32(wait_srcs_[p]);
       io.i64(ready_at_[p]);
     }
+    if constexpr (Io::kLoading) {
+      for (std::size_t i = size_; i < capacity_; ++i) {
+        const std::size_t p = (head_ + i) % capacity_;
+        slots_[p] = DynInst{};
+        seq_[p] = 0;
+        state_[p] = InstState::Dispatched;
+        cluster_[p] = -1;
+        wait_srcs_[p] = 0;
+        ready_at_[p] = -1;
+      }
+    }
   }
+
+  friend bool operator==(const ReorderBuffer&, const ReorderBuffer&) = default;
 
  private:
   std::vector<DynInst> slots_;
@@ -189,7 +205,7 @@ class ReorderBuffer {
   std::vector<std::int32_t> cluster_;
   std::vector<std::uint32_t> wait_srcs_;
   std::vector<std::int64_t> ready_at_;
-  std::size_t capacity_;  // ckpt: derived (config)
+  std::size_t capacity_;
   std::uint32_t head_ = 0;
   std::uint32_t tail_ = 0;
   std::size_t size_ = 0;

@@ -32,10 +32,10 @@ Processor::Processor(const ArchConfig& config, std::uint64_t seed)
     : config_(config),
       // Resolved through the string-keyed registry, so externally
       // registered policies work like the built-ins.
-      policy_(SteeringRegistry::global().create(
+      policy_{SteeringRegistry::global().create(
           config.steering_policy_name(),
           SteerFactoryArgs{config.arch, config.num_clusters,
-                           config.dcount_threshold, seed})),
+                           config.dcount_threshold, seed})},
       values_(config.num_clusters),
       regs_(config.num_clusters, config.regs_per_class),
       buses_(config.num_clusters, config.num_buses, config.bus_orientation(),
@@ -982,7 +982,9 @@ bool Processor::step() {
   const bool in_flight = !rob_.empty() || frontend_queue_size() > 0;
   if (in_flight && cycle_ - last_commit_cycle_ >= kWatchdogCycles) {
     dump_state(stderr);
-    RINGCLU_ASSERT(false && "watchdog: no commit progress");
+    // Not a contract macro: a wedged run must end in every build.
+    contract_failure("Invariant", "watchdog: no commit progress", __FILE__,
+                     __LINE__);
   }
   return active;
 }

@@ -22,7 +22,6 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "bpred/predictor.h"
@@ -31,6 +30,7 @@
 #include "cluster/regfile.h"
 #include "cluster/value_map.h"
 #include "core/arch_config.h"
+#include "core/checkpoint.h"
 #include "core/dyn_inst.h"
 #include "core/sim_observer.h"
 #include "core/sim_result.h"
@@ -39,6 +39,7 @@
 #include "mem/lsq.h"
 #include "steer/steering.h"
 #include "trace/trace_source.h"
+#include "util/min_heap.h"
 
 namespace ringclu {
 
@@ -87,9 +88,15 @@ class Processor final : public SteerOracle {
   /// microarchitectural state (pipeline, queues, caches, predictor,
   /// values, steering, counters and measurement-phase bookkeeping).
   /// Loading requires a Processor constructed with the identical
-  /// ArchConfig and leaves it bit-identical to the one that was saved.
+  /// ArchConfig, overwrites all of its state and leaves it bit-identical
+  /// to the one that was saved.
   template <class Io>
   void transfer(Io& io);
+
+  /// Equal simulation state.  Two processors loaded from the same bytes
+  /// compare equal exactly when transfer() covers every member (the
+  /// CheckpointEquality tests).
+  friend bool operator==(const Processor&, const Processor&) = default;
 
   // --- SteerOracle -------------------------------------------------------
   [[nodiscard]] bool iq_can_accept(int cluster, UnitKind kind) const override;
@@ -136,6 +143,8 @@ class Processor final : public SteerOracle {
       io.u32(rob_index);
       io.u64(seq);
     }
+
+    friend bool operator==(const ReadyRef&, const ReadyRef&) = default;
   };
 
   struct Cluster {
@@ -166,6 +175,8 @@ class Processor final : public SteerOracle {
       io.items(fp_ready, max_ready, ReadyRef::kCheckpointBytes);
       io.vec_u64(comm_ready);
     }
+
+    friend bool operator==(const Cluster&, const Cluster&) = default;
   };
 
   struct FrontEndOp {
@@ -180,6 +191,8 @@ class Processor final : public SteerOracle {
       io.u64(seq);
       io.i64(stage_cycle);
     }
+
+    friend bool operator==(const FrontEndOp&, const FrontEndOp&) = default;
   };
 
   enum class EventKind : std::uint8_t {
@@ -207,6 +220,8 @@ class Processor final : public SteerOracle {
       io.u32(rob_index);
       io.u64(seq);
     }
+
+    friend bool operator==(const Event&, const Event&) = default;
   };
 
   /// Min-heap entry for time-bucketed memory operations (loads awaiting
@@ -227,6 +242,8 @@ class Processor final : public SteerOracle {
       io.u64(seq);
       io.u32(rob_index);
     }
+
+    friend bool operator==(const TimedRef&, const TimedRef&) = default;
   };
 
   /// Min-heap entry for comms whose value becomes readable at a known
@@ -246,25 +263,28 @@ class Processor final : public SteerOracle {
       io.u64(id);
       io.u8(cluster);
     }
+
+    friend bool operator==(const CommDue&, const CommDue&) = default;
   };
 
   /// A load past its due cycle.  arrival orders loads as they left
   /// load_due_, which is the d-cache port arbitration order.
   struct ActiveLoad {
     std::uint32_t rob_index;
-    // ckpt: derived (restore renumbers the saved loads from 0)
     std::uint64_t arrival;
     /// Answered Proceed but denied a d-cache port.  Proceed is final (no
     /// older store can appear, addresses never change), so the load is
     /// not asked again.
-    // ckpt: derived (restored loads start uncleared and are asked again)
     bool cleared = false;
 
+    /// Loading renumbers the loads by arrival and asks each one again.
     static constexpr std::size_t kCheckpointBytes = 8;
     template <class Io>
     void transfer(Io& io) {
       io.u64(rob_index);
     }
+
+    friend bool operator==(const ActiveLoad&, const ActiveLoad&) = default;
   };
 
   /// What a fired value-waiter token wakes.  Packing: kind in the top two
@@ -279,8 +299,8 @@ class Processor final : public SteerOracle {
   }
 
   /// After a load: checks the loaded sections against each other, then
-  /// rebuilds lsq_ord_, the load parking, the run start and the per-cycle
-  /// scratch.
+  /// rebuilds lsq_ord_, the load parking, the run start, the per-cycle
+  /// scratch and the steer-stall memo.
   void rebuild_derived(CheckpointReader& in);
 
   /// True when the trace ended and the pipeline fully emptied.
@@ -385,9 +405,16 @@ class Processor final : public SteerOracle {
     return dest_home_cluster(config_.arch, cluster, config_.num_clusters);
   }
 
-  ArchConfig config_;  // ckpt: derived (config)
-  std::unique_ptr<SteeringPolicy> policy_;
-  SteerContext steer_context_;  // ckpt: derived (non-owning pointers)
+  ArchConfig config_;
+  /// The steering policy, compared by state rather than by address.
+  struct Policy : std::unique_ptr<SteeringPolicy> {
+    friend bool operator==(const Policy& a, const Policy& b) {
+      return a->same_state(*b);
+    }
+  };
+  Policy policy_;
+  /// Pointers into this processor.
+  NotState<SteerContext> steer_context_;
 
   ValueMap values_;
   RegFileSet regs_;
@@ -409,36 +436,27 @@ class Processor final : public SteerOracle {
   /// (cycle, seq) order of a single priority queue.
   static constexpr std::size_t kEventRingSize = 1024;  // power of two
   std::vector<std::vector<Event>> event_ring_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>>
-      overflow_events_;
+  MinHeap<Event> overflow_events_;
   std::size_t events_pending_ = 0;  ///< ring + overflow, for fast skip
   /// Completion-time buckets replacing the historical per-cycle sweeps of
   /// pending loads/stores: a load sits in load_due_ until its address
   /// reaches the cache cluster, then moves to active_loads_ (arrival
   /// order) to ask its disambiguation gate and a d-cache port; a store
   /// sits in store_due_ until its data value is readable.
-  std::priority_queue<TimedRef, std::vector<TimedRef>, std::greater<>>
-      load_due_;
-  std::priority_queue<TimedRef, std::vector<TimedRef>, std::greater<>>
-      store_due_;
+  MinHeap<TimedRef> load_due_;
+  MinHeap<TimedRef> store_due_;
   /// Loads to ask this cycle (new, woken or port-blocked), by arrival.
   std::vector<ActiveLoad> active_loads_;
   /// Gated (MustWait) loads, parked per LSQ slot of their blocking store
   /// until wake_parked() returns them.  Checkpoints save them merged into
   /// active_loads_ by arrival; restore asks every load again and re-parks.
-  // ckpt: derived (rebuilt by the first memory stage after restore)
   std::vector<std::vector<ActiveLoad>> parked_;
-  // ckpt: derived (size of every parked_ list together)
-  std::size_t parked_total_ = 0;
-  // ckpt: derived (restore renumbers the saved loads from 0)
+  std::size_t parked_total_ = 0;  ///< size of every parked_ list together
   std::uint64_t next_arrival_ = 0;
   /// LSQ ordinal of each ROB slot's memory op, for O(1) LSQ access.
-  // ckpt: derived (rebuilt from the ROB's memory ops on restore)
   std::vector<std::uint64_t> lsq_ord_;
-  std::priority_queue<CommDue, std::vector<CommDue>, std::greater<>>
-      comm_due_;
-  // ckpt: derived (per-cycle scratch)
-  std::vector<BusDelivery> deliveries_;       ///< scratch, reused per cycle
+  MinHeap<CommDue> comm_due_;
+  std::vector<BusDelivery> deliveries_;  ///< scratch, reused per cycle
 
   // Rename state: logical register -> current value.
   std::array<ValueId, kNumFlatArchRegs> rename_{};
@@ -468,26 +486,25 @@ class Processor final : public SteerOracle {
   /// steer stall, and since then no resource in steer_watch_ gained
   /// capacity and no source in steer_watch_srcs_ changed, so it would
   /// stall again.  The wake hooks (wake_steer_*) and the checks at
-  /// dispatch clear it.
-  // ckpt: derived (false after restore: the first dispatch asks again)
+  /// dispatch clear it.  A checkpoint holds no stall: after a load the
+  /// first dispatch asks the policy again.
   bool steer_stall_holds_ = false;
   /// Resources that rejected the front op's candidates at its last steer().
-  // ckpt: derived (per-stall scratch, re-armed by the next stall)
   SteerWatch steer_watch_;
-  // ckpt: derived (per-stall scratch: unit kind of steer_watch_.iq)
-  UnitKind steer_watch_unit_ = UnitKind::Int;
+  UnitKind steer_watch_unit_ = UnitKind::Int;  ///< unit kind of .iq
   /// The stalled op's sources and their produced bit (bit 16) and mapped
   /// mask at the stall.
   struct WatchedSource {
     ValueId value = kInvalidValue;
     std::uint32_t state = 0;
+
+    friend bool operator==(const WatchedSource&,
+                           const WatchedSource&) = default;
   };
-  // ckpt: derived (per-stall scratch, re-armed by the next stall)
   StaticVector<WatchedSource, kMaxSrcOperands> steer_watch_srcs_;
 
   /// Sources of the instruction currently being steered/dispatched; these
   /// must never be chosen as copy-eviction victims on its behalf.
-  // ckpt: derived (per-dispatch scratch)
   StaticVector<ValueId, kMaxSrcOperands> steering_srcs_;
 
   SimCounters counters_;
@@ -504,8 +521,8 @@ class Processor final : public SteerOracle {
   /// Host wall-clock seconds accumulated by warmup() (or checkpoint
   /// restore, via add_pre_run_wall_seconds) and folded into the next
   /// measure()'s wall_seconds.  Host-side instrumentation: never
-  /// serialized, excluded from the determinism contract.
-  // ckpt: derived (host wall-clock metric, outside the sim contract)
+  /// serialized (loading zeroes it), excluded from the determinism
+  /// contract.
   double pre_run_wall_seconds_ = 0.0;
 };
 

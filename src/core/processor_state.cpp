@@ -3,15 +3,15 @@
 /// save_checkpoint/restore_checkpoint entry points.  Kept apart from
 /// processor.cpp: this file is all marshalling, no timing model.
 ///
-/// Layout note: loading requires a Processor freshly constructed with the
+/// Layout note: loading requires a Processor constructed with the
 /// identical ArchConfig — construction-derived structure (queue
 /// capacities, cache geometry, bus distance tables, steering policy kind)
-/// is rebuilt by the constructor and only verified here, while every
-/// mutable field is overwritten.  Scratch buffers that are empty between
-/// cycles (deliveries_, steering_srcs_) are cleared, not serialized.
+/// is built by the constructor and only verified here, while every
+/// mutable field is overwritten.  Scratch that is empty between cycles
+/// (deliveries_, steering_srcs_) and the per-stall steer watch are reset,
+/// not serialized.
 
 #include <algorithm>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -43,21 +43,6 @@ constexpr std::uint32_t kTagProcessor = checkpoint_tag('P', 'R', 'O', 'C');
 /// corrupt; the reader also checks them against the bytes left).
 constexpr std::uint64_t kMaxEvents = 1u << 24;
 constexpr std::uint64_t kMaxFrontEndOps = 1u << 20;
-
-/// A priority queue as its elements in pop order.  The bytes do not
-/// depend on heap layout because each queue's comparator is a total order
-/// on its actual contents (ties broken by unique seq/id).
-template <class Io, class Queue>
-void transfer_heap(Io& io, Queue& queue, std::size_t min_bytes) {
-  std::vector<typename Queue::value_type> items;
-  if constexpr (!Io::kLoading) {
-    for (Queue copy = queue; !copy.empty(); copy.pop()) {
-      items.push_back(copy.top());
-    }
-  }
-  io.items(items, kMaxEvents, min_bytes);
-  if constexpr (Io::kLoading) queue = Queue({}, std::move(items));
-}
 
 }  // namespace
 
@@ -96,10 +81,11 @@ void Processor::transfer(Io& io) {
             .push_back(event);
       }
     }
-    transfer_heap(io, overflow_events_, Event::kCheckpointBytes);
-    transfer_heap(io, load_due_, TimedRef::kCheckpointBytes);
-    transfer_heap(io, store_due_, TimedRef::kCheckpointBytes);
-    transfer_heap(io, comm_due_, CommDue::kCheckpointBytes);
+    // Ties in each heap's order are broken by a unique seq/id.
+    overflow_events_.transfer(io, kMaxEvents, Event::kCheckpointBytes);
+    load_due_.transfer(io, kMaxEvents, TimedRef::kCheckpointBytes);
+    store_due_.transfer(io, kMaxEvents, TimedRef::kCheckpointBytes);
+    comm_due_.transfer(io, kMaxEvents, CommDue::kCheckpointBytes);
     // Active and parked loads as one list in arrival order; the first
     // memory stage after a load asks each again and re-parks the gated.
     if constexpr (Io::kLoading) {
@@ -180,6 +166,7 @@ void Processor::rebuild_derived(CheckpointReader& in) {
   }
   // LSQ ordinals restart at 0, oldest first: the ROB's memory ops, walked
   // from the head, must be exactly the LSQ's entries in the same order.
+  lsq_ord_.assign(lsq_ord_.size(), 0);
   std::uint64_t ord = lsq_.head_ordinal();
   for (std::size_t i = 0; i < rob_.size(); ++i) {
     const auto index = static_cast<std::uint32_t>(
@@ -210,7 +197,11 @@ void Processor::rebuild_derived(CheckpointReader& in) {
   // Per-cycle scratch: empty between cycles by construction.
   deliveries_.clear();
   steering_srcs_.clear();
+  // No stall is held: the first dispatch asks the policy again.
   steer_stall_holds_ = false;
+  steer_watch_.clear();
+  steer_watch_unit_ = UnitKind::Int;
+  steer_watch_srcs_.clear();
   // Host-side wall accounting restarts; the harness adds restore time.
   pre_run_wall_seconds_ = 0.0;
 }

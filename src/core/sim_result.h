@@ -61,33 +61,10 @@ struct SimCounters {
   /// Field-wise difference (this - baseline); used to subtract warmup.
   [[nodiscard]] SimCounters minus(const SimCounters& baseline) const;
 
-  /// Checkpoint fields (core/checkpoint.h); see kCounterFields below.
+  /// Checkpoint fields (core/checkpoint.h), in kCounterFields order with
+  /// dispatched_per_cluster after nready_sum; defined below the table.
   template <class Io>
-  void transfer(Io& io) {
-    io.u64(cycles);
-    io.u64(committed);
-    io.u64(comms);
-    io.u64(comm_distance_sum);
-    io.u64(comm_contention_sum);
-    io.u64(nready_sum);
-    io.vec_u64(dispatched_per_cluster);
-    io.u64(branches);
-    io.u64(mispredicts);
-    io.u64(icache_stall_cycles);
-    io.u64(loads);
-    io.u64(stores);
-    io.u64(load_forwards);
-    io.u64(l1d_accesses);
-    io.u64(l1d_misses);
-    io.u64(l2_accesses);
-    io.u64(l2_misses);
-    io.u64(steer_stall_cycles);
-    io.u64(rob_stall_cycles);
-    io.u64(lsq_stall_cycles);
-    io.u64(copy_evictions);
-    io.u64(rob_occupancy_sum);
-    io.u64(regs_in_use_sum);
-  }
+  void transfer(Io& io);
 
   /// Bit-identical comparison, the determinism-regression contract.
   [[nodiscard]] friend bool operator==(const SimCounters&,
@@ -105,12 +82,10 @@ struct CounterField {
 
 /// The counter schema: every scalar SimCounters field, in output order.
 /// Warmup subtraction (SimCounters::minus), the TSV store line
-/// (serialize_result / try_deserialize_result), the JSON "counters" block
-/// and the registry's counter metrics all walk this table;
-/// dispatched_per_cluster, the one vector field, each consumer handles
-/// beside it.  The checkpoint field list (SimCounters::transfer) stays
-/// hand-listed: ringclu-lint's ckpt-coverage rule checks it by member
-/// name, and it puts the vector after nready_sum.
+/// (serialize_result / try_deserialize_result), the JSON "counters" block,
+/// the registry's counter metrics and the checkpoint field list
+/// (SimCounters::transfer) all walk this table; dispatched_per_cluster,
+/// the one vector field, each consumer handles beside it.
 inline constexpr CounterField kCounterFields[] = {
     {"cycles", &SimCounters::cycles, "measured cycles", ""},
     {"committed", &SimCounters::committed, "committed instructions", ""},
@@ -153,6 +128,17 @@ static_assert(sizeof(SimCounters) ==
                   std::size(kCounterFields) * sizeof(std::uint64_t) +
                       sizeof(std::vector<std::uint64_t>),
               "every scalar SimCounters field needs a kCounterFields entry");
+
+template <class Io>
+void SimCounters::transfer(Io& io) {
+  for (const CounterField& field : kCounterFields) {
+    io.u64(this->*field.member);
+    // The vector has always followed nready_sum in checkpoints.
+    if (field.member == &SimCounters::nready_sum) {
+      io.vec_u64(dispatched_per_cluster);
+    }
+  }
+}
 
 /// A finished run.
 struct SimResult {

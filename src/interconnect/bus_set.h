@@ -107,17 +107,17 @@ class BusSet {
     for (PipelinedRingBus& bus : buses_) bus.transfer(io);
   }
 
+  friend bool operator==(const BusSet&, const BusSet&) = default;
+
  private:
-  int num_clusters_;  // ckpt: derived (config)
+  int num_clusters_;
   std::vector<PipelinedRingBus> buses_;
-  // ckpt: derived (built at construction from the ring geometry)
   std::vector<int> min_distance_;  ///< n x n lookup, built at construction
   /// nearest() table: per destination, two 256-entry halves indexed by the
   /// low and the high byte of a mask.  An entry packs distance << 4 |
   /// source, so the smaller byte is the nearer source and, at equal
   /// distance, the lower index; an empty half reads 0xff, which loses to
   /// any entry of the other half or equals it.
-  // ckpt: derived (built at construction from min_distance_)
   std::vector<std::uint8_t> nearest_;
 };
 

@@ -29,6 +29,8 @@ enum class RingDirection : std::int8_t { Forward = 1, Backward = -1 };
 struct BusDelivery {
   int dst_cluster = -1;
   std::uint64_t payload = 0;
+
+  friend bool operator==(const BusDelivery&, const BusDelivery&) = default;
 };
 
 /// One unidirectional, fully pipelined ring bus.
@@ -72,6 +74,9 @@ class PipelinedRingBus {
   template <class Io>
   void transfer(Io& io);
 
+  friend bool operator==(const PipelinedRingBus&,
+                         const PipelinedRingBus&) = default;
+
  private:
   struct Slot {
     bool full = false;
@@ -84,6 +89,8 @@ class PipelinedRingBus {
       io.i64(dst);
       io.u64(payload);
     }
+
+    friend bool operator==(const Slot&, const Slot&) = default;
   };
 
   /// Rebuilds arrivals_ from the occupied slots.
@@ -106,16 +113,15 @@ class PipelinedRingBus {
                : (logical + shift_) % n;
   }
 
-  int num_clusters_;  // ckpt: derived (config)
-  int hop_latency_;  // ckpt: derived (config)
-  RingDirection direction_;  // ckpt: derived (config)
+  int num_clusters_;
+  int hop_latency_;
+  RingDirection direction_;
   std::vector<Slot> slots_;
   std::size_t shift_ = 0;  ///< ticks modulo slot count (rotating frame)
   /// Deliveries due per future shift_ value: a datum injected at shift s
   /// with travel distance d arrives when shift_ == (s + d*hop) mod size.
   /// Lets tick() skip the delivery scan on the (common) cycles where
   /// traffic is in flight but nothing lands.
-  // ckpt: derived (rebuild_derived() recomputes it from slots_)
   std::vector<std::uint16_t> arrivals_;
   int in_flight_ = 0;
   std::uint64_t busy_slot_cycles_ = 0;

@@ -67,6 +67,8 @@ struct MicroOp {
     io.boolean(taken);
     io.u64(target);
   }
+
+  friend bool operator==(const MicroOp&, const MicroOp&) = default;
 };
 
 }  // namespace ringclu

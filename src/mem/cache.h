@@ -53,6 +53,8 @@ class SetAssocCache {
     io.u64(misses_);
   }
 
+  friend bool operator==(const SetAssocCache&, const SetAssocCache&) = default;
+
  private:
   struct Line {
     std::uint64_t tag = 0;
@@ -65,14 +67,16 @@ class SetAssocCache {
       io.u64(lru);
       io.boolean(valid);
     }
+
+    friend bool operator==(const Line&, const Line&) = default;
   };
 
   [[nodiscard]] std::size_t set_of(std::uint64_t addr) const;
   [[nodiscard]] std::uint64_t tag_of(std::uint64_t addr) const;
 
-  CacheConfig config_;  // ckpt: derived (config)
-  std::size_t sets_;  // ckpt: derived (config geometry)
-  std::uint32_t line_shift_;  // ckpt: derived (config geometry)
+  CacheConfig config_;
+  std::size_t sets_;
+  std::uint32_t line_shift_;
   std::vector<Line> lines_;
   std::uint64_t tick_ = 0;
   std::uint64_t accesses_ = 0;

@@ -53,8 +53,11 @@ class MemoryHierarchy {
     l2_.transfer(io);
   }
 
+  friend bool operator==(const MemoryHierarchy&,
+                         const MemoryHierarchy&) = default;
+
  private:
-  MemHierarchyConfig config_;  // ckpt: derived (config)
+  MemHierarchyConfig config_;
   SetAssocCache l1i_;
   SetAssocCache l1d_;
   SetAssocCache l2_;

@@ -1,5 +1,6 @@
 #include "mem/lsq.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "core/checkpoint.h"
@@ -145,6 +146,10 @@ void LoadStoreQueue::rebuild_derived() {
     entry.stores_before = next_store_;
     if (entry.is_store) store_ords_[next_store_++ & mask_] = ord;
   }
+  std::fill(ring_.begin() + static_cast<std::ptrdiff_t>(next_ord_),
+            ring_.end(), Entry{});
+  std::fill(store_ords_.begin() + static_cast<std::ptrdiff_t>(next_store_),
+            store_ords_.end(), 0);
 }
 
 }  // namespace ringclu

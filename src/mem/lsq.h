@@ -90,6 +90,9 @@ class LoadStoreQueue {
   template <class Io>
   void transfer(Io& io);
 
+  friend bool operator==(const LoadStoreQueue&,
+                         const LoadStoreQueue&) = default;
+
  private:
   /// blocker_ord of an entry whose blocker is unknown (not live).
   static constexpr std::uint64_t kNoOrdinal = ~0ull;
@@ -113,11 +116,10 @@ class LoadStoreQueue {
     mutable bool must_wait_memo = false;
     mutable std::uint64_t blocker_seq = 0;
     mutable bool blocker_addr_known = false;
-    // ckpt: derived (ordinal of blocker_seq, re-found on restore)
+    /// Ordinal of blocker_seq; loading re-finds it.
     mutable std::uint64_t blocker_ord = kNoOrdinal;
     /// Stores allocated before this entry: a store's own store number,
     /// and for a load the store number of the next younger store.
-    // ckpt: derived (renumbered from 0 on restore)
     std::uint64_t stores_before = 0;
 
     static constexpr std::size_t kCheckpointBytes = 32;
@@ -132,9 +134,12 @@ class LoadStoreQueue {
       io.u64(blocker_seq);
       io.boolean(blocker_addr_known);
     }
+
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
 
-  /// Re-finds memoised blockers and renumbers the live stores.
+  /// Re-finds memoised blockers and renumbers the live stores; dead ring
+  /// and store-number slots return to their constructor values.
   void rebuild_derived();
 
   /// True while \p ord names a live entry (also false for kNoOrdinal).
@@ -147,23 +152,18 @@ class LoadStoreQueue {
     return static_cast<std::size_t>(ord & mask_);
   }
 
-  std::size_t capacity_;  // ckpt: derived (config; checked on restore)
+  std::size_t capacity_;
   /// Power-of-two ring of at least capacity_ slots; entry ord lives in
   /// ring_[ord & mask_].
   std::vector<Entry> ring_;
-  std::uint64_t mask_;  // ckpt: derived (ring size - 1, from capacity_)
-  // ckpt: derived (ordinals are rebased to 0 on restore)
+  std::uint64_t mask_;
   std::uint64_t head_ord_ = 0;
-  // ckpt: derived (head_ord_ + the restored entry count)
   std::uint64_t next_ord_ = 0;
   /// Ordinals of the live stores by store number: store k is at
   /// store_ords_[k & mask_], and the live stores are the numbers
   /// [head_store_, next_store_).  query_load walks only these.
-  // ckpt: derived (rebuilt from the restored entries)
   std::vector<std::uint64_t> store_ords_;
-  // ckpt: derived (renumbered from 0 on restore)
   std::uint64_t head_store_ = 0;
-  // ckpt: derived (the restored store count)
   std::uint64_t next_store_ = 0;
   std::uint64_t forwards_ = 0;
   std::uint64_t load_waits_ = 0;

@@ -131,9 +131,11 @@ void HttpServer::stop() {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) return;
     stopping_ = true;
-    // Unblock every connection read/write in flight.  The fds stay open
-    // (their threads own the close) — shutdown only kicks the blockers.
-    for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
+    // Unblock every connection read.  A response being written still
+    // finishes (its thread then sees stopping_ and closes); a write to a
+    // peer that stopped reading gives up after the send timeout.  The fds
+    // stay open (their threads own the close).
+    for (const int fd : open_fds_) ::shutdown(fd, SHUT_RD);
   }
   if (listen_fd_ >= 0) {
     // shutdown (not just close) is what actually unblocks a pending
@@ -171,11 +173,12 @@ void HttpServer::accept_loop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return;  // listen socket gone
     }
-    // Per-read timeout so an idle keep-alive peer cannot pin the thread
-    // forever.
+    // Per-read and per-write timeouts so an idle keep-alive peer, or one
+    // that stops reading a response, cannot pin the thread forever.
     timeval timeout = {};
     timeout.tv_sec = options_.io_timeout_seconds;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     std::vector<std::thread> finished;
     {
       const std::lock_guard<std::mutex> lock(mutex_);

@@ -20,8 +20,9 @@
 /// new ones, so a long-running daemon holds threads only for the
 /// connections that are still open.  The handler is invoked concurrently
 /// from connection threads and must be thread-safe.  stop() unblocks
-/// every connection (shutdown(2) on the sockets) and joins all threads;
-/// see DESIGN.md §13.
+/// every connection's reads (shutdown(2) of the read side), lets a
+/// response already being written finish, and joins all threads; see
+/// DESIGN.md §13.
 
 #include <cstddef>
 #include <cstdint>
@@ -79,8 +80,9 @@ struct HttpServerOptions {
   /// Body budget (413 beyond it).  The daemon's largest legitimate body
   /// is an inline-config sweep spec, far below 1 MiB.
   std::size_t max_body_bytes = 1 << 20;
-  /// Per-read socket timeout (SO_RCVTIMEO), seconds: a stalled or idle
-  /// keep-alive connection releases its thread after this long.
+  /// Per-read and per-write socket timeout (SO_RCVTIMEO, SO_SNDTIMEO),
+  /// seconds: a stalled or idle keep-alive connection, or a peer that
+  /// stops reading a response, releases its thread after this long.
   int io_timeout_seconds = 30;
 };
 
@@ -100,8 +102,8 @@ class HttpServer {
   /// message in \p error) when the socket cannot be bound.
   [[nodiscard]] bool start(std::string* error);
 
-  /// Stops accepting, unblocks and joins every connection thread.
-  /// Idempotent.
+  /// Stops accepting, lets responses being written finish, unblocks and
+  /// joins every connection thread.  Idempotent.
   void stop();
 
   /// The bound port (resolves option port 0).  \pre start() succeeded.
@@ -125,8 +127,8 @@ class HttpServer {
 
   std::mutex mutex_;
   bool stopping_ = false;
-  /// Live connection sockets: stop() shutdown(2)s them so blocked reads
-  /// and writes return immediately.
+  /// Live connection sockets: stop() shuts their read sides so blocked
+  /// reads return immediately.
   std::set<int> open_fds_;
   /// Connection threads by serial number, and the serials of those that
   /// have returned and wait to be joined by the accept loop.

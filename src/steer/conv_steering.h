@@ -17,14 +17,13 @@
 ///           all clusters;
 ///       choose the least loaded candidate (lowest DCOUNT).
 
-#include "core/checkpoint.h"
 #include "steer/dcount.h"
 #include "steer/steer_common.h"
 #include "steer/steering.h"
 
 namespace ringclu {
 
-class ConvSteering final : public SteeringPolicy {
+class ConvSteering final : public CheckpointedPolicy<ConvSteering> {
  public:
   ConvSteering(int num_clusters, int dcount_threshold)
       : num_clusters_(num_clusters),
@@ -44,8 +43,11 @@ class ConvSteering final : public SteeringPolicy {
 
   [[nodiscard]] const DcountTracker& dcount() const { return dcount_; }
 
-  void save_state(CheckpointWriter& out) const override { out.save(dcount_); }
-  void restore_state(CheckpointReader& in) override { dcount_.transfer(in); }
+  template <class Io>
+  void transfer(Io& io) {
+    dcount_.transfer(io);
+  }
+  friend bool operator==(const ConvSteering&, const ConvSteering&) = default;
 
  private:
   /// Least-loaded viable cluster within \p candidate_mask.
@@ -53,12 +55,12 @@ class ConvSteering final : public SteeringPolicy {
       const SteerRequest& request, const SteerContext& context,
       std::uint32_t candidate_mask);
 
-  int num_clusters_;  // ckpt: derived (config)
-  int threshold_;  // ckpt: derived (config)
+  int num_clusters_;
+  int threshold_;
   DcountTracker dcount_;
   /// Per-request operand plans (steer_common.h); rebuilt by every steer()
-  /// call, so it carries no cross-instruction state and is not serialized.
-  SteerPlanCache plans_;  // ckpt: derived (per-request scratch)
+  /// call, so it carries no cross-instruction state.
+  NotState<SteerPlanCache> plans_;
 };
 
 }  // namespace ringclu

@@ -68,6 +68,8 @@ class DcountTracker {
     if constexpr (Io::kLoading) sort_order();
   }
 
+  friend bool operator==(const DcountTracker&, const DcountTracker&) = default;
+
  private:
   /// True when cluster \p a precedes \p b in order_.
   [[nodiscard]] bool before(std::size_t a, std::size_t b) const {
@@ -77,9 +79,8 @@ class DcountTracker {
   void sort_order();
 
   std::vector<std::int64_t> counters_;
-  // ckpt: derived (rebuilt from counters_ on restore)
   std::vector<std::size_t> order_;
-  std::int64_t limit_;  // ckpt: derived (config)
+  std::int64_t limit_;
 };
 
 }  // namespace ringclu

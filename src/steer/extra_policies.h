@@ -5,7 +5,6 @@
 /// (perfect balance, dependence-blind) and uniformly random placement.
 /// They bound the design space the paper's Figure 6/13 comparisons live in.
 
-#include "core/checkpoint.h"
 #include "steer/steer_common.h"
 #include "steer/steering.h"
 #include "util/rng.h"
@@ -13,7 +12,8 @@
 namespace ringclu {
 
 /// Dependence-blind round-robin: maximal balance, maximal communication.
-class RoundRobinSteering final : public SteeringPolicy {
+class RoundRobinSteering final
+    : public CheckpointedPolicy<RoundRobinSteering> {
  public:
   explicit RoundRobinSteering(int num_clusters)
       : num_clusters_(num_clusters) {}
@@ -27,17 +27,20 @@ class RoundRobinSteering final : public SteeringPolicy {
   /// next_ advances only on a placement.
   [[nodiscard]] bool stalled_steer_is_pure() const override { return true; }
 
-  void save_state(CheckpointWriter& out) const override { out.i64(next_); }
-
-  void restore_state(CheckpointReader& in) override { in.i64(next_); }
+  template <class Io>
+  void transfer(Io& io) {
+    io.i64(next_);
+  }
+  friend bool operator==(const RoundRobinSteering&,
+                         const RoundRobinSteering&) = default;
 
  private:
-  int num_clusters_;  // ckpt: derived (config)
+  int num_clusters_;
   int next_ = 0;
 };
 
 /// Uniformly random placement among viable clusters.
-class RandomSteering final : public SteeringPolicy {
+class RandomSteering final : public CheckpointedPolicy<RandomSteering> {
  public:
   RandomSteering(int num_clusters, std::uint64_t seed)
       : num_clusters_(num_clusters), rng_(seed) {}
@@ -49,18 +52,15 @@ class RandomSteering final : public SteeringPolicy {
   // stalled_steer_is_pure() stays false: every steer() draws from rng_,
   // stalled or not.
 
-  void save_state(CheckpointWriter& out) const override {
-    for (std::uint64_t word : rng_.state()) out.u64(word);
+  template <class Io>
+  void transfer(Io& io) {
+    rng_.transfer(io);
   }
-
-  void restore_state(CheckpointReader& in) override {
-    std::uint64_t words[4];
-    for (std::uint64_t& word : words) word = in.u64();
-    rng_.set_state(words);
-  }
+  friend bool operator==(const RandomSteering&,
+                         const RandomSteering&) = default;
 
  private:
-  int num_clusters_;  // ckpt: derived (config)
+  int num_clusters_;
   Rng rng_;
 };
 

@@ -21,13 +21,12 @@
 /// communications — and the horizontal slicing of the dependence graph
 /// balances the workload with no explicit mechanism.
 
-#include "core/checkpoint.h"
 #include "steer/steer_common.h"
 #include "steer/steering.h"
 
 namespace ringclu {
 
-class RingSteering final : public SteeringPolicy {
+class RingSteering final : public CheckpointedPolicy<RingSteering> {
  public:
   explicit RingSteering(int num_clusters) : num_clusters_(num_clusters) {}
 
@@ -42,11 +41,11 @@ class RingSteering final : public SteeringPolicy {
   /// The rotation moves only in on_dispatch().
   [[nodiscard]] bool stalled_steer_is_pure() const override { return true; }
 
-  void save_state(CheckpointWriter& out) const override {
-    out.i64(rotate_);
+  template <class Io>
+  void transfer(Io& io) {
+    io.i64(rotate_);
   }
-
-  void restore_state(CheckpointReader& in) override { in.i64(rotate_); }
+  friend bool operator==(const RingSteering&, const RingSteering&) = default;
 
  private:
   /// Picks the best viable cluster from \p candidate_mask using
@@ -57,11 +56,11 @@ class RingSteering final : public SteeringPolicy {
                                      std::uint32_t candidate_mask,
                                      bool use_distance);
 
-  int num_clusters_;  // ckpt: derived (config)
+  int num_clusters_;
   int rotate_ = 0;  ///< round-robin tie-break state
   /// Per-request operand plans (steer_common.h); rebuilt by every steer()
-  /// call, so it carries no cross-instruction state and is not serialized.
-  SteerPlanCache plans_;  // ckpt: derived (per-request scratch)
+  /// call, so it carries no cross-instruction state.
+  NotState<SteerPlanCache> plans_;
 };
 
 }  // namespace ringclu

@@ -14,13 +14,12 @@
 /// balance (and Conv's collapse onto a few clusters) emerges from the value
 /// homes, not from the policy.
 
-#include "core/checkpoint.h"
 #include "steer/steer_common.h"
 #include "steer/steering.h"
 
 namespace ringclu {
 
-class SimpleSteering final : public SteeringPolicy {
+class SimpleSteering final : public CheckpointedPolicy<SimpleSteering> {
  public:
   explicit SimpleSteering(int num_clusters) : num_clusters_(num_clusters) {}
 
@@ -31,13 +30,15 @@ class SimpleSteering final : public SteeringPolicy {
   /// The round-robin pointer advances only on a placement.
   [[nodiscard]] bool stalled_steer_is_pure() const override { return true; }
 
-  void save_state(CheckpointWriter& out) const override {
-    out.i64(round_robin_);
+  template <class Io>
+  void transfer(Io& io) {
+    io.i64(round_robin_);
   }
-  void restore_state(CheckpointReader& in) override { in.i64(round_robin_); }
+  friend bool operator==(const SimpleSteering&,
+                         const SimpleSteering&) = default;
 
  private:
-  int num_clusters_;  // ckpt: derived (config)
+  int num_clusters_;
   int round_robin_ = 0;
 };
 

@@ -14,6 +14,7 @@
 #include <string_view>
 
 #include "cluster/value_map.h"
+#include "core/checkpoint.h"
 #include "interconnect/bus_set.h"
 #include "isa/micro_op.h"
 #include "isa/op_class.h"
@@ -21,9 +22,6 @@
 #include "util/static_vector.h"
 
 namespace ringclu {
-
-class CheckpointReader;
-class CheckpointWriter;
 
 /// Which machine organization is being simulated.
 enum class ArchKind : std::uint8_t { Ring, Conv };
@@ -71,6 +69,9 @@ class SteerOracle {
   /// Free registers right now (the steering tie-break criterion).
   [[nodiscard]] virtual int free_regs(int cluster, RegClass cls) const = 0;
   [[nodiscard]] virtual int free_regs_total(int cluster) const = 0;
+
+  /// The interface holds no state; lets an implementation default its ==.
+  friend bool operator==(const SteerOracle&, const SteerOracle&) = default;
 };
 
 /// The resources whose capacity checks rejected candidates during one
@@ -85,6 +86,8 @@ struct SteerWatch {
   std::array<std::uint16_t, kNumRegClasses> regs{};
 
   void clear() { *this = SteerWatch{}; }
+
+  friend bool operator==(const SteerWatch&, const SteerWatch&) = default;
 };
 
 /// Everything a policy may consult.
@@ -142,13 +145,50 @@ class SteeringPolicy {
   /// forwards this only if it forwards steer() unchanged.
   [[nodiscard]] virtual bool stalled_steer_is_pure() const { return false; }
 
-  /// Checkpoint hooks.  The defaults serialize nothing — correct only for
-  /// stateless policies; every policy with mutable state (rotation
-  /// counters, DCOUNT, RNG, ...) must override both, or restored runs will
-  /// diverge from cold runs.  The built-in policies all do; externally
-  /// registered policies (steer/registry.h) are expected to as well.
+  /// Checkpoint hooks: save_state and restore_state write and read the
+  /// policy's mutable state (rotation counters, DCOUNT, RNG, ...);
+  /// same_state compares it with \p other's, which is how the checkpoint
+  /// equality tests see a field the other two skip.  The defaults
+  /// serialize nothing and compare equal, which is correct only for
+  /// stateless policies: a policy with state overrides all three, or
+  /// restored runs diverge from cold runs.  The built-in policies derive
+  /// from CheckpointedPolicy, which builds the three from one field list;
+  /// externally registered policies (steer/registry.h) are expected to
+  /// override them too.
   virtual void save_state(CheckpointWriter& out) const { (void)out; }
   virtual void restore_state(CheckpointReader& in) { (void)in; }
+  [[nodiscard]] virtual bool same_state(const SteeringPolicy& other) const {
+    (void)other;
+    return true;
+  }
+};
+
+/// Base of a policy that lists its fields once, in
+///   template <class Io> void transfer(Io& io);
+/// and has a defaulted operator==: the checkpoint hooks run and compare
+/// exactly those.
+template <class Derived>
+class CheckpointedPolicy : public SteeringPolicy {
+ public:
+  void save_state(CheckpointWriter& out) const override { out.save(self()); }
+  void restore_state(CheckpointReader& in) override {
+    static_cast<Derived&>(*this).transfer(in);
+  }
+  [[nodiscard]] bool same_state(const SteeringPolicy& other) const override {
+    const auto* same = dynamic_cast<const Derived*>(&other);
+    return same != nullptr && *same == self();
+  }
+
+  /// The base holds no state.
+  friend bool operator==(const CheckpointedPolicy&,
+                         const CheckpointedPolicy&) {
+    return true;
+  }
+
+ private:
+  [[nodiscard]] const Derived& self() const {
+    return static_cast<const Derived&>(*this);
+  }
 };
 
 }  // namespace ringclu

@@ -105,15 +105,14 @@ class Rng {
     return k;
   }
 
-  /// Raw generator state, for checkpoint serialization only.
-  [[nodiscard]] constexpr std::span<const std::uint64_t, 4> state() const {
-    return std::span<const std::uint64_t, 4>(state_);
+  /// Checkpoint fields (core/checkpoint.h): a loaded generator resumes
+  /// the identical stream.
+  template <class Io>
+  void transfer(Io& io) {
+    for (std::uint64_t& word : state_) io.u64(word);
   }
 
-  /// Restores state captured by state(); resumes the identical stream.
-  constexpr void set_state(std::span<const std::uint64_t, 4> words) {
-    for (std::size_t i = 0; i < 4; ++i) state_[i] = words[i];
-  }
+  friend bool operator==(const Rng&, const Rng&) = default;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -5,6 +5,7 @@
 /// collections (operand lists, steering candidate sets) where heap churn
 /// would dominate; capacity overflow is a contract violation.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 
@@ -65,6 +66,12 @@ class StaticVector {
       if (items_[i] == value) return true;
     }
     return false;
+  }
+
+  /// Compares the live elements only.
+  friend constexpr bool operator==(const StaticVector& a,
+                                   const StaticVector& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
 
  private:

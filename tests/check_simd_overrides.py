@@ -7,6 +7,8 @@ a `backend=` after `cache=` must not move the store off <P>, and an
 one tiny job (no run block, so the daemon's defaults apply) through
 tools/ringclu_client.py and checks that <P> holds its line, keyed with
 warmup 300, and that nothing was written to the default store path.
+Stops the daemon with `ringclu_client.py shutdown`, which must succeed,
+and requires exit status 0.
 
 usage: check_simd_overrides.py <ringclu_simd> <ringclu_client.py> <workdir>
 """
@@ -48,8 +50,17 @@ def main() -> int:
                         "--out", os.path.join(work, "result.json")],
                        check=True, env=env, timeout=90,
                        stdout=subprocess.DEVNULL)
-        daemon.terminate()  # SIGTERM: graceful drain.
-        daemon.wait(timeout=60)
+        # POST /v1/shutdown: the reply must arrive although the daemon
+        # stops its HTTP server as soon as the drain completes.
+        subprocess.run([sys.executable, client, "--server", server,
+                        "shutdown"],
+                       check=True, env=env, timeout=60,
+                       stdout=subprocess.DEVNULL)
+        status = daemon.wait(timeout=60)
+        if status != 0:
+            print(f"ringclu_simd exited with status {status}",
+                  file=sys.stderr)
+            return 1
     finally:
         if daemon.poll() is None:
             daemon.kill()

@@ -8,6 +8,8 @@
 //     on_snapshot callback, restore, finish the measurement),
 //   - the harness layers (run_sim_job with CheckpointOptions, SimService
 //     with SimServiceOptions::checkpoint),
+//   - completeness: a loaded processor equals the one that saved the
+//     bytes and loaded them back (CheckpointEquality),
 // and pin the invalidation rules: corrupt, truncated, version-bumped or
 // identity-mismatched files are rejected gracefully (restore_checkpoint
 // returns false with a diagnostic; nothing aborts) so callers fall back
@@ -28,6 +30,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/arch_config.h"
 #include "core/checkpoint.h"
@@ -38,6 +41,7 @@
 #include "harness/sim_service.h"
 #include "steer/registry.h"
 #include "trace/synth/suite.h"
+#include "trace/vector_source.h"
 #include "util/rng.h"
 
 namespace ringclu {
@@ -519,6 +523,114 @@ TEST(CheckpointSnapshot, MidMeasureResumeWhileASteerStallIsHeldIsExact) {
                   .steer_stall_held);
 }
 
+// ---- Load equality: a checkpoint holds every member --------------------
+
+/// A configuration and workload whose snapshots the equality test loads.
+struct EqualityCase {
+  ArchConfig config;
+  std::string workload;  ///< a benchmark, or kForwardingLoop
+};
+
+constexpr const char* kForwardingLoop = "fwd";
+
+/// store [A] = x; y = load [A], looped: the one workload that forwards
+/// from the LSQ.
+std::unique_ptr<TraceSource> forwarding_loop() {
+  MicroOp store;
+  store.cls = OpClass::Store;
+  store.src[0] = RegId::int_reg(0);
+  store.src[1] = RegId::int_reg(2);
+  store.mem_addr = 0x2000;
+  MicroOp load;
+  load.cls = OpClass::Load;
+  load.dst = RegId::int_reg(3);
+  load.src[0] = RegId::int_reg(0);
+  load.mem_addr = 0x2000;
+  std::vector<MicroOp> loop = {store, load};
+  return std::make_unique<VectorTraceSource>(std::move(loop), true,
+                                             kForwardingLoop);
+}
+
+/// Together the cases drive every counter and so every component: Ring
+/// and Conv with each built-in policy, two buses, a tiny LSQ and register
+/// file (LSQ stalls, copy evictions), eager copy release with a 1 KiB L1I
+/// (i-cache stalls), and the forwarding loop.
+std::vector<EqualityCase> equality_cases() {
+  const ArchConfig ring = ArchConfig::preset("Ring_8clus_1bus_2IW");
+  ArchConfig random = ArchConfig::preset("Conv_8clus_2bus_2IW");
+  EXPECT_FALSE(random.set_steering("random").has_value());
+  ArchConfig round_robin = ring;
+  EXPECT_FALSE(round_robin.set_steering("round_robin").has_value());
+  ArchConfig small = ArchConfig::preset("Conv_4clus_1bus_2IW");
+  small.lsq_size = 8;
+  small.regs_per_class = 40;
+  ArchConfig eager = ring;
+  eager.eager_copy_release = true;
+  eager.mem.l1i.size_bytes = 1024;
+  return {
+      {ring, "ammp"},
+      {ArchConfig::preset("Conv_8clus_1bus_2IW"), "ammp"},
+      {ArchConfig::preset("Ring_8clus_1bus_2IW+SSA"), "gcc"},
+      {random, "equake"},
+      {round_robin, "crafty"},
+      {small, "art"},
+      {eager, "gzip"},
+      {ring, kForwardingLoop},
+  };
+}
+
+// Loading must overwrite every member.  Each snapshot is loaded into a
+// fresh processor and back into the one that saved it, which puts both in
+// the same canonical layout (ordinals rebased, heaps rebuilt, derived
+// state recomputed); the two must then compare equal.  A member that
+// transfer() skips keeps its live value in one and its constructor value
+// in the other, and a new member joins the defaulted operator== without
+// being listed anywhere.  Snapshots come from inside measure(), where the
+// counters are synced; every counter must be nonzero at some snapshot, so
+// each one's source holds live state when it is compared.
+TEST(CheckpointEquality, LoadingASnapshotOverwritesEveryMember) {
+  constexpr std::uint64_t kEqualityMeasure = 12000;
+  std::vector<bool> counted(std::size(kCounterFields), false);
+  for (const EqualityCase& test_case : equality_cases()) {
+    auto trace = test_case.workload == kForwardingLoop
+                     ? forwarding_loop()
+                     : make_benchmark_trace(test_case.workload, kSeed);
+    Processor saver(test_case.config, kSeed);
+    saver.warmup(*trace, kWarmup);
+    int snapshots = 0;
+    RunHooks hooks;
+    hooks.snapshot_interval_instrs = 4001;
+    hooks.on_snapshot = [&] {
+      ++snapshots;
+      CheckpointWriter out;
+      out.save(saver);
+      Processor fresh(test_case.config, kSeed);
+      CheckpointReader into_fresh(out.bytes());
+      fresh.transfer(into_fresh);
+      CheckpointReader into_saver(out.bytes());
+      saver.transfer(into_saver);
+      ASSERT_TRUE(into_fresh.ok()) << into_fresh.error();
+      ASSERT_TRUE(into_saver.ok()) << into_saver.error();
+      EXPECT_TRUE(saver == fresh)
+          << test_case.config.name << "/" << test_case.workload
+          << ", snapshot " << snapshots
+          << ": a member is not transferred (or not reset on load)";
+      for (std::size_t i = 0; i < std::size(kCounterFields); ++i) {
+        if (saver.counters().*kCounterFields[i].member != 0) {
+          counted[i] = true;
+        }
+      }
+    };
+    (void)saver.measure(*trace, kEqualityMeasure, hooks);
+    EXPECT_GT(snapshots, 0) << test_case.config.name << "/"
+                            << test_case.workload;
+  }
+  for (std::size_t i = 0; i < std::size(kCounterFields); ++i) {
+    EXPECT_TRUE(counted[i]) << kCounterFields[i].name
+                            << " is zero at every snapshot";
+  }
+}
+
 // ---- Pinned checkpoint bytes -------------------------------------------
 
 /// FNV-1a digest of a warmup checkpoint file, with the header's host-timed
@@ -697,7 +809,7 @@ class CountingSteering final : public SteeringPolicy {
 
  private:
   std::unique_ptr<SteeringPolicy> inner_;
-  bool forward_purity_;  // ckpt: derived (config)
+  bool forward_purity_;
 };
 
 /// \p preset with its steering wrapped by a CountingSteering.  A

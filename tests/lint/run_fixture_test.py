@@ -29,8 +29,6 @@ EXPECTED_RULES = (
     "det-unordered-iter",
     "det-ptr-key",
     "det-nondet-source",
-    "ckpt-coverage",
-    "ckpt-pair",
     "env-getenv",
     "contract-side-effect",
     "strict-suppression",

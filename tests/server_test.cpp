@@ -874,5 +874,37 @@ TEST_F(HttpServerTest, ClosedConnectionThreadsAreJoined) {
   EXPECT_LE(proc_mapping_count(), mappings_before + 64);
 }
 
+// ringclu_simd stops the HTTP server as soon as POST /v1/shutdown has
+// drained the service, while that request's connection still owes its
+// reply.  stop() must let the reply finish.  The handler lingers after
+// accepting the shutdown, as a slow reply would, so every round's stop()
+// begins before the reply is written.
+TEST(HttpServerShutdown, ShutdownReplyArrivesWhileTheServerStops) {
+  for (int round = 0; round < 50; ++round) {
+    SimServer service(server_options(""));
+    HttpServer http(HttpServerOptions{},
+                    [&service](const HttpRequest& request) {
+                      HttpResponse response = service.handle(request);
+                      std::this_thread::sleep_for(2ms);
+                      return response;
+                    });
+    std::string error;
+    ASSERT_TRUE(http.start(&error)) << error;
+    // What ringclu_simd's main does.
+    std::thread stopper([&] {
+      while (!service.wait_drained_ms(200)) {
+      }
+      http.stop();
+    });
+    const std::string reply =
+        http_exchange(http.port(),
+                      "POST /v1/shutdown HTTP/1.1\r\n"
+                      "Content-Length: 0\r\n\r\n");
+    stopper.join();
+    ASSERT_NE(reply.find("\"ok\":true"), std::string::npos)
+        << "round " << round << ": reply lost: '" << reply << "'";
+  }
+}
+
 }  // namespace
 }  // namespace ringclu

@@ -6,7 +6,9 @@ bit-identical checkpoint restore, byte-identical serial result stores --
 is a *determinism* invariant.  Runtime tests can only observe the
 configurations they happen to run; this tool checks the classes of bugs
 that break those invariants statically, for every translation unit in the
-CMake-exported compile_commands.json.
+CMake-exported compile_commands.json.  (Checkpoint completeness is not a
+lint rule: the CheckpointEquality tests compare a loaded Processor with
+the one that saved it through defaulted operator==.)
 
 Rule families (see DESIGN.md section 12 for the full catalog):
 
@@ -21,21 +23,6 @@ Rule families (see DESIGN.md section 12 for the full catalog):
                          sim-state module feeds wall-clock or entropy into
                          simulated state.  Wall-clock *timing* sites carry
                          an explicit allow(wallclock) suppression.
-
-  checkpoint coverage
-    ckpt-coverage        every non-static data member of a class that
-                         defines transfer() (its one checkpoint field
-                         list, run by both the writer and the reader)
-                         must be transferred in that body -- or, for a
-                         class with the virtual save_state/restore_state
-                         pair, in BOTH bodies -- or carry a
-                         "// ckpt: derived" annotation on its declaration.
-                         Transferred means the first argument of a stream
-                         call other than check(), a nested hook's
-                         receiver, or an alias of one; a mention in a
-                         bound or a check does not count.
-    ckpt-pair            a class defining only one of save_state /
-                         restore_state cannot round-trip.
 
   env/config hygiene
     env-getenv           direct getenv() bypasses the strict parse_uint /
@@ -57,18 +44,14 @@ comment-only line):
     // ringclu-lint: allow(<rule>: <reason>)
 
 "wallclock" is accepted as an alias for det-nondet-source, matching the
-vocabulary of the determinism threat model.  Checkpoint-coverage
-exemptions use a dedicated annotation on the member declaration:
-
-    // ckpt: derived            (optionally "// ckpt: derived(<reason>)")
+vocabulary of the determinism threat model.
 
 --strict additionally rejects suppressions that name an unknown rule and
 suppressions that suppress nothing (so stale annotations rot loudly).
 
 The analyzer is self-contained (no libclang requirement: the build
 container has no clang toolchain) -- it ships a comment/string-aware lexer
-and a class/member parser tuned to this clang-formatted codebase, and
-consumes compile_commands.json for the translation-unit list.
+and consumes compile_commands.json for the translation-unit list.
 """
 
 from __future__ import annotations
@@ -79,7 +62,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 RULES = {
     "det-unordered-decl": (
@@ -93,11 +76,6 @@ RULES = {
     "det-nondet-source": (
         "wall-clock/entropy source inside a sim-state module"
     ),
-    "ckpt-coverage": (
-        "data member not transferred by transfer (or by both save_state "
-        "and restore_state)"
-    ),
-    "ckpt-pair": "class defines only one of save_state/restore_state",
     "env-getenv": (
         "direct getenv() bypasses the strict util/env.h parse helpers"
     ),
@@ -171,41 +149,20 @@ class Suppression:
     used: bool = False
 
 
-# Builtin-type keywords that can open a member declaration on their own
-# ("int x_;" has no non-keyword type identifier).
-BUILTIN_TYPE_KEYWORDS = {
-    "auto", "bool", "char", "double", "float", "int", "long", "short",
-    "signed", "unsigned",
-}
-
-
-@dataclass
-class ClassInfo:
-    name: str
-    path: str
-    line: int
-    members: list = field(default_factory=list)  # (name, line)
-    # rule hook name -> body text (blanked); None body = declared only.
-    hooks: dict = field(default_factory=dict)
-
-
 @dataclass
 class SourceFile:
     path: str  # repo-relative, '/'-separated
     text: str
     blanked: str  # comments + string/char literal contents spaced out
     line_starts: list
-    comments: dict  # line -> concatenated comment text on that line
     comment_only_lines: set
     suppressions: dict  # line -> list[Suppression]
-    ckpt_derived_lines: set
 
     def line_of(self, offset: int) -> int:
         return bisect.bisect_right(self.line_starts, offset) + 1
 
 
 ALLOW_RE = re.compile(r"ringclu-lint:\s*allow\(\s*([A-Za-z0-9_-]+)\s*(?::[^)]*)?\)")
-CKPT_DERIVED_RE = re.compile(r"ckpt:\s*derived\b")
 
 
 def blank_sources(text: str):
@@ -294,14 +251,11 @@ def load_source(abs_path: str, rel_path: str) -> SourceFile:
         text=text,
         blanked=blanked,
         line_starts=starts,
-        comments={},
         comment_only_lines=set(),
         suppressions={},
-        ckpt_derived_lines=set(),
     )
     for offset, ctext in comments:
         line = sf.line_of(offset)
-        sf.comments[line] = sf.comments.get(line, "") + " " + ctext
         # A comment line is "comment only" when the blanked code on that
         # line is whitespace.
         line_start = starts[line - 2] if line >= 2 else 0
@@ -318,8 +272,6 @@ def load_source(abs_path: str, rel_path: str) -> SourceFile:
                 spelled=spelled,
             )
             sf.suppressions.setdefault(line, []).append(supp)
-        if CKPT_DERIVED_RE.search(ctext):
-            sf.ckpt_derived_lines.add(line)
     return sf
 
 
@@ -341,265 +293,6 @@ def is_suppressed(sf: SourceFile, line: int, rule: str) -> bool:
             supp.used = True
             hit = True
     return hit
-
-
-def has_ckpt_derived(sf: SourceFile, line: int) -> bool:
-    if line in sf.ckpt_derived_lines:
-        return True
-    above = line - 1
-    while above in sf.comment_only_lines:
-        if above in sf.ckpt_derived_lines:
-            return True
-        above -= 1
-    return False
-
-
-def match_brace(text: str, open_idx: int) -> int:
-    """Index just past the '}' matching text[open_idx] == '{'; len(text) if
-    unbalanced."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        c = text[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(text)
-
-
-CLASS_RE = re.compile(
-    r"\b(class|struct)\s+([A-Za-z_]\w*)\s*(final\s*)?(:\s*[^;{()]*)?\{"
-)
-
-
-def _angle_step(depth: int, text: str, i: int) -> int:
-    """Angle-bracket depth tracking good enough for declarations."""
-    c = text[i]
-    if c == "<":
-        prev = text[i - 1] if i > 0 else ""
-        if c == "<" and (text[i + 1 : i + 2] == "<" or prev == "<"):
-            return depth  # operator<<
-        if prev.isalnum() or prev in "_>:":
-            return depth + 1
-    elif c == ">" and depth > 0:
-        prev = text[i - 1] if i > 0 else ""
-        if prev == "-":  # ->
-            return depth
-        return depth - 1
-    return depth
-
-
-ACCESS_RE = re.compile(r"^\s*(?:public|private|protected)\s*:")
-SKIP_STMT_RE = re.compile(
-    r"^\s*(?:using\b|typedef\b|friend\b|static\b|template\b|static_assert\b"
-    r"|enum\b|class\s+\w+\s*$|struct\s+\w+\s*$)"
-)
-
-
-# Checkpoint hooks: the one-list transfer(), or the virtual pair.
-CKPT_PAIR = ("save_state", "restore_state")
-CKPT_HOOKS = ("transfer",) + CKPT_PAIR
-
-# A member template's "template <...>" head, stripped so its declaration
-# parses like a plain one (one level of nested angle brackets).
-TEMPLATE_HEAD_RE = re.compile(r"^\s*template\s*<(?:[^<>]|<[^<>]*>)*>\s*")
-
-
-def _member_names(stmt: str):
-    """Member name(s) declared by an in-class statement (already known not
-    to be a function); yields identifier strings."""
-    # Cut each top-level comma chunk at its initializer.
-    chunks = []
-    depth_a = depth_p = depth_b = depth_c = 0
-    cur = []
-    for i, ch in enumerate(stmt):
-        depth_a = _angle_step(depth_a, stmt, i)
-        if ch == "(":
-            depth_p += 1
-        elif ch == ")":
-            depth_p -= 1
-        elif ch == "[":
-            depth_b += 1
-        elif ch == "]":
-            depth_b -= 1
-        elif ch == "{":
-            depth_c += 1
-        elif ch == "}":
-            depth_c -= 1
-        if ch == "," and depth_a == depth_p == depth_b == depth_c == 0:
-            chunks.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    chunks.append("".join(cur))
-
-    first = True
-    for chunk in chunks:
-        # Strip initializer: depth-0 '=' or '{'.
-        depth_a = 0
-        cut = len(chunk)
-        for i, ch in enumerate(chunk):
-            depth_a = _angle_step(depth_a, chunk, i)
-            if depth_a == 0 and ch in "={[":
-                cut = i
-                break
-        decl = chunk[:cut]
-        all_idents = IDENT_RE.findall(decl)
-        idents = [t for t in all_idents if t not in CXX_KEYWORDS]
-        # A declaration needs a type and a name; the type is either a
-        # non-keyword identifier or a builtin-type keyword ("int x_;"),
-        # and later chunks of a multi-declarator share the first chunk's
-        # type.
-        has_builtin = any(t in BUILTIN_TYPE_KEYWORDS for t in all_idents)
-        if idents and (len(idents) >= 2 or has_builtin or not first):
-            yield idents[-1]
-        first = False
-
-
-def parse_classes(sf: SourceFile, out_classes: list, out_bodies: dict):
-    """Finds classes + members + save/restore hook bodies in \\p sf.
-    out_bodies collects out-of-line '<Class>::save_state' style bodies as
-    {(class_name, hook): body_text}."""
-    blanked = sf.blanked
-
-    # Out-of-line method bodies.
-    for m in re.finditer(
-        r"\b([A-Za-z_]\w*)\s*::\s*(save_state|restore_state|transfer)\s*\(",
-        blanked,
-    ):
-        # Find the '{' that opens the body (skip declarations/calls).
-        i = m.end() - 1
-        depth = 0
-        while i < len(blanked):
-            if blanked[i] == "(":
-                depth += 1
-            elif blanked[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        j = i + 1
-        while j < len(blanked) and (blanked[j].isspace() or
-                                    blanked[j : j + 5] == "const"):
-            j += 5 if blanked[j : j + 5] == "const" else 1
-        if j < len(blanked) and blanked[j] == "{":
-            end = match_brace(blanked, j)
-            out_bodies[(m.group(1), m.group(2))] = blanked[j:end]
-
-    pos = 0
-    while True:
-        m = CLASS_RE.search(blanked, pos)
-        if m is None:
-            break
-        # 'enum class X {' must not match: exclude by lookbehind.
-        before = blanked[max(0, m.start() - 8) : m.start()]
-        if re.search(r"\benum\s*$", before):
-            pos = m.end()
-            continue
-        body_open = m.end() - 1
-        body_close = match_brace(blanked, body_open)
-        _parse_class_body(
-            sf, m.group(2), body_open + 1, body_close - 1, out_classes
-        )
-        pos = body_close  # nested classes were parsed with their parent
-
-
-def _parse_class_body(sf, class_name, start, end, out_classes):
-    blanked = sf.blanked
-    info = ClassInfo(name=class_name, path=sf.path, line=sf.line_of(start))
-    i = start
-    buf_start = i
-    buf = []
-    while i < end:
-        c = blanked[i]
-        if c == "#":  # preprocessor line inside class: skip it
-            nl = blanked.find("\n", i)
-            i = end if nl < 0 else min(nl + 1, end)
-            buf = []
-            buf_start = i
-            continue
-        if c == "{":
-            stmt = "".join(buf)
-            stripped = ACCESS_RE.sub("", stmt).strip()
-            # Function (or ctor) if there's a depth-0 '(' in the statement.
-            depth_a = 0
-            paren = -1
-            for k, ch in enumerate(stripped):
-                depth_a = _angle_step(depth_a, stripped, k)
-                if ch == "(" and depth_a == 0:
-                    paren = k
-                    break
-            if re.match(r"^\s*(class|struct)\b", stripped):
-                # Nested class.
-                nested_m = re.match(
-                    r"^\s*(?:class|struct)\s+([A-Za-z_]\w*)", stripped
-                )
-                close = match_brace(blanked, i)
-                if nested_m:
-                    _parse_class_body(
-                        sf, nested_m.group(1), i + 1, close - 1, out_classes
-                    )
-                # Continue to the trailing ';' (variable of anon type etc.).
-                i = close
-                buf = []
-                buf_start = i
-                continue
-            if re.match(r"^\s*enum\b", stripped):
-                i = match_brace(blanked, i)
-                buf = []
-                buf_start = i
-                continue
-            if paren >= 0:
-                # Method definition: record save/restore bodies.
-                name_m = re.search(r"([A-Za-z_]\w*)\s*$", stripped[:paren])
-                close = match_brace(blanked, i)
-                if name_m and name_m.group(1) in CKPT_HOOKS:
-                    info.hooks[name_m.group(1)] = blanked[i:close]
-                i = close
-                buf = []
-                buf_start = i
-                continue
-            # Brace initializer of a member: consume and keep scanning.
-            close = match_brace(blanked, i)
-            buf.append(blanked[i:close])
-            i = close
-            continue
-        if c == ";":
-            stmt = "".join(buf)
-            stripped = TEMPLATE_HEAD_RE.sub("", ACCESS_RE.sub("", stmt)).strip()
-            stmt_line = sf.line_of(buf_start + len(buf) - len("".join(buf).lstrip()))
-            if stripped and not SKIP_STMT_RE.match(stripped):
-                depth_a = 0
-                paren = -1
-                for k, ch in enumerate(stripped):
-                    depth_a = _angle_step(depth_a, stripped, k)
-                    if ch == "(" and depth_a == 0:
-                        paren = k
-                        break
-                if paren >= 0:
-                    # Function declaration: record save/restore presence.
-                    name_m = re.search(r"([A-Za-z_]\w*)\s*$",
-                                       stripped[:paren])
-                    if name_m and name_m.group(1) in CKPT_HOOKS:
-                        info.hooks.setdefault(name_m.group(1), None)
-                else:
-                    # Member declaration line: the line of the declarator
-                    # end (where the annotation conventionally sits).
-                    decl_line = sf.line_of(i)
-                    for name in _member_names(stripped):
-                        info.members.append((name, decl_line))
-            i += 1
-            buf = []
-            buf_start = i
-            continue
-        if not buf and not c.isspace():
-            buf_start = i
-        buf.append(c)
-        i += 1
-    if info.members or info.hooks:
-        out_classes.append(info)
 
 
 # --------------------------------------------------------------------------
@@ -884,155 +577,6 @@ def check_contract_side_effects(sf: SourceFile, findings: list):
             )
 
 
-# A checkpoint stream call: "io.u64(", "out.items(", "in.i64(".
-CKPT_IO_CALL_RE = re.compile(r"\b(?:io|out|in)\s*\.\s*([A-Za-z_]\w*)\s*\(")
-# A nested hook's receiver: "rob_.transfer(io)", "inst.op.transfer(io)".
-CKPT_RECEIVER_RE = re.compile(
-    r"\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?(?:\.|->)\s*"
-    r"(?:transfer|save_state|restore_state)\s*\("
-)
-# A helper handed the stream first: "transfer_heap(io, due_, ...)".
-CKPT_HELPER_RE = re.compile(r"\b[A-Za-z_]\w*\s*\(\s*(?:io|out|in)\s*,")
-# A stream read assigned to a name: "word = in.u64()", "x_ = read(in)".
-CKPT_READ_RE = re.compile(
-    r"\b([A-Za-z_]\w*)\s*=\s*(?:(?:io|out|in)\s*\.|"
-    r"[A-Za-z_]\w*\s*\(\s*(?:io|out|in)\s*[,)])"
-)
-# Aliases: "for (T& x : member_)" and "T& x = member_[i];".
-CKPT_RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;()]*?)\s*:([^;]*?)\)\s*[{\w]")
-CKPT_REF_BIND_RE = re.compile(r"&\s*([A-Za-z_]\w*)\s*=([^=;][^;]*);")
-# A member rebuilt from a transferred local: "rng_.set_state(words)",
-# "ring_[slot].push_back(event)".
-CKPT_SETTER_RE = re.compile(
-    r"\b([A-Za-z_]\w*)\s*(?:\[[^;]*?\]\s*)?(?:\.|->)\s*[A-Za-z_]\w*\s*"
-    r"\(\s*([A-Za-z_]\w*)\s*\)"
-)
-
-
-def _first_argument(body: str, start: int) -> str:
-    """The text of the call argument that starts at body[start]."""
-    depth = 0
-    end = start
-    while end < len(body):
-        ch = body[end]
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            if depth == 0:
-                break
-            depth -= 1
-        elif ch == "," and depth == 0:
-            break
-        end += 1
-    return body[start:end]
-
-
-def _variables(expr: str) -> set:
-    """Identifiers in expr that name objects: not keywords, and not
-    function, template or namespace names."""
-    names = set()
-    for m in IDENT_RE.finditer(expr):
-        rest = expr[m.end():].lstrip()
-        if m.group(0) in CXX_KEYWORDS or rest.startswith(("(", "<", "::")):
-            continue
-        names.add(m.group(0))
-    return names
-
-
-def transferred_identifiers(body: str) -> set:
-    """Identifiers a hook body actually transfers.  Seeds: the first
-    argument of every stream call except check(), nested hook receivers,
-    the object a stream helper is handed, and locals assigned a stream
-    read.  A range-for or reference alias of a transferred name transfers
-    what it aliases (and the reverse), and a member rebuilt from a
-    transferred local by one method call counts too.  A member that only
-    appears in a bound, a check or a size computation is not
-    transferred."""
-    ids = set()
-    for m in CKPT_IO_CALL_RE.finditer(body):
-        if m.group(1) != "check":
-            ids |= _variables(_first_argument(body, m.end()))
-    for m in CKPT_HELPER_RE.finditer(body):
-        ids |= _variables(_first_argument(body, m.end()))
-    ids |= {m.group(1) for m in CKPT_RECEIVER_RE.finditer(body)}
-    ids |= {m.group(1) for m in CKPT_READ_RE.finditer(body)}
-    # (alias name, names it aliases) pairs.
-    aliases = [
-        (IDENT_RE.findall(m.group(1))[-1], _variables(m.group(2)))
-        for m in CKPT_RANGE_FOR_RE.finditer(body)
-        if IDENT_RE.search(m.group(1))
-    ] + [
-        (m.group(1), _variables(m.group(2)))
-        for m in CKPT_REF_BIND_RE.finditer(body)
-    ]
-    setters = [(m.group(1), m.group(2)) for m in CKPT_SETTER_RE.finditer(body)]
-    while True:
-        before = len(ids)
-        for name, target in aliases:
-            if name in ids or target & ids:
-                ids |= target | {name}
-        ids |= {member for member, local in setters if local in ids}
-        if len(ids) == before:
-            return ids
-
-
-def check_checkpoint_coverage(files: dict, classes: list, bodies: dict,
-                              findings: list):
-    for info in classes:
-        if not info.hooks:
-            continue
-        sf = files[info.path]
-        declared = set(info.hooks) | {
-            h for (cls, h) in bodies if cls == info.name
-        }
-        if "transfer" in declared:
-            required = ("transfer",)
-        else:
-            pair = declared & set(CKPT_PAIR)
-            if len(pair) == 1:
-                (only,) = pair
-                findings.append(
-                    Finding(
-                        info.path,
-                        info.line,
-                        "ckpt-pair",
-                        f"class {info.name} defines {only} but not "
-                        f"{'restore_state' if only == 'save_state' else 'save_state'}: "
-                        "checkpoints cannot round-trip",
-                    )
-                )
-                continue
-            required = CKPT_PAIR
-        ids = {}
-        for hook in required:
-            body = info.hooks.get(hook)
-            if body is None:
-                # Declared in-class; body may be out of line.
-                body = bodies.get((info.name, hook))
-            if body is None:
-                break  # body outside the scanned file set
-            ids[hook] = transferred_identifiers(body)
-        if len(ids) != len(required):
-            continue
-        for member, line in info.members:
-            if has_ckpt_derived(sf, line):
-                continue
-            missing = [hook for hook in required if member not in ids[hook]]
-            if missing:
-                where = "in both" if len(required) == 2 else "there"
-                findings.append(
-                    Finding(
-                        info.path,
-                        line,
-                        "ckpt-coverage",
-                        f"{info.name}::{member} is not transferred in "
-                        f"{' or '.join(missing)}: serialize it {where}, or "
-                        "annotate the declaration with '// ckpt: derived' "
-                        "if it is reconstructed/config-constant",
-                    )
-                )
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -1091,7 +635,7 @@ def collect_files(args, root: str):
 def main() -> int:
     parser = argparse.ArgumentParser(
         prog="ringclu_lint.py",
-        description="ringclu determinism / checkpoint-coverage / env-hygiene "
+        description="ringclu determinism / env-hygiene / contract "
         "static analysis",
     )
     parser.add_argument(
@@ -1145,19 +689,15 @@ def main() -> int:
         files[rel] = load_source(abs_path, rel)
 
     findings = []
-    classes = []
-    bodies = {}
     unordered_vars = {}
 
     for sf in files.values():
-        parse_classes(sf, classes, bodies)
         check_containers(sf, unordered_vars, findings)
     for sf in files.values():
         check_unordered_iteration(sf, unordered_vars, findings)
         check_nondet_sources(sf, findings)
         check_getenv(sf, findings)
         check_contract_side_effects(sf, findings)
-    check_checkpoint_coverage(files, classes, bodies, findings)
 
     if args.strict:
         for sf in files.values():
@@ -1187,19 +727,14 @@ def main() -> int:
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     for finding in findings:
         print(finding.render())
-    checked_classes = sum(1 for c in classes if c.hooks)
     if findings:
         sys.stderr.write(
             f"ringclu-lint: {len(findings)} finding(s) across "
             f"{len({f.path for f in findings})} file(s) "
-            f"({len(files)} files, {checked_classes} checkpointed classes "
-            "scanned)\n"
+            f"({len(files)} files scanned)\n"
         )
         return 1
-    sys.stderr.write(
-        f"ringclu-lint: clean ({len(files)} files, {checked_classes} "
-        "checkpointed classes scanned)\n"
-    )
+    sys.stderr.write(f"ringclu-lint: clean ({len(files)} files scanned)\n")
     return 0
 
 
