@@ -1,8 +1,10 @@
 #include "harness/runner.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <thread>
 
 #include "stats/metric_sink.h"
@@ -21,15 +23,20 @@ int default_thread_count() {
 
 namespace {
 
+/// "RINGCLU_<KEY>" for a Config key imported from the environment.
+std::string env_var_name(std::string_view key) {
+  std::string name = "RINGCLU_";
+  for (const char c : key) {
+    name += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return name;
+}
+
 /// One RINGCLU_<KEY> environment value for exit-2 diagnostics.
 [[noreturn]] void env_knob_fail(std::string_view key, const std::string& raw,
                                 const char* want) {
-  std::string upper(key);
-  for (char& c : upper) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  std::fprintf(stderr, "[ringclu] RINGCLU_%s=%s is not %s\n", upper.c_str(),
-               raw.c_str(), want);
+  std::fprintf(stderr, "[ringclu] %s=%s is not %s\n",
+               env_var_name(key).c_str(), raw.c_str(), want);
   std::exit(2);
 }
 
@@ -61,11 +68,46 @@ bool env_bool(const Config& env, std::string_view key, bool fallback) {
   return *parsed;
 }
 
+/// Every RINGCLU_* variable some part of the project reads (README's
+/// environment table): the tools' knobs, the daemon's, the client's
+/// RINGCLU_SERVE_URL and the golden tests' RINGCLU_REGEN_GOLDEN.
+constexpr std::string_view kKnownEnvNames[] = {
+    "benchmarks",     "cache",          "cache_backend",
+    "checkpoint_dir", "force",          "instrs",
+    "interval",       "log",            "metrics",
+    "regen_golden",   "resume",         "seed",
+    "serve_address",  "serve_journal",  "serve_port",
+    "serve_url",      "serve_window",   "snapshot_interval",
+    "threads",        "trace_dir",      "verbose",
+    "warmup",
+};
+
+/// One stderr warning per RINGCLU_* variable nobody reads (a typo or a
+/// retired knob).  Not an error: the environment is ambient.
+void warn_unknown_env(const Config& env) {
+  for (const std::string& entry : env.entries()) {
+    const std::string key = entry.substr(0, entry.find('='));
+    if (std::find(std::begin(kKnownEnvNames), std::end(kKnownEnvNames),
+                  key) != std::end(kKnownEnvNames)) {
+      continue;
+    }
+    std::string valid;
+    for (const std::string_view name : kKnownEnvNames) {
+      valid += (valid.empty() ? "" : ", ") + env_var_name(name);
+    }
+    std::fprintf(stderr,
+                 "[ringclu] warning: %s is not a ringclu variable and is "
+                 "ignored; valid variables: %s\n",
+                 env_var_name(key).c_str(), valid.c_str());
+  }
+}
+
 }  // namespace
 
 RunnerOptions RunnerOptions::from_env() {
   Config env;
   env.import_env("RINGCLU_");
+  warn_unknown_env(env);
   RunnerOptions options;
   options.instrs = env_uint(env, "instrs", 200000);
   options.warmup = env_uint(env, "warmup", options.instrs / 10);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "util/config.h"
 #include "util/format.h"
 #include "util/json.h"
 
@@ -461,7 +462,7 @@ HttpResponse SimServer::handle(const HttpRequest& request) {
                                         : rest.substr(slash + 1);
     if (sub.empty()) {
       if (request.method != "GET") return error_response(405, "GET required");
-      return handle_status(id);
+      return handle_status(id, target.query);
     }
     if (sub == "result") {
       if (request.method != "GET") return error_response(405, "GET required");
@@ -494,10 +495,33 @@ HttpResponse SimServer::handle_submit(const std::string& body) {
                       id.c_str(), tasks, sweep ? "true" : "false"));
 }
 
-HttpResponse SimServer::handle_status(const std::string& id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+HttpResponse SimServer::handle_status(
+    const std::string& id,
+    const std::map<std::string, std::string>& query) {
+  std::uint64_t wait_ms = 0;
+  if (const auto wait_it = query.find("wait_ms"); wait_it != query.end()) {
+    const std::optional<std::uint64_t> parsed = parse_uint(wait_it->second);
+    if (!parsed || *parsed > kMaxStatusWaitMs) {
+      return error_response(
+          400, str_format("wait_ms must be an integer in 0..%llu",
+                          static_cast<unsigned long long>(kMaxStatusWaitMs)));
+    }
+    wait_ms = *parsed;
+  }
+  std::unique_lock<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return error_response(404, "unknown job id");
+  // Long-poll: hold the reply until the job is terminal or the wait ends.
+  // A shutdown ends every wait at once, so a drain never waits on one.
+  // Host-side wait only; never feeds simulated numbers.
+  if (wait_ms > 0) {
+    // ringclu-lint: allow(wallclock: bounded long-poll wait)
+    drain_cv_.wait_for(lock, std::chrono::milliseconds(wait_ms), [&] {
+      const JobState state = it->second.state;
+      return shutdown_ || (state != JobState::Queued &&
+                           state != JobState::Running);
+    });
+  }
   const Job& job = it->second;
   return json_response(
       200,

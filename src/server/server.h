@@ -88,7 +88,12 @@ class SimServer {
   SimServer(const SimServer&) = delete;
   SimServer& operator=(const SimServer&) = delete;
 
-  /// Routes one API request.  Thread-safe.
+  /// Upper bound of GET /v1/jobs/{id}?wait_ms=N, the status long-poll.
+  static constexpr std::uint64_t kMaxStatusWaitMs = 30000;
+
+  /// Routes one API request.  Thread-safe.  A status request with
+  /// wait_ms blocks its caller until the job is terminal, the wait ends
+  /// or a shutdown is requested.
   [[nodiscard]] HttpResponse handle(const HttpRequest& request);
 
   /// Stops accepting jobs (POST /v1/jobs returns 503 from now on).
@@ -133,7 +138,8 @@ class SimServer {
 
   // Routing targets.
   HttpResponse handle_submit(const std::string& body);
-  HttpResponse handle_status(const std::string& id);
+  HttpResponse handle_status(const std::string& id,
+                             const std::map<std::string, std::string>& query);
   HttpResponse handle_result(const std::string& id,
                              const std::map<std::string, std::string>& query);
   HttpResponse handle_metrics(const std::string& id);
@@ -163,6 +169,8 @@ class SimServer {
   int window_ = 1;
 
   mutable std::mutex mutex_;
+  /// Notified when a task finishes and on shutdown; wakes the drain wait
+  /// and every status long-poll.
   std::condition_variable drain_cv_;
   // Keyed lookups; iterated only during replay accounting (std::map:
   // deterministic order).

@@ -589,6 +589,65 @@ TEST(SimServer, ShutdownDrainsAndRejectsNewWork) {
   EXPECT_EQ(wait_terminal(server, id), "completed");
 }
 
+/// The "state" field of a status reply.
+std::string state_of(const HttpResponse& response) {
+  return json_parse(response.body)->find("state")->string;
+}
+
+// A status long-poll returns as soon as its job is terminal, not when
+// its wait ends.
+TEST(SimServer, StatusLongPollReturnsWhenTheJobCompletes) {
+  SimServer server(server_options(""));
+  server.service().pause();
+  const std::string id = submit_ok(server, kSubmitBody);
+  std::chrono::steady_clock::time_point returned;
+  HttpResponse polled;
+  std::thread poller([&] {
+    polled = server.handle(http_get("/v1/jobs/" + id + "?wait_ms=5000"));
+    returned = std::chrono::steady_clock::now();
+  });
+  std::this_thread::sleep_for(50ms);
+  server.service().resume();
+  EXPECT_EQ(wait_terminal(server, id), "completed");
+  const auto completed = std::chrono::steady_clock::now();
+  poller.join();
+  EXPECT_EQ(polled.status, 200);
+  EXPECT_EQ(state_of(polled), "completed");
+  EXPECT_LT(returned - completed, 200ms);
+}
+
+// On a job held in the queue the long-poll ends with its wait and
+// reports the non-terminal state.
+TEST(SimServer, StatusLongPollEndsWithItsWait) {
+  SimServer server(server_options(""));
+  server.service().pause();
+  const std::string id = submit_ok(server, kSubmitBody);
+  const auto start = std::chrono::steady_clock::now();
+  const HttpResponse polled =
+      server.handle(http_get("/v1/jobs/" + id + "?wait_ms=100"));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(polled.status, 200);
+  const std::string state = state_of(polled);
+  EXPECT_TRUE(state == "queued" || state == "running") << state;
+  EXPECT_GE(waited, 100ms);
+  EXPECT_LT(waited, 2000ms);
+  server.service().resume();
+  EXPECT_EQ(wait_terminal(server, id), "completed");
+}
+
+TEST(SimServer, StatusWaitOutsideItsBoundIs400) {
+  SimServer server(server_options(""));
+  const std::string id = submit_ok(server, kSubmitBody);
+  for (const char* bad : {"-1", "30001", "abc", ""}) {
+    const HttpResponse response = server.handle(
+        http_get("/v1/jobs/" + id + "?wait_ms=" + std::string(bad)));
+    EXPECT_EQ(response.status, 400) << bad;
+    EXPECT_NE(response.body.find("0..30000"), std::string::npos)
+        << response.body;
+  }
+  EXPECT_EQ(wait_terminal(server, id), "completed");
+}
+
 TEST(SimServer, ServerMetricsReportTheGaugeSet) {
   SimServer server(server_options(""));
   const std::string id = submit_ok(server, kSubmitBody);
@@ -904,6 +963,42 @@ TEST(HttpServerShutdown, ShutdownReplyArrivesWhileTheServerStops) {
     ASSERT_NE(reply.find("\"ok\":true"), std::string::npos)
         << "round " << round << ": reply lost: '" << reply << "'";
   }
+}
+
+// A shutdown ends every status long-poll at once, so the drain and the
+// HTTP server's stop() never wait for one: the long-poll on a job held
+// in the queue returns long before its 30 s wait, and the daemon's stop
+// sequence completes once the job drains.
+TEST(HttpServerShutdown, ShutdownEndsAnOutstandingLongPoll) {
+  SimServer service(server_options(""));
+  service.service().pause();
+  const std::string id = submit_ok(service, kSubmitBody);
+  HttpServer http(HttpServerOptions{}, [&service](const HttpRequest& request) {
+    return service.handle(request);
+  });
+  std::string error;
+  ASSERT_TRUE(http.start(&error)) << error;
+  std::string long_poll;
+  std::thread poller([&] {
+    long_poll = http_exchange(
+        http.port(), "GET /v1/jobs/" + id + "?wait_ms=30000 HTTP/1.1\r\n\r\n");
+  });
+  std::this_thread::sleep_for(100ms);
+  const auto shutdown_at = std::chrono::steady_clock::now();
+  const std::string reply = http_exchange(
+      http.port(), "POST /v1/shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+  EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+  poller.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - shutdown_at, 5s);
+  EXPECT_NE(long_poll.find("HTTP/1.1 200"), std::string::npos) << long_poll;
+  EXPECT_EQ(long_poll.find("\"state\":\"completed\""), std::string::npos)
+      << long_poll;
+  // What ringclu_simd's main does once the held job may run.
+  service.service().resume();
+  while (!service.wait_drained_ms(200)) {
+  }
+  http.stop();
+  EXPECT_EQ(wait_terminal(service, id), "completed");
 }
 
 }  // namespace

@@ -6,7 +6,7 @@ package installs.  Subcommands mirror the HTTP API (DESIGN.md §13):
 
   submit          POST /v1/jobs (single run or a sweep file), print the id
   status          GET  /v1/jobs/{id}
-  wait            poll status until the job reaches a terminal state
+  wait            long-poll status until the job reaches a terminal state
   result          GET  /v1/jobs/{id}/result (optionally one task)
   metrics         GET  /v1/jobs/{id}/metrics, stream JSONL to stdout
   server-metrics  GET  /v1/server/metrics
@@ -19,16 +19,18 @@ error, 2 usage error.
 """
 
 import argparse
+import http.client
 import json
 import os
+import select
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 
 DEFAULT_SERVER = os.environ.get("RINGCLU_SERVE_URL", "http://127.0.0.1:8117")
 TERMINAL_STATES = ("completed", "failed", "cancelled")
+# Longest status long-poll wait_for_job asks for; the daemon allows 30 s.
+LONG_POLL_MS = 20000
 
 
 class ApiError(RuntimeError):
@@ -39,25 +41,109 @@ class ApiError(RuntimeError):
         self.status = status
 
 
+def api_error(status, raw):
+    """The ApiError for a non-2xx reply with the body bytes raw."""
+    text = raw.decode("utf-8", errors="replace")
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    message = doc.get("error", text) if isinstance(doc, dict) else text
+    return ApiError(status, message)
+
+
+def split_server(server):
+    """(scheme, host[:port], path prefix) of a base URL."""
+    scheme, sep, rest = server.partition("://")
+    if not sep or scheme not in ("http", "https"):
+        raise ValueError(f"unsupported server URL {server!r}")
+    netloc, slash, prefix = rest.partition("/")
+    return scheme, netloc, (slash + prefix).rstrip("/")
+
+
+def connect(scheme, netloc, timeout):
+    """A new, not yet opened connection to netloc."""
+    if scheme == "https":
+        return http.client.HTTPSConnection(netloc, timeout=timeout)
+    return http.client.HTTPConnection(netloc, timeout=timeout)
+
+
+# Kept-alive connections of the current thread, by (scheme, host[:port]).
+_local = threading.local()
+
+
+def _pool():
+    if not hasattr(_local, "pool"):
+        _local.pool = {}
+    return _local.pool
+
+
+def _dropped(conn):
+    """True when an idle connection's socket is readable: the server
+    closed it (EOF) or sent bytes nobody asked for.  Either way it must
+    not carry another request."""
+    if conn.sock is None:
+        return True
+    readable, _, _ = select.select([conn.sock], [], [], 0)
+    return bool(readable)
+
+
+def close_connections():
+    """Closes the current thread's kept-alive connections."""
+    pool = _pool()
+    for conn in pool.values():
+        conn.close()
+    pool.clear()
+
+
 def request(server, method, path, body=None, timeout=60):
-    """One API call; returns the decoded JSON document."""
+    """One API call; returns the decoded JSON document.
+
+    Each thread keeps one connection per server alive between calls
+    (RFC 9112 §9.3).  A connection the server has closed while idle is
+    replaced before use.  When a reused connection fails, the call is
+    sent once more on a new connection only if the request never left
+    in full or is a GET: a POST the server may have received is never
+    sent twice (RFC 9112 §9.3.1)."""
+    scheme, netloc, prefix = split_server(server)
     data = None
     headers = {}
     if body is not None:
         data = json.dumps(body).encode("utf-8")
         headers["Content-Type"] = "application/json"
-    req = urllib.request.Request(server + path, data=data, headers=headers,
-                                 method=method)
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        raw = error.read().decode("utf-8", errors="replace")
+    pool = _pool()
+    key = (scheme, netloc)
+    conn = pool.pop(key, None)
+    if conn is not None and _dropped(conn):
+        conn.close()
+        conn = None
+    reused = conn is not None
+    if conn is None:
+        conn = connect(scheme, netloc, timeout)
+    while True:
+        sent = False
         try:
-            message = json.loads(raw).get("error", raw)
-        except ValueError:
-            message = raw
-        raise ApiError(error.code, message) from error
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            conn.request(method, prefix + path, body=data, headers=headers)
+            sent = True
+            response = conn.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            if not reused or (sent and method != "GET"):
+                raise
+            conn, reused = connect(scheme, netloc, timeout), False
+            continue
+        break
+    if response.will_close:
+        conn.close()
+    else:
+        pool[key] = conn
+    if not 200 <= response.status < 300:
+        raise api_error(response.status, raw)
+    return json.loads(raw.decode("utf-8"))
 
 
 def build_job_body(args):
@@ -90,16 +176,22 @@ def build_job_body(args):
     return body
 
 
-def wait_for_job(server, job_id, poll_seconds=0.5, timeout=None):
-    """Polls until the job is terminal; returns the final status doc."""
+def wait_for_job(server, job_id, timeout=None):
+    """Long-polls the job's status until it is terminal; returns the
+    final status doc."""
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
-        status = request(server, "GET", f"/v1/jobs/{job_id}")
+        wait_ms = LONG_POLL_MS
+        if deadline is not None:
+            left_ms = int((deadline - time.monotonic()) * 1000)
+            wait_ms = max(0, min(wait_ms, left_ms))
+        status = request(server, "GET",
+                         f"/v1/jobs/{job_id}?wait_ms={wait_ms}",
+                         timeout=wait_ms / 1000 + 30)
         if status.get("state") in TERMINAL_STATES:
             return status
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             raise ApiError(408, f"timed out waiting for {job_id}")
-        time.sleep(poll_seconds)
 
 
 def emit(doc, out_path):
@@ -147,16 +239,18 @@ def cmd_result(args):
 
 def cmd_metrics(args):
     """Streams the chunked JSONL metric feed line-by-line to stdout."""
-    req = urllib.request.Request(args.server + f"/v1/jobs/{args.id}/metrics")
+    scheme, netloc, prefix = split_server(args.server)
+    conn = connect(scheme, netloc, args.timeout)
     try:
-        with urllib.request.urlopen(req, timeout=args.timeout) as response:
-            for line in response:
-                sys.stdout.write(line.decode("utf-8"))
-                sys.stdout.flush()
-    except urllib.error.HTTPError as error:
-        raw = error.read().decode("utf-8", errors="replace")
-        print(f"ringclu_client: HTTP {error.code}: {raw}", file=sys.stderr)
-        return 1
+        conn.request("GET", prefix + f"/v1/jobs/{args.id}/metrics")
+        response = conn.getresponse()
+        if not 200 <= response.status < 300:
+            raise api_error(response.status, response.read())
+        for line in iter(response.readline, b""):
+            sys.stdout.write(line.decode("utf-8"))
+            sys.stdout.flush()
+    finally:
+        conn.close()
     return 0
 
 
@@ -211,7 +305,13 @@ def cmd_load(args):
                 with lock:
                     failures.append(f"{job_id}: {error}")
 
-    threads = [threading.Thread(target=one_client, args=(index,))
+    def client_thread(index):
+        try:
+            one_client(index)
+        finally:
+            close_connections()
+
+    threads = [threading.Thread(target=client_thread, args=(index,))
                for index in range(args.clients)]
     for thread in threads:
         thread.start()
@@ -258,7 +358,7 @@ def main(argv=None):
     status.add_argument("id")
     status.set_defaults(func=cmd_status)
 
-    wait = sub.add_parser("wait", help="poll until the job is terminal")
+    wait = sub.add_parser("wait", help="block until the job is terminal")
     wait.add_argument("id")
     wait.add_argument("--timeout", type=float, default=None)
     wait.set_defaults(func=cmd_wait)
@@ -297,9 +397,11 @@ def main(argv=None):
     except ApiError as error:
         print(f"ringclu_client: {error}", file=sys.stderr)
         return 1
-    except (urllib.error.URLError, OSError) as error:
+    except (OSError, http.client.HTTPException) as error:
         print(f"ringclu_client: {args.server}: {error}", file=sys.stderr)
         return 1
+    finally:
+        close_connections()
 
 
 if __name__ == "__main__":

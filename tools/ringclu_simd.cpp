@@ -7,7 +7,8 @@
 ///
 /// API (all JSON):
 ///   POST /v1/jobs                submit a single run or a sweep
-///   GET  /v1/jobs/{id}           status / progress
+///   GET  /v1/jobs/{id}           status / progress (?wait_ms=N long-polls
+///                                until the job is terminal, N <= 30000)
 ///   GET  /v1/jobs/{id}/result    finished results (?task=N for one task)
 ///   GET  /v1/jobs/{id}/metrics   chunked interval-metric stream (JSONL)
 ///   GET  /v1/server/metrics      live server gauges
