@@ -77,14 +77,16 @@ constexpr std::string_view kKnownEnvNames[] = {
     "interval",       "log",            "metrics",
     "regen_golden",   "resume",         "seed",
     "serve_address",  "serve_journal",  "serve_port",
-    "serve_url",      "serve_window",   "snapshot_interval",
-    "threads",        "trace_dir",      "verbose",
-    "warmup",
+    "serve_url",      "snapshot_interval", "threads",
+    "trace_dir",      "verbose",        "warmup",
 };
 
-/// One stderr warning per RINGCLU_* variable nobody reads (a typo or a
-/// retired knob).  Not an error: the environment is ambient.
-void warn_unknown_env(const Config& env) {
+}  // namespace
+
+/// Not an error: the environment is ambient.
+void warn_unknown_env() {
+  Config env;
+  env.import_env("RINGCLU_");
   for (const std::string& entry : env.entries()) {
     const std::string key = entry.substr(0, entry.find('='));
     if (std::find(std::begin(kKnownEnvNames), std::end(kKnownEnvNames),
@@ -102,12 +104,10 @@ void warn_unknown_env(const Config& env) {
   }
 }
 
-}  // namespace
-
 RunnerOptions RunnerOptions::from_env() {
+  warn_unknown_env();
   Config env;
   env.import_env("RINGCLU_");
-  warn_unknown_env(env);
   RunnerOptions options;
   options.instrs = env_uint(env, "instrs", 200000);
   options.warmup = env_uint(env, "warmup", options.instrs / 10);

@@ -112,6 +112,11 @@ struct RunnerOptions {
   [[nodiscard]] static RunnerOptions from_env();
 };
 
+/// Prints one stderr warning per RINGCLU_* variable no part of the
+/// project reads (a typo or a retired knob).  from_env() calls it; modes
+/// that read no RunnerOptions call it directly.
+void warn_unknown_env();
+
 /// Returns an error message naming the first unknown benchmark in
 /// \p names (and listing the valid ones), or nullopt when all are known.
 [[nodiscard]] std::optional<std::string> validate_benchmark_names(

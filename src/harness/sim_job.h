@@ -14,6 +14,7 @@
 
 #include "core/arch_config.h"
 #include "core/sim_result.h"  // kSimSchemaVersion
+#include "harness/scheduler.h"
 
 namespace ringclu {
 
@@ -64,6 +65,11 @@ struct SimJob {
   /// always simulates: it is neither served from the result store nor
   /// coalesced with duplicates, so its sink sees the full series.
   MetricSink* sink = nullptr;
+  /// Who submitted the job and at which priority: its place in the
+  /// service's fair-share queue (scheduler.h).  Neither is part of the
+  /// cache key.
+  std::string client = {};
+  PriorityClass priority = PriorityClass::Normal;
 
   /// True when this job produces a time-resolved metric stream.
   [[nodiscard]] bool streaming() const {
@@ -86,8 +92,7 @@ struct SimJob {
 /// Lifecycle of a submitted job, observed through JobHandle::status().
 ///
 ///   Queued -> Running -> Done
-///   Queued -> Cancelled          (all interested handles cancelled, or
-///                                 service destroyed first)
+///   Queued -> Cancelled          (service destroyed first)
 ///   submit -> Failed             (rejected at submission, e.g. unknown
 ///                                 benchmark)
 ///   submit -> Done               (result served from the store or an

@@ -237,8 +237,6 @@ struct JobHandle::JobState {
   JobStatus status = JobStatus::Queued;
   SimResult result;
   std::string error;
-  /// Attached handles that have not cancelled.
-  std::size_t waiters = 0;
   /// Completion callbacks registered before Done.  A worker puts the
   /// result into the store before it publishes Done, so Done also means
   /// "stored" and a callback always finds its result there.
@@ -249,37 +247,27 @@ struct JobHandle::JobState {
 
 JobStatus JobHandle::status() const {
   RINGCLU_EXPECTS(valid());
-  const std::lock_guard<std::mutex> lock(core_->state->service->mutex_);
-  return core_->cancelled ? JobStatus::Cancelled : core_->state->status;
+  const std::lock_guard<std::mutex> lock(state_->service->mutex_);
+  return state_->status;
 }
 
 const std::string& JobHandle::key() const {
   RINGCLU_EXPECTS(valid());
-  return core_->state->key;  // Immutable after construction.
+  return state_->key;  // Immutable after construction.
 }
 
 const SimResult& JobHandle::result() const {
   RINGCLU_EXPECTS(valid());
-  const std::lock_guard<std::mutex> lock(core_->state->service->mutex_);
-  RINGCLU_EXPECTS(!core_->cancelled &&
-                  core_->state->status == JobStatus::Done);
-  return core_->state->result;
-}
-
-std::optional<SimResult> JobHandle::try_result() const {
-  RINGCLU_EXPECTS(valid());
-  const std::lock_guard<std::mutex> lock(core_->state->service->mutex_);
-  if (core_->cancelled || core_->state->status != JobStatus::Done) {
-    return std::nullopt;
-  }
-  return core_->state->result;
+  const std::lock_guard<std::mutex> lock(state_->service->mutex_);
+  RINGCLU_EXPECTS(state_->status == JobStatus::Done);
+  return state_->result;
 }
 
 const std::string& JobHandle::error() const {
   RINGCLU_EXPECTS(valid());
-  const std::lock_guard<std::mutex> lock(core_->state->service->mutex_);
-  RINGCLU_EXPECTS(core_->state->status == JobStatus::Failed);
-  return core_->state->error;
+  const std::lock_guard<std::mutex> lock(state_->service->mutex_);
+  RINGCLU_EXPECTS(state_->status == JobStatus::Failed);
+  return state_->error;
 }
 
 // ---- SimService -------------------------------------------------------
@@ -320,11 +308,10 @@ SimService::~SimService() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
-    for (const std::shared_ptr<JobState>& state : queue_) {
-      state->status = JobStatus::Cancelled;
-      unindex_locked(state);
+    while (auto entry = queue_.dequeue()) {
+      entry->item->status = JobStatus::Cancelled;
+      unindex_locked(entry->item);
     }
-    queue_.clear();
   }
   work_cv_.notify_all();
   done_cv_.notify_all();
@@ -371,13 +358,6 @@ std::vector<JobHandle> SimService::submit_batch(std::vector<SimJob> jobs) {
 }
 
 JobHandle SimService::submit_one(SimJob&& job) {
-  auto make_handle = [](std::shared_ptr<JobState> state) {
-    auto core = std::make_shared<JobHandle::Core>();
-    core->state = std::move(state);
-    ++core->state->waiters;
-    return JobHandle(std::move(core));
-  };
-
   auto state = std::make_shared<JobState>();
   state->service = this;
   state->job = std::move(job);
@@ -387,7 +367,7 @@ JobHandle SimService::submit_one(SimJob&& job) {
           validate_benchmark_names({state->job.benchmark})) {
     state->status = JobStatus::Failed;
     state->error = *error;
-    return make_handle(std::move(state));
+    return JobHandle(std::move(state));
   }
 
   // Streaming jobs (an attached sink + sampling interval) always
@@ -403,7 +383,7 @@ JobHandle SimService::submit_one(SimJob&& job) {
     const auto in_flight = in_flight_.find(state->key);
     if (in_flight != in_flight_.end()) {
       ++coalesced_;
-      return make_handle(in_flight->second);
+      return JobHandle(in_flight->second);
     }
     unindexed_seen = unindexed_;
   }
@@ -420,7 +400,7 @@ JobHandle SimService::submit_one(SimJob&& job) {
         state->result = *std::move(cached);
         const std::lock_guard<std::mutex> lock(mutex_);
         ++store_hits_;
-        return make_handle(std::move(state));
+        return JobHandle(std::move(state));
       }
     }
 
@@ -430,7 +410,7 @@ JobHandle SimService::submit_one(SimJob&& job) {
       const auto in_flight = in_flight_.find(state->key);
       if (in_flight != in_flight_.end()) {
         ++coalesced_;
-        return make_handle(in_flight->second);
+        return JobHandle(in_flight->second);
       }
     }
     // A job may also have finished and left the index since the last
@@ -441,12 +421,11 @@ JobHandle SimService::submit_one(SimJob&& job) {
       continue;
     }
     state->status = JobStatus::Queued;
-    // Attach the handle before publishing the state to the queue: from
-    // that point on, waiters is shared with coalescing submitters.
-    handle = make_handle(state);
-    queue_.push_back(state);
+    handle = JobHandle(state);
     if (!streaming) in_flight_.emplace(state->key, state);
     ++total_accepted_;
+    queue_.enqueue({state, state->job.client, state->job.priority,
+                    total_accepted_});
     if (workers_.size() < static_cast<std::size_t>(options_.threads)) {
       workers_.emplace_back([this] { worker_loop(); });
     }
@@ -475,9 +454,7 @@ void SimService::worker_loop() {
       return stopping_ || (!paused_ && !queue_.empty());
     });
     if (stopping_) return;
-    std::shared_ptr<JobState> state = queue_.front();
-    queue_.pop_front();
-    if (state->status != JobStatus::Queued) continue;  // Cancelled in place.
+    const std::shared_ptr<JobState> state = queue_.dequeue()->item;
     state->status = JobStatus::Running;
     ++running_;
     lock.unlock();
@@ -516,45 +493,19 @@ void SimService::worker_loop() {
 
 JobStatus JobHandle::wait() const {
   RINGCLU_EXPECTS(valid());
-  JobState& state = *core_->state;
-  SimService& service = *state.service;
-  std::unique_lock<std::mutex> lock(service.mutex_);
-  service.done_cv_.wait(lock, [this, &state] {
-    return core_->cancelled || job_status_terminal(state.status);
-  });
-  return core_->cancelled ? JobStatus::Cancelled : state.status;
-}
-
-bool JobHandle::cancel() {
-  RINGCLU_EXPECTS(valid());
-  JobState& state = *core_->state;
-  SimService& service = *state.service;
-  {
-    const std::lock_guard<std::mutex> lock(service.mutex_);
-    if (core_->cancelled || state.status != JobStatus::Queued) return false;
-    core_->cancelled = true;
-    --state.waiters;
-    if (state.waiters == 0) {
-      // Last interested handle: drop the job before it is dispatched.
-      state.status = JobStatus::Cancelled;
-      service.unindex_locked(core_->state);
-      auto& queue = service.queue_;
-      queue.erase(std::remove(queue.begin(), queue.end(), core_->state),
-                  queue.end());
-      --service.total_accepted_;
-    }
-  }
-  service.done_cv_.notify_all();
-  return true;
+  JobState& state = *state_;
+  std::unique_lock<std::mutex> lock(state.service->mutex_);
+  state.service->done_cv_.wait(
+      lock, [&state] { return job_status_terminal(state.status); });
+  return state.status;
 }
 
 void JobHandle::on_complete(std::function<void(const SimResult&)> callback) {
   RINGCLU_EXPECTS(valid());
-  JobState& state = *core_->state;
-  SimService& service = *state.service;
+  JobState& state = *state_;
   {
-    const std::lock_guard<std::mutex> lock(service.mutex_);
-    if (core_->cancelled || state.status == JobStatus::Cancelled ||
+    const std::lock_guard<std::mutex> lock(state.service->mutex_);
+    if (state.status == JobStatus::Cancelled ||
         state.status == JobStatus::Failed) {
       return;  // Never completes: callback is dropped.
     }
@@ -608,7 +559,9 @@ std::size_t SimService::workers_started() const {
 SimServiceStats SimService::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   SimServiceStats stats;
-  stats.queued = queue_.size();
+  stats.queued = {queue_.depth(PriorityClass::High),
+                  queue_.depth(PriorityClass::Normal),
+                  queue_.depth(PriorityClass::Low)};
   stats.workers = workers_.size();
   stats.running = running_;
   stats.simulations = simulations_;

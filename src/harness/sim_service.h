@@ -13,17 +13,18 @@
 ///     same result,
 ///   - accepts batch submissions, resolving store hits up front and
 ///     grouping the remaining misses for scheduling,
-///   - supports per-handle cancellation (a queued job whose last
-///     interested handle cancels is dropped before it ever runs) and
-///     completion callbacks,
+///   - runs completion callbacks,
 ///   - streams time-resolved metrics: a SimJob with a sampling interval
 ///     and an attached MetricSink (sim_job.h) always simulates — never a
 ///     store hit, never coalesced — and its worker feeds every interval
 ///     sample plus the finished result to the sink.
 ///
-/// One job queue feeds one worker pool, and each worker puts its result
-/// straight into the store before publishing Done, so wait() and every
-/// completion callback find the result there.
+/// One job queue feeds one worker pool.  The queue is fair-share
+/// (scheduler.h): workers take jobs by priority class, then by client in
+/// rotation, then in submission order — plain FIFO when every job has
+/// the same client and priority.  Each worker puts its result straight
+/// into the store before publishing Done, so wait() and every completion
+/// callback find the result there.
 ///
 /// A synchronous batch is submit_batch() followed by wait() on every
 /// handle, in order.  See DESIGN.md §7.
@@ -31,13 +32,12 @@
 /// Threading: all public methods are thread-safe.  Handles must not
 /// outlive the service that issued them.
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -45,6 +45,7 @@
 
 #include "core/sim_result.h"
 #include "harness/result_store.h"
+#include "harness/scheduler.h"
 #include "harness/sim_job.h"
 
 namespace ringclu {
@@ -74,14 +75,14 @@ struct RunnerOptions;
     const SimJob& job, const CheckpointOptions& checkpoint,
     TraceSource& trace);
 
-/// Future-like view of one submitted job.  Copyable; copies share the
-/// same interest (cancelling one cancels the handle, not its copies'
-/// jobs — see cancel()).  A default-constructed handle is invalid.
+/// Future-like view of one submitted job.  Copyable; coalesced
+/// submissions get handles onto the same job.  A default-constructed
+/// handle is invalid.
 class JobHandle {
  public:
   JobHandle() = default;
 
-  [[nodiscard]] bool valid() const { return core_ != nullptr; }
+  [[nodiscard]] bool valid() const { return state_ != nullptr; }
 
   /// Current status.  \pre valid()
   [[nodiscard]] JobStatus status() const;
@@ -96,19 +97,8 @@ class JobHandle {
   /// The finished result.  \pre wait() or status() returned Done.
   [[nodiscard]] const SimResult& result() const;
 
-  /// The result if Done, else nullopt (non-blocking).  \pre valid()
-  [[nodiscard]] std::optional<SimResult> try_result() const;
-
   /// Why the job failed.  \pre status() == Failed
   [[nodiscard]] const std::string& error() const;
-
-  /// Withdraws this handle's interest.  Returns true when the handle was
-  /// detached before its job produced a result (the handle's status
-  /// becomes Cancelled); the underlying simulation is aborted only if no
-  /// other handle still wants it AND it has not been dispatched to a
-  /// worker yet.  Returns false once the job is Running or terminal:
-  /// a dispatched simulation always runs to completion (and is cached).
-  bool cancel();
 
   /// Registers \p callback to run with the finished result, once that
   /// result is in the store.  Callbacks registered before then run in
@@ -120,14 +110,9 @@ class JobHandle {
  private:
   friend class SimService;
   struct JobState;
-  /// Handle identity: which shared job this handle watches, and whether
-  /// this particular handle (incl. its copies) cancelled.
-  struct Core {
-    std::shared_ptr<JobState> state;
-    bool cancelled = false;
-  };
-  explicit JobHandle(std::shared_ptr<Core> core) : core_(std::move(core)) {}
-  std::shared_ptr<Core> core_;
+  explicit JobHandle(std::shared_ptr<JobState> state)
+      : state_(std::move(state)) {}
+  std::shared_ptr<JobState> state_;
 };
 
 /// One consistent snapshot of the service's observable state, for
@@ -135,7 +120,8 @@ class JobHandle {
 /// that want every counter from the same lock acquisition instead of four
 /// racing accessor calls.
 struct SimServiceStats {
-  std::size_t queued = 0;        ///< jobs waiting in the queue
+  /// Jobs waiting in the queue, per PriorityClass.
+  std::array<std::size_t, kPriorityClassCount> queued = {};
   std::size_t running = 0;       ///< jobs currently on a worker
   std::size_t simulations = 0;   ///< simulations actually executed
   std::size_t store_hits = 0;    ///< submissions served from the store
@@ -232,7 +218,8 @@ class SimService {
   mutable std::mutex mutex_;
   mutable std::condition_variable done_cv_;  ///< waiters: completions
   std::condition_variable work_cv_;          ///< workers: queued jobs
-  std::deque<std::shared_ptr<JobState>> queue_;
+  /// Queued jobs in fair-share order; seq is total_accepted_.
+  FairScheduler<std::shared_ptr<JobState>> queue_;
   /// Spawned lazily, one per newly queued job, up to options_.threads — a
   /// service whose submissions all resolve from the store never starts a
   /// thread.

@@ -3,8 +3,8 @@
 /// \file journal.h
 /// Append-only job journal for ringclu_simd crash recovery.
 ///
-/// Every job lifecycle transition the daemon commits to is one JSON
-/// Lines record appended atomically (O_APPEND + flock via
+/// Every job lifecycle transition the daemon commits to (acceptance and
+/// the terminal outcome) is one JSON Lines record appended atomically (O_APPEND + flock via
 /// append_line_atomic, the PR 3 result-store primitive), so a kill -9 at
 /// any instant leaves a prefix of whole records.  On restart the daemon
 /// replays the journal: jobs with a terminal record are restored as
@@ -17,11 +17,13 @@
 ///
 ///   {"journal_schema":1,"seq":N,"event":"accepted","id":"j000001",
 ///    "client":"alice","priority":"normal","request":{...}}
-///   {"journal_schema":1,"seq":N,"event":"started","id":"j000001"}
 ///   {"journal_schema":1,"seq":N,"event":"completed","id":"j000001"}
 ///   {"journal_schema":1,"seq":N,"event":"failed","id":"j000001",
 ///    "error":"..."}
-///   {"journal_schema":1,"seq":N,"event":"cancelled","id":"j000001"}
+///
+/// Journals written before the daemon stopped emitting it may also hold
+/// {"event":"started"} records; they load like any other event and
+/// replay ignores them.
 ///
 /// "request" is the accepted POST /v1/jobs body verbatim (as parsed
 /// JSON), so replay re-runs exactly what the client asked for.  seq is
@@ -44,7 +46,7 @@ inline constexpr int kJournalSchemaVersion = 1;
 
 /// One journal record (write side and parsed read side).
 struct JournalRecord {
-  std::string event;  ///< accepted|started|completed|failed|cancelled
+  std::string event;  ///< accepted|completed|failed (any string loads)
   std::uint64_t seq = 0;  ///< assigned by append(); preserved by load()
   std::string id;         ///< server job id, "j%06u"
   std::string client;     ///< accepted only

@@ -78,7 +78,6 @@ std::string_view SimServer::job_state_name(JobState state) {
     case JobState::Running: return "running";
     case JobState::Completed: return "completed";
     case JobState::Failed: return "failed";
-    case JobState::Cancelled: return "cancelled";
   }
   return "unknown";
 }
@@ -87,20 +86,12 @@ SimServer::SimServer(SimServerOptions options)
     : options_(std::move(options)),
       default_benchmarks_(default_benchmarks()),
       journal_(options_.journal_path) {
-  window_ = options_.dispatch_window > 0
-                ? options_.dispatch_window
-                : std::max(2, options_.runner.threads);
   register_gauges();
   service_ = std::make_unique<SimService>(options_.runner);
   replay_journal();
-  pump();
 }
 
 SimServer::~SimServer() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    destroying_ = true;
-  }
   // Finishes running jobs (their completions still flow through
   // task_done) and cancels queued ones.
   service_.reset();
@@ -123,20 +114,17 @@ void SimServer::register_gauges() {
     gauges_.add(std::move(gauge));
   };
   const auto depth = [this](PriorityClass cls) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<double>(scheduler_.depth(cls));
+    return static_cast<double>(
+        service_->stats().queued[static_cast<std::size_t>(cls)]);
   };
-  add("queue_depth_high", "tasks", "scheduler depth, high class",
+  add("queue_depth_high", "tasks", "service queue depth, high class",
       [depth] { return depth(PriorityClass::High); });
-  add("queue_depth_normal", "tasks", "scheduler depth, normal class",
+  add("queue_depth_normal", "tasks", "service queue depth, normal class",
       [depth] { return depth(PriorityClass::Normal); });
-  add("queue_depth_low", "tasks", "scheduler depth, low class",
+  add("queue_depth_low", "tasks", "service queue depth, low class",
       [depth] { return depth(PriorityClass::Low); });
-  add("tasks_in_flight", "tasks", "tasks dispatched into the SimService",
-      [this] {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return static_cast<double>(in_flight_);
-      });
+  add("tasks_in_flight", "tasks", "tasks on a SimService worker",
+      [this] { return static_cast<double>(service_->stats().running); });
   add("jobs_total", "jobs", "jobs accepted since journal start", [this] {
     const std::lock_guard<std::mutex> lock(mutex_);
     return static_cast<double>(jobs_.size());
@@ -178,7 +166,7 @@ void SimServer::replay_journal() {
   // Fold the record stream into per-job final states.
   struct Replayed {
     JournalRecord accepted;
-    std::string terminal;  ///< "", "completed", "failed", "cancelled"
+    std::string terminal;  ///< "", "completed", "failed"
     std::string error;
     std::uint64_t order = 0;
   };
@@ -199,8 +187,7 @@ void SimServer::replay_journal() {
     }
     const auto it = folded.find(record.id);
     if (it == folded.end()) continue;  // terminal without accept: ignore
-    if (record.event == "completed" || record.event == "failed" ||
-        record.event == "cancelled") {
+    if (record.event == "completed" || record.event == "failed") {
       it->second.terminal = record.event;
       it->second.error = std::move(record.error);
     }
@@ -255,12 +242,10 @@ void SimServer::replay_journal() {
     if (entry.terminal == "completed") {
       job.state = JobState::Completed;
       job.done = job.tasks.size();
-    } else if (entry.terminal == "failed") {
+    } else {
       job.state = JobState::Failed;
       job.failed = job.tasks.size();
       if (!job.tasks.empty()) job.tasks[0].error = entry.error;
-    } else {
-      job.state = JobState::Cancelled;
     }
     ++jobs_finished_;
     jobs_.emplace(id, std::move(job));
@@ -272,6 +257,7 @@ void SimServer::replay_journal() {
 std::string SimServer::accept_job(JobRequest request, JsonValue request_doc,
                                   bool replay, std::string replay_id) {
   std::string id;
+  std::vector<SimJob> submissions;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     id = replay ? std::move(replay_id)
@@ -290,21 +276,14 @@ std::string SimServer::accept_job(JobRequest request, JsonValue request_doc,
     }
     for (SimJob& task_job : request.tasks) {
       if (job.metrics) task_job.sink = job.metrics.get();
+      task_job.client = request.client;
+      task_job.priority = request.priority;
+      submissions.push_back(task_job);
       Task task;
       task.job = std::move(task_job);
       job.tasks.push_back(std::move(task));
     }
-    const std::size_t task_count = job.tasks.size();
     jobs_.emplace(id, std::move(job));
-    for (std::size_t i = 0; i < task_count; ++i) {
-      SchedEntry entry;
-      entry.job_id = id;
-      entry.task = i;
-      entry.client = request.client;
-      entry.priority = request.priority;
-      entry.seq = next_seq_++;
-      scheduler_.enqueue(std::move(entry));
-    }
   }
   if (!replay) {
     JournalRecord record;
@@ -315,73 +294,31 @@ std::string SimServer::accept_job(JobRequest request, JsonValue request_doc,
     record.request = std::move(request_doc);
     journal_.append(std::move(record));
   }
-  pump();
+  std::vector<JobHandle> handles =
+      service_->submit_batch(std::move(submissions));
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    jobs_.at(id).handles = handles;
+  }
+  // Unlocked: a store hit completes inline and re-enters task_done.
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    if (handles[i].status() == JobStatus::Failed) {
+      task_done(id, i, std::nullopt, handles[i].error());
+      continue;
+    }
+    handles[i].on_complete([this, id, i](const SimResult& result) {
+      task_done(id, i, result, std::string());
+    });
+  }
   return id;
 }
 
-void SimServer::pump() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (destroying_) return;
-    if (pumping_) {
-      repump_ = true;
-      return;
-    }
-    pumping_ = true;
+SimServer::JobState SimServer::reported_state(const Job& job) {
+  if (job.state != JobState::Queued) return job.state;
+  for (const JobHandle& handle : job.handles) {
+    if (handle.status() != JobStatus::Queued) return JobState::Running;
   }
-  struct Dispatch {
-    std::string id;
-    std::size_t index = 0;
-    SimJob job;
-  };
-  for (;;) {
-    std::vector<Dispatch> batch;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      repump_ = false;
-      while (in_flight_ < static_cast<std::size_t>(window_)) {
-        std::optional<SchedEntry> entry = scheduler_.dequeue();
-        if (!entry) break;
-        Job& job = jobs_.at(entry->job_id);
-        if (job.state == JobState::Cancelled) continue;
-        if (job.state == JobState::Queued) {
-          job.state = JobState::Running;
-          JournalRecord record;
-          record.event = "started";
-          record.id = job.id;
-          journal_.append(std::move(record));
-        }
-        ++in_flight_;
-        Dispatch dispatch;
-        dispatch.id = entry->job_id;
-        dispatch.index = entry->task;
-        dispatch.job = job.tasks[entry->task].job;
-        batch.push_back(std::move(dispatch));
-      }
-      if (batch.empty()) {
-        if (repump_) continue;
-        pumping_ = false;
-        return;
-      }
-    }
-    for (Dispatch& dispatch : batch) {
-      JobHandle handle = service_->submit(std::move(dispatch.job));
-      const JobStatus status = handle.status();
-      if (status == JobStatus::Failed) {
-        task_done(dispatch.id, dispatch.index, std::nullopt,
-                  handle.error());
-      } else if (status == JobStatus::Cancelled) {
-        task_done(dispatch.id, dispatch.index, std::nullopt,
-                  "cancelled by service shutdown");
-      } else {
-        const std::string id = dispatch.id;
-        const std::size_t index = dispatch.index;
-        handle.on_complete([this, id, index](const SimResult& result) {
-          task_done(id, index, result, std::string());
-        });
-      }
-    }
-  }
+  return JobState::Queued;
 }
 
 void SimServer::task_done(const std::string& id, std::size_t index,
@@ -404,10 +341,9 @@ void SimServer::task_done(const std::string& id, std::size_t index,
       task.error = std::move(error);
       ++job.failed;
     }
-    if (in_flight_ > 0) --in_flight_;
-    if (job.done + job.failed == job.tasks.size() &&
-        job.state == JobState::Running) {
+    if (job.done + job.failed == job.tasks.size()) {
       job.state = job.failed > 0 ? JobState::Failed : JobState::Completed;
+      job.handles = {};  // The results live in the tasks now.
       ++jobs_finished_;
       JournalRecord record;
       record.event = job.failed > 0 ? "failed" : "completed";
@@ -426,7 +362,6 @@ void SimServer::task_done(const std::string& id, std::size_t index,
     drain_cv_.notify_all();
   }
   if (to_close) to_close->close();
-  pump();
 }
 
 // ---- API surface -------------------------------------------------------
@@ -517,20 +452,18 @@ HttpResponse SimServer::handle_status(
   if (wait_ms > 0) {
     // ringclu-lint: allow(wallclock: bounded long-poll wait)
     drain_cv_.wait_for(lock, std::chrono::milliseconds(wait_ms), [&] {
-      const JobState state = it->second.state;
-      return shutdown_ || (state != JobState::Queued &&
-                           state != JobState::Running);
+      return shutdown_ || it->second.state != JobState::Queued;
     });
   }
   const Job& job = it->second;
+  const std::string_view state_name = job_state_name(reported_state(job));
   return json_response(
       200,
       str_format("{\"id\":\"%s\",\"state\":\"%.*s\",\"client\":\"%s\","
                  "\"priority\":\"%.*s\",\"name\":\"%s\",\"sweep\":%s,"
                  "\"tasks\":%zu,\"completed\":%zu,\"failed\":%zu}",
                  job.id.c_str(),
-                 static_cast<int>(job_state_name(job.state).size()),
-                 job_state_name(job.state).data(),
+                 static_cast<int>(state_name.size()), state_name.data(),
                  json_escape(job.client).c_str(),
                  static_cast<int>(priority_class_name(job.priority).size()),
                  priority_class_name(job.priority).data(),
@@ -585,11 +518,8 @@ HttpResponse SimServer::handle_result(
     if (it == jobs_.end()) return error_response(404, "unknown job id");
     state = it->second.state;
   }
-  if (state == JobState::Queued || state == JobState::Running) {
+  if (state == JobState::Queued) {
     return error_response(409, "job not finished");
-  }
-  if (state == JobState::Cancelled) {
-    return error_response(410, "job was cancelled");
   }
   if (state == JobState::Failed) {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -669,13 +599,10 @@ HttpResponse SimServer::handle_server_metrics() {
 }
 
 HttpResponse SimServer::handle_shutdown() {
-  std::size_t pending = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-    pending = scheduler_.depth() + in_flight_;
-    drain_cv_.notify_all();
-  }
+  request_shutdown();
+  const SimServiceStats stats = service_->stats();
+  std::size_t pending = stats.running;
+  for (const std::size_t queued : stats.queued) pending += queued;
   return json_response(
       200, str_format("{\"ok\":true,\"pending\":%zu}", pending));
 }
@@ -697,8 +624,8 @@ bool SimServer::wait_drained_ms(int timeout_ms) {
   // ringclu-lint: allow(wallclock: bounded drain wait)
   return drain_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
                             [this] {
-                              return shutdown_ && scheduler_.empty() &&
-                                     in_flight_ == 0;
+                              return shutdown_ &&
+                                     jobs_finished_ == jobs_.size();
                             });
 }
 

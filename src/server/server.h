@@ -2,8 +2,9 @@
 
 /// \file server.h
 /// The ringclu_simd job engine: accepts parsed API requests, journals
-/// every lifecycle transition, schedules tasks fairly across clients,
-/// and dispatches them into a SimService.
+/// job acceptance and completion, and hands each job's tasks to a
+/// SimService, whose fair-share queue orders them across clients and
+/// priority classes.
 ///
 /// SimServer is deliberately socket-free — handle() maps one
 /// HttpRequest to one HttpResponse, so the whole API surface is
@@ -12,8 +13,8 @@
 /// (connection threads call handle() concurrently; SimService workers
 /// call the completion path).
 ///
-/// Crash safety: every accepted/started/completed/failed transition is
-/// appended to the job journal before it takes effect, so a kill -9'd
+/// Crash safety: every accepted/completed/failed transition is appended
+/// to the job journal before it takes effect, so a kill -9'd
 /// daemon restarted over the same journal + result store re-submits
 /// exactly the incomplete work — finished tasks resolve as store hits
 /// and are never re-simulated.  See DESIGN.md §13.
@@ -32,7 +33,6 @@
 #include "harness/sim_service.h"
 #include "server/http.h"
 #include "server/journal.h"
-#include "server/scheduler.h"
 #include "server/wire.h"
 #include "stats/metric_sink.h"
 #include "stats/metrics.h"
@@ -73,9 +73,6 @@ struct SimServerOptions {
   RunnerOptions runner;
   /// Job journal path; "" disables crash recovery.
   std::string journal_path;
-  /// Max tasks dispatched into the SimService at once; queued beyond it
-  /// stay in the fair-share scheduler.  0 = max(2, runner.threads).
-  int dispatch_window = 0;
 };
 
 /// The job engine.  Construction replays the journal (re-submitting
@@ -118,7 +115,9 @@ class SimServer {
     bool failed = false;
   };
 
-  enum class JobState { Queued, Running, Completed, Failed, Cancelled };
+  /// A job is Queued until one of its tasks leaves the service queue,
+  /// Running after that, until it is Completed or Failed.
+  enum class JobState { Queued, Running, Completed, Failed };
   [[nodiscard]] static std::string_view job_state_name(JobState state);
 
   struct Job {
@@ -128,8 +127,12 @@ class SimServer {
     std::string name;
     bool sweep = false;
     std::uint64_t interval = 0;
+    /// Queued until the job is Completed or Failed; reported_state()
+    /// tells Queued from Running.
     JobState state = JobState::Queued;
     std::vector<Task> tasks;
+    /// The tasks' service handles, in task order (empty for history).
+    std::vector<JobHandle> handles;
     std::size_t done = 0;
     std::size_t failed = 0;
     /// Streaming jobs only: the live metrics line buffer.
@@ -147,12 +150,11 @@ class SimServer {
   HttpResponse handle_shutdown();
 
   /// Creates a job from \p request, journals acceptance (unless
-  /// replaying) and enqueues its tasks.  Returns the job id.
+  /// replaying) and submits its tasks to the service.  Returns the id.
   std::string accept_job(JobRequest request, JsonValue request_doc,
                          bool replay, std::string replay_id);
-  /// Dispatches queued tasks into the service while the window allows.
-  /// Re-entrancy-safe: concurrent calls fold into the active pump.
-  void pump();
+  /// \p job's reported state.  \pre mutex_ held.
+  [[nodiscard]] static JobState reported_state(const Job& job);
   /// Completion path (SimService worker threads and inline store hits).
   void task_done(const std::string& id, std::size_t index,
                  std::optional<SimResult> result, std::string error);
@@ -166,7 +168,6 @@ class SimServer {
   std::vector<std::string> default_benchmarks_;
   JobJournal journal_;
   Registry<GaugeDesc> gauges_;
-  int window_ = 1;
 
   mutable std::mutex mutex_;
   /// Notified when a task finishes and on shutdown; wakes the drain wait
@@ -175,14 +176,8 @@ class SimServer {
   // Keyed lookups; iterated only during replay accounting (std::map:
   // deterministic order).
   std::map<std::string, Job> jobs_;
-  FairScheduler scheduler_;
   std::uint64_t next_job_number_ = 1;
-  std::uint64_t next_seq_ = 1;
-  std::size_t in_flight_ = 0;
-  bool pumping_ = false;
-  bool repump_ = false;
   bool shutdown_ = false;
-  bool destroying_ = false;
   std::size_t replayed_jobs_ = 0;
   std::size_t corrupt_lines_ = 0;
   std::size_t jobs_finished_ = 0;

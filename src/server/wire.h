@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "harness/sim_job.h"
-#include "server/scheduler.h"
+#include "harness/scheduler.h"
 #include "util/json.h"
 
 namespace ringclu {

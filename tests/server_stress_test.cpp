@@ -43,7 +43,6 @@ SimServerOptions stress_options() {
   options.runner.verbose = false;
   options.runner.cache_backend = StoreBackend::Memory;
   options.runner.cache_path = "";
-  options.dispatch_window = 3;
   return options;
 }
 
@@ -53,7 +52,7 @@ std::string wait_terminal(SimServer& server, const std::string& id) {
     if (response.status != 200) return "status " + response.body;
     const std::string state =
         json_parse(response.body)->find("state")->string;
-    if (state == "completed" || state == "failed" || state == "cancelled") {
+    if (state == "completed" || state == "failed") {
       return state;
     }
     std::this_thread::sleep_for(5ms);

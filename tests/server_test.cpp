@@ -1,6 +1,6 @@
-// ringclu_simd subsystem tests: fair-share scheduler policy (exact
-// dequeue order), journal round-trip + corruption tolerance, wire-format
-// parsing, endpoint conformance through SimServer::handle(), crash
+// ringclu_simd subsystem tests: journal round-trip + corruption
+// tolerance, wire-format parsing, endpoint conformance through
+// SimServer::handle(), fair share through the service queue, crash
 // recovery (kill -9 equivalent: journal written, process state lost),
 // and HTTP/1.1 framing over real sockets.
 
@@ -20,7 +20,6 @@
 
 #include "server/http.h"
 #include "server/journal.h"
-#include "server/scheduler.h"
 #include "server/server.h"
 #include "server/wire.h"
 #include "stats/metrics.h"
@@ -29,105 +28,6 @@ namespace ringclu {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---- FairScheduler -----------------------------------------------------
-
-SchedEntry entry(const std::string& job, std::size_t task,
-                 const std::string& client, PriorityClass priority,
-                 std::uint64_t seq) {
-  SchedEntry out;
-  out.job_id = job;
-  out.task = task;
-  out.client = client;
-  out.priority = priority;
-  out.seq = seq;
-  return out;
-}
-
-std::vector<std::string> drain(FairScheduler& scheduler) {
-  std::vector<std::string> order;
-  while (std::optional<SchedEntry> next = scheduler.dequeue()) {
-    order.push_back(next->job_id);
-  }
-  return order;
-}
-
-// The policy is deterministic, so the expected order is exact: weighted
-// round-robin across classes (4/2/1), round-robin across clients within
-// a class, FIFO within a client.
-TEST(FairScheduler, DequeueOrderIsExact) {
-  FairScheduler scheduler;
-  std::uint64_t seq = 0;
-  scheduler.enqueue(entry("H1a", 0, "h1", PriorityClass::High, ++seq));
-  scheduler.enqueue(entry("H1b", 0, "h1", PriorityClass::High, ++seq));
-  scheduler.enqueue(entry("H1c", 0, "h1", PriorityClass::High, ++seq));
-  scheduler.enqueue(entry("H2a", 0, "h2", PriorityClass::High, ++seq));
-  scheduler.enqueue(entry("N1a", 0, "n1", PriorityClass::Normal, ++seq));
-  scheduler.enqueue(entry("N1b", 0, "n1", PriorityClass::Normal, ++seq));
-  scheduler.enqueue(entry("N2a", 0, "n2", PriorityClass::Normal, ++seq));
-  scheduler.enqueue(entry("N2b", 0, "n2", PriorityClass::Normal, ++seq));
-  scheduler.enqueue(entry("L1a", 0, "l1", PriorityClass::Low, ++seq));
-  scheduler.enqueue(entry("L1b", 0, "l1", PriorityClass::Low, ++seq));
-  EXPECT_EQ(scheduler.depth(), 10u);
-  EXPECT_EQ(scheduler.depth(PriorityClass::High), 4u);
-
-  const std::vector<std::string> expected = {"H1a", "H2a", "H1b", "H1c",
-                                             "N1a", "N2a", "L1a", "N1b",
-                                             "N2b", "L1b"};
-  EXPECT_EQ(drain(scheduler), expected);
-  EXPECT_TRUE(scheduler.empty());
-}
-
-// A large high-priority backlog cannot starve a low-priority client: the
-// low task is dequeued within one WRR cycle (position 5 here, after the
-// high class burns its 4 credits and the empty normal class is skipped).
-TEST(FairScheduler, LowPriorityIsNeverStarved) {
-  FairScheduler scheduler;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 10; ++i) {
-    scheduler.enqueue(entry("high", 0, "big", PriorityClass::High, ++seq));
-  }
-  scheduler.enqueue(entry("low", 0, "small", PriorityClass::Low, ++seq));
-
-  std::vector<std::string> first5;
-  for (int i = 0; i < 5; ++i) first5.push_back(scheduler.dequeue()->job_id);
-  EXPECT_EQ(first5[4], "low");
-}
-
-TEST(FairScheduler, WeightsSplitOneCycle421) {
-  FairScheduler scheduler;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 8; ++i) {
-    scheduler.enqueue(entry("H", 0, "a", PriorityClass::High, ++seq));
-    scheduler.enqueue(entry("N", 0, "a", PriorityClass::Normal, ++seq));
-    scheduler.enqueue(entry("L", 0, "a", PriorityClass::Low, ++seq));
-  }
-  const std::vector<std::string> cycle = {"H", "H", "H", "H", "N", "N", "L"};
-  for (std::size_t i = 0; i < cycle.size(); ++i) {
-    EXPECT_EQ(scheduler.dequeue()->job_id, cycle[i]) << "position " << i;
-  }
-}
-
-TEST(FairScheduler, ClientsInOneClassRoundRobin) {
-  FairScheduler scheduler;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 3; ++i) {
-    scheduler.enqueue(entry(std::string("A").append(std::to_string(i)), 0,
-                            "alice", PriorityClass::Normal, ++seq));
-  }
-  scheduler.enqueue(entry("B0", 0, "bob", PriorityClass::Normal, ++seq));
-  const std::vector<std::string> expected = {"A0", "B0", "A1", "A2"};
-  EXPECT_EQ(drain(scheduler), expected);
-}
-
-TEST(FairScheduler, ParsePriorityClassRoundTrips) {
-  for (const PriorityClass cls :
-       {PriorityClass::High, PriorityClass::Normal, PriorityClass::Low}) {
-    EXPECT_EQ(parse_priority_class(priority_class_name(cls)), cls);
-  }
-  EXPECT_FALSE(parse_priority_class("urgent").has_value());
-  EXPECT_FALSE(parse_priority_class("").has_value());
-}
 
 // ---- JobJournal --------------------------------------------------------
 
@@ -447,7 +347,7 @@ std::string wait_terminal(SimServer& server, const std::string& id) {
     EXPECT_EQ(response.status, 200);
     const std::string state =
         json_parse(response.body)->find("state")->string;
-    if (state == "completed" || state == "failed" || state == "cancelled") {
+    if (state == "completed" || state == "failed") {
       return state;
     }
     std::this_thread::sleep_for(5ms);
@@ -646,6 +546,36 @@ TEST(SimServer, StatusWaitOutsideItsBoundIs400) {
         << response.body;
   }
   EXPECT_EQ(wait_terminal(server, id), "completed");
+}
+
+// One queue from POST to worker: a high-priority single run submitted
+// after another client's low-priority sweep runs before any of the
+// sweep's tasks, not after the ones already handed to the service.
+TEST(SimServer, HighPriorityRunOvertakesAQueuedSweep) {
+  SimServerOptions options = server_options("");
+  options.runner.threads = 1;
+  SimServer server(options);
+  server.service().pause();
+  const std::string sweep = submit_ok(
+      server,
+      R"({"sweep":{"sweep_schema":1,"name":"a","base":"Ring_4clus_1bus_2IW",)"
+      R"("benchmarks":["swim","art","mcf"],)"
+      R"("run":{"instrs":20000,"warmup":2000}},)"
+      R"("client":"a","priority":"low"})");
+  const std::string run = submit_ok(
+      server, R"({"config":"Ring_4clus_1bus_2IW","benchmark":"gzip",)"
+              R"("client":"b","priority":"high"})");
+  EXPECT_EQ(state_of(server.handle(http_get("/v1/jobs/" + sweep))),
+            "queued");
+  server.service().resume();
+
+  EXPECT_EQ(state_of(server.handle(
+                http_get("/v1/jobs/" + run + "?wait_ms=30000"))),
+            "completed");
+  const HttpResponse status = server.handle(http_get("/v1/jobs/" + sweep));
+  EXPECT_EQ(json_parse(status.body)->find("completed")->number, 0)
+      << status.body;
+  EXPECT_EQ(wait_terminal(server, sweep), "completed");
 }
 
 TEST(SimServer, ServerMetricsReportTheGaugeSet) {

@@ -1,7 +1,7 @@
-// Concurrency tests for SimService: duplicate in-flight coalescing,
-// cancellation before/after dispatch, completion-callback ordering, store
-// interaction (hits, force), and a randomized multi-submitter stress test
-// over both ResultStore backends.
+// Tests for SimService: the fair-share queue policy (exact dequeue
+// order), duplicate in-flight coalescing, completion-callback ordering,
+// store interaction (hits, force), and a randomized multi-submitter
+// stress test over both ResultStore backends.
 
 #include <gtest/gtest.h>
 
@@ -166,63 +166,6 @@ TEST(SimServiceTest, CompletedJobRepopulatesFromStoreNotCoalescing) {
             serialize_result(first.result()));
 }
 
-TEST(SimServiceTest, CancelBeforeDispatchDropsTheJob) {
-  SimService service(memory_store(), paused_options(1));
-  JobHandle handle = service.submit(make_job("gzip"));
-  EXPECT_EQ(handle.status(), JobStatus::Queued);
-
-  EXPECT_TRUE(handle.cancel());
-  EXPECT_EQ(handle.status(), JobStatus::Cancelled);
-  EXPECT_EQ(handle.wait(), JobStatus::Cancelled);
-  EXPECT_FALSE(handle.try_result().has_value());
-
-  service.resume();
-  service.wait_idle();
-  EXPECT_EQ(service.simulations_run(), 0u);
-  EXPECT_FALSE(handle.cancel());  // Second cancel is a no-op.
-}
-
-TEST(SimServiceTest, CancelOneWaiterKeepsTheJobForOthers) {
-  SimService service(memory_store(), paused_options(1));
-  JobHandle first = service.submit(make_job("swim"));
-  JobHandle second = service.submit(make_job("swim"));  // coalesced
-
-  EXPECT_TRUE(first.cancel());
-  EXPECT_EQ(first.status(), JobStatus::Cancelled);
-
-  service.resume();
-  EXPECT_EQ(second.wait(), JobStatus::Done);
-  EXPECT_EQ(second.result().benchmark, "swim");
-  EXPECT_EQ(service.simulations_run(), 1u);
-  // The cancelled handle never observes the result its sibling got.
-  EXPECT_EQ(first.status(), JobStatus::Cancelled);
-  EXPECT_FALSE(first.try_result().has_value());
-}
-
-TEST(SimServiceTest, CancelAfterDispatchIsRefused) {
-  SimService service(memory_store(), paused_options(1));
-  // A job big enough that we can observe it Running.
-  JobHandle handle = service.submit(make_job("swim", /*instrs=*/200000));
-  service.resume();
-  while (handle.status() == JobStatus::Queued) {
-    std::this_thread::yield();
-  }
-  // Running or already Done: either way, past the cancellation point.
-  EXPECT_FALSE(handle.cancel());
-  EXPECT_EQ(handle.wait(), JobStatus::Done);
-  EXPECT_GE(handle.result().counters.committed, 200000u);
-  EXPECT_EQ(service.simulations_run(), 1u);
-}
-
-TEST(SimServiceTest, CancelAfterCompletionIsRefused) {
-  SimService service(memory_store());
-  JobHandle handle = service.submit(make_job("gzip"));
-  EXPECT_EQ(handle.wait(), JobStatus::Done);
-  EXPECT_FALSE(handle.cancel());
-  EXPECT_EQ(handle.status(), JobStatus::Done);
-  EXPECT_TRUE(handle.try_result().has_value());
-}
-
 TEST(SimServiceTest, CallbacksRunInRegistrationOrder) {
   SimService service(memory_store(), paused_options(1));
   JobHandle handle = service.submit(make_job("gzip"));
@@ -269,6 +212,43 @@ TEST(SimServiceTest, CallbacksFromEveryCoalescedHandleFire) {
   EXPECT_EQ(second.wait(), JobStatus::Done);
   while (fired.load() < 2) std::this_thread::yield();
   EXPECT_EQ(service.simulations_run(), 1u);
+}
+
+// The queue is fair-share: on one worker, a high-priority job submitted
+// after a low-priority backlog runs first, and one client's jobs in one
+// class run in submission order.
+TEST(SimServiceTest, QueueServesPriorityThenSubmissionOrder) {
+  SimService service(memory_store(), paused_options(1));
+  std::mutex order_mutex;
+  std::vector<std::string> order;
+  std::atomic<std::size_t> fired{0};
+  std::vector<JobHandle> handles;
+  const auto submit = [&](const char* benchmark, const char* client,
+                          PriorityClass priority) {
+    SimJob job = make_job(benchmark);
+    job.client = client;
+    job.priority = priority;
+    handles.push_back(service.submit(std::move(job)));
+    handles.back().on_complete([&](const SimResult& result) {
+      const std::lock_guard<std::mutex> lock(order_mutex);
+      order.push_back(result.benchmark);
+      fired.fetch_add(1);
+    });
+  };
+  submit("gzip", "a", PriorityClass::Low);
+  submit("swim", "a", PriorityClass::Low);
+  submit("art", "a", PriorityClass::Low);
+  submit("mcf", "b", PriorityClass::High);
+
+  service.resume();
+  for (const JobHandle& handle : handles) {
+    EXPECT_EQ(handle.wait(), JobStatus::Done);
+  }
+  // The worker runs each callback before it takes the next job.
+  while (fired.load() < handles.size()) std::this_thread::yield();
+  const std::lock_guard<std::mutex> lock(order_mutex);
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"mcf", "gzip", "swim", "art"}));
 }
 
 /// A sink that holds its run open in on_run_complete until release():
@@ -342,7 +322,6 @@ TEST(SimServiceTest, UnknownBenchmarkFailsAtSubmission) {
   EXPECT_EQ(handle.wait(), JobStatus::Failed);
   EXPECT_NE(handle.error().find("nosuchbench"), std::string::npos);
   EXPECT_NE(handle.error().find("gzip"), std::string::npos);  // valid list
-  EXPECT_FALSE(handle.try_result().has_value());
   EXPECT_EQ(service.simulations_run(), 0u);
 
   // Callbacks never fire for failed jobs.
@@ -362,6 +341,101 @@ TEST(SimServiceTest, DestructionCancelsQueuedJobs) {
     // this scope — not touched again.)
   }
   SUCCEED();
+}
+
+// ---- FairScheduler -----------------------------------------------------
+
+using Scheduler = FairScheduler<std::string>;
+
+SchedEntry<std::string> entry(const std::string& job,
+                              const std::string& client,
+                              PriorityClass priority, std::uint64_t seq) {
+  return SchedEntry<std::string>{job, client, priority, seq};
+}
+
+std::vector<std::string> drain(Scheduler& scheduler) {
+  std::vector<std::string> order;
+  while (std::optional<SchedEntry<std::string>> next = scheduler.dequeue()) {
+    order.push_back(next->item);
+  }
+  return order;
+}
+
+// The policy is deterministic, so the expected order is exact: weighted
+// round-robin across classes (4/2/1), round-robin across clients within
+// a class, FIFO within a client.
+TEST(FairScheduler, DequeueOrderIsExact) {
+  Scheduler scheduler;
+  std::uint64_t seq = 0;
+  scheduler.enqueue(entry("H1a", "h1", PriorityClass::High, ++seq));
+  scheduler.enqueue(entry("H1b", "h1", PriorityClass::High, ++seq));
+  scheduler.enqueue(entry("H1c", "h1", PriorityClass::High, ++seq));
+  scheduler.enqueue(entry("H2a", "h2", PriorityClass::High, ++seq));
+  scheduler.enqueue(entry("N1a", "n1", PriorityClass::Normal, ++seq));
+  scheduler.enqueue(entry("N1b", "n1", PriorityClass::Normal, ++seq));
+  scheduler.enqueue(entry("N2a", "n2", PriorityClass::Normal, ++seq));
+  scheduler.enqueue(entry("N2b", "n2", PriorityClass::Normal, ++seq));
+  scheduler.enqueue(entry("L1a", "l1", PriorityClass::Low, ++seq));
+  scheduler.enqueue(entry("L1b", "l1", PriorityClass::Low, ++seq));
+  EXPECT_EQ(scheduler.depth(), 10u);
+  EXPECT_EQ(scheduler.depth(PriorityClass::High), 4u);
+
+  const std::vector<std::string> expected = {"H1a", "H2a", "H1b", "H1c",
+                                             "N1a", "N2a", "L1a", "N1b",
+                                             "N2b", "L1b"};
+  EXPECT_EQ(drain(scheduler), expected);
+  EXPECT_TRUE(scheduler.empty());
+}
+
+// A large high-priority backlog cannot starve a low-priority client: the
+// low task is dequeued within one WRR cycle (position 5 here, after the
+// high class burns its 4 credits and the empty normal class is skipped).
+TEST(FairScheduler, LowPriorityIsNeverStarved) {
+  Scheduler scheduler;
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 10; ++i) {
+    scheduler.enqueue(entry("high", "big", PriorityClass::High, ++seq));
+  }
+  scheduler.enqueue(entry("low", "small", PriorityClass::Low, ++seq));
+
+  std::vector<std::string> first5;
+  for (int i = 0; i < 5; ++i) first5.push_back(scheduler.dequeue()->item);
+  EXPECT_EQ(first5[4], "low");
+}
+
+TEST(FairScheduler, WeightsSplitOneCycle421) {
+  Scheduler scheduler;
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 8; ++i) {
+    scheduler.enqueue(entry("H", "a", PriorityClass::High, ++seq));
+    scheduler.enqueue(entry("N", "a", PriorityClass::Normal, ++seq));
+    scheduler.enqueue(entry("L", "a", PriorityClass::Low, ++seq));
+  }
+  const std::vector<std::string> cycle = {"H", "H", "H", "H", "N", "N", "L"};
+  for (std::size_t i = 0; i < cycle.size(); ++i) {
+    EXPECT_EQ(scheduler.dequeue()->item, cycle[i]) << "position " << i;
+  }
+}
+
+TEST(FairScheduler, ClientsInOneClassRoundRobin) {
+  Scheduler scheduler;
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 3; ++i) {
+    scheduler.enqueue(entry(std::string("A").append(std::to_string(i)),
+                            "alice", PriorityClass::Normal, ++seq));
+  }
+  scheduler.enqueue(entry("B0", "bob", PriorityClass::Normal, ++seq));
+  const std::vector<std::string> expected = {"A0", "B0", "A1", "A2"};
+  EXPECT_EQ(drain(scheduler), expected);
+}
+
+TEST(FairScheduler, ParsePriorityClassRoundTrips) {
+  for (const PriorityClass cls :
+       {PriorityClass::High, PriorityClass::Normal, PriorityClass::Low}) {
+    EXPECT_EQ(parse_priority_class(priority_class_name(cls)), cls);
+  }
+  EXPECT_FALSE(parse_priority_class("urgent").has_value());
+  EXPECT_FALSE(parse_priority_class("").has_value());
 }
 
 // ---- Randomized stress over both backends -----------------------------
@@ -397,7 +471,6 @@ TEST_P(SimServiceStressTest, ManySubmittersRandomCancelsStayConsistent) {
   struct Outcome {
     std::size_t benchmark_index;
     JobHandle handle;
-    bool cancelled;
   };
   std::mutex outcomes_mutex;
   std::vector<Outcome> outcomes;
@@ -408,49 +481,35 @@ TEST_P(SimServiceStressTest, ManySubmittersRandomCancelsStayConsistent) {
       std::mt19937 rng(1234u + static_cast<unsigned>(t));
       std::uniform_int_distribution<std::size_t> pick(0,
                                                       benchmarks.size() - 1);
-      std::uniform_int_distribution<int> coin(0, 9);
       for (int i = 0; i < kJobsPerSubmitter; ++i) {
         const std::size_t which = pick(rng);
         JobHandle handle =
             service.submit(make_job(benchmarks[which], kInstrs));
-        bool cancelled = false;
-        if (coin(rng) < 2) cancelled = handle.cancel();
         const std::lock_guard<std::mutex> lock(outcomes_mutex);
-        outcomes.push_back(Outcome{which, std::move(handle), cancelled});
+        outcomes.push_back(Outcome{which, std::move(handle)});
       }
     });
   }
   for (std::thread& submitter : submitters) submitter.join();
 
   std::size_t done = 0;
-  std::size_t cancelled = 0;
   for (Outcome& outcome : outcomes) {
-    const JobStatus status = outcome.handle.wait();
-    if (outcome.cancelled) {
-      EXPECT_EQ(status, JobStatus::Cancelled);
-      ++cancelled;
-      continue;
-    }
-    ASSERT_EQ(status, JobStatus::Done);
+    ASSERT_EQ(outcome.handle.wait(), JobStatus::Done);
     EXPECT_EQ(serialize_result(outcome.handle.result()),
               reference[outcome.benchmark_index]);
     ++done;
   }
-  EXPECT_EQ(done + cancelled,
-            static_cast<std::size_t>(kSubmitters * kJobsPerSubmitter));
+  EXPECT_EQ(done, static_cast<std::size_t>(kSubmitters * kJobsPerSubmitter));
 
   // At most one completed simulation per distinct key, ever: coalescing
   // covers concurrent duplicates, the store covers sequential ones.
   EXPECT_LE(service.simulations_run(), benchmarks.size());
   // Submission accounting: every submit was newly queued, coalesced onto
-  // an in-flight duplicate, or served from the store; queued jobs either
-  // simulated or were cancelled before dispatch.
-  const std::size_t total_submissions =
-      static_cast<std::size_t>(kSubmitters * kJobsPerSubmitter);
-  const std::size_t newly_queued = total_submissions -
-                                   service.coalesced_submissions() -
-                                   service.store_hits();
-  EXPECT_LE(service.simulations_run(), newly_queued);
+  // an in-flight duplicate, or served from the store, and every queued
+  // job simulated.
+  EXPECT_EQ(service.simulations_run() + service.coalesced_submissions() +
+                service.store_hits(),
+            done);
   std::filesystem::remove_all(root);
 }
 

@@ -331,7 +331,7 @@ TEST_F(TraceRegistryTest, ServerRunsTraceBenchmarkEndToEnd) {
     const HttpResponse poll = server.handle(http_get("/v1/jobs/" + id));
     ASSERT_EQ(poll.status, 200);
     state = json_parse(poll.body)->find("state")->string;
-    if (state == "completed" || state == "failed" || state == "cancelled") {
+    if (state == "completed" || state == "failed") {
       break;
     }
     std::this_thread::sleep_for(5ms);

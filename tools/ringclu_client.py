@@ -28,7 +28,7 @@ import threading
 import time
 
 DEFAULT_SERVER = os.environ.get("RINGCLU_SERVE_URL", "http://127.0.0.1:8117")
-TERMINAL_STATES = ("completed", "failed", "cancelled")
+TERMINAL_STATES = ("completed", "failed")
 # Longest status long-poll wait_for_job asks for; the daemon allows 30 s.
 LONG_POLL_MS = 20000
 

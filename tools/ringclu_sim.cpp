@@ -75,7 +75,6 @@
 #include <string>
 #include <vector>
 
-#include "core/processor.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/runner.h"
@@ -645,6 +644,9 @@ int main(int argc, char** argv) {
       parse_overrides(argc, argv, 3, single_run_keys());
   if (!parsed) return 2;
   const Config& options = *parsed;
+  // Run control comes from the command line alone; the environment is
+  // only checked for names nothing reads.
+  warn_unknown_env();
   const std::string report =
       options.get_string("report", json_report ? "json" : "detailed");
   if (report != "json" && report != "summary" && report != "csv" &&
@@ -694,29 +696,23 @@ int main(int argc, char** argv) {
     trace = make_workload_trace(workload, seed);
   }
 
-  SimResult result;
-  if (!checkpoint_flags.dir.empty()) {
-    SimJob job;
-    job.config = config;
-    job.benchmark = workload;
-    job.params.instrs = instrs;
-    job.params.warmup = warmup;
-    job.params.seed = seed;
-    job.params.snapshot_interval = snapshot_interval;
-    CheckpointOptions checkpoint;
-    checkpoint.dir = checkpoint_flags.dir;
-    checkpoint.resume = checkpoint_flags.resume;
-    result = run_sim_job_on_trace(job, checkpoint, *trace);
-    if (result.warmup_restored) {
-      std::fprintf(stderr,
-                   "[ringclu] restored checkpoint from %s (amortized "
-                   "%.2fs of simulation)\n",
-                   checkpoint_flags.dir.c_str(),
-                   result.warmup_amortized_seconds);
-    }
-  } else {
-    Processor processor(config, seed);
-    result = processor.run(*trace, warmup, instrs);
+  SimJob job;
+  job.config = config;
+  job.benchmark = workload;
+  job.params.instrs = instrs;
+  job.params.warmup = warmup;
+  job.params.seed = seed;
+  job.params.snapshot_interval = snapshot_interval;
+  CheckpointOptions checkpoint;
+  checkpoint.dir = checkpoint_flags.dir;
+  checkpoint.resume = checkpoint_flags.resume;
+  const SimResult result = run_sim_job_on_trace(job, checkpoint, *trace);
+  if (result.warmup_restored) {
+    std::fprintf(stderr,
+                 "[ringclu] restored checkpoint from %s (amortized "
+                 "%.2fs of simulation)\n",
+                 checkpoint_flags.dir.c_str(),
+                 result.warmup_amortized_seconds);
   }
 
   if (report == "json") {

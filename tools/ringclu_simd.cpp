@@ -3,7 +3,7 @@
 /// asynchronous SimService (DESIGN.md §13).
 ///
 ///   ringclu_simd [--port=N] [--address=A] [--journal=PATH]
-///       [--port-file=PATH] [--window=N] [key=value ...]
+///       [--port-file=PATH] [key=value ...]
 ///
 /// API (all JSON):
 ///   POST /v1/jobs                submit a single run or a sweep
@@ -21,8 +21,10 @@
 ///   RINGCLU_SERVE_ADDRESS   bind address    (--address, default 127.0.0.1)
 ///   RINGCLU_SERVE_JOURNAL   job journal     (--journal, default
 ///                           serve/journal.jsonl; "" disables)
-///   RINGCLU_SERVE_WINDOW    dispatch window (--window,  default
-///                           max(2, threads))
+///
+/// Each accepted job's tasks go straight into the SimService's one
+/// fair-share queue: priority class, then client in rotation, then
+/// submission order decide which task a free worker takes next.
 ///
 /// key=value overrides (same grammar as ringclu_sim --sweep): instrs,
 /// warmup, seed, threads, backend, cache, force.  Their order does not
@@ -61,8 +63,7 @@ void on_signal(int signum) { g_signal = signum; }
   std::fprintf(stderr, "ringclu_simd: %s\n", message.c_str());
   std::fprintf(stderr,
                "usage: ringclu_simd [--port=N] [--address=A] "
-               "[--journal=PATH] [--port-file=PATH] [--window=N] "
-               "[key=value ...]\n");
+               "[--journal=PATH] [--port-file=PATH] [key=value ...]\n");
   std::exit(2);
 }
 
@@ -95,8 +96,6 @@ int main(int argc, char** argv) {
   }
   options.journal_path =
       env_string("RINGCLU_SERVE_JOURNAL").value_or("serve/journal.jsonl");
-  options.dispatch_window =
-      static_cast<int>(env_uint_or("RINGCLU_SERVE_WINDOW", 0));
   std::string port_file;
   bool warmup_given = false;  // instrs=N sets warmup=N/10 only without it
 
@@ -116,8 +115,6 @@ int main(int argc, char** argv) {
       options.journal_path = value;
     } else if (key == "--port-file") {
       port_file = value;
-    } else if (key == "--window") {
-      options.dispatch_window = static_cast<int>(cli_uint(key, value));
     } else if (key == "instrs") {
       options.runner.instrs = cli_uint(key, value);
       if (!warmup_given) options.runner.warmup = options.runner.instrs / 10;
